@@ -6,7 +6,8 @@ largest-remainder percentage rounding so report percentages always sum to
 in index order, so the emitted files are byte-identical for any worker
 count.
 
-Exit codes: 0 success, 1 usage error, 2 input/parse error.
+Exit codes: 0 success, 1 usage error, 2 input/parse error or a crashed
+worker process.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 from .corpus import (
     CorpusFormatError,
+    SentencePair,
     cohen_kappa,
     align_articles,
     load_agreement_tsv,
@@ -80,7 +83,7 @@ def load_config_file(path: str) -> dict:
     """Flat key=value config; '#' comments; keys match the long flag names."""
     values: dict = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -209,7 +212,23 @@ def _load_stores(config: RunConfig) -> list[ParaphraseStore]:
     return stores
 
 
-def _load_pairs(config: RunConfig):
+def _align_article_dir(path: str | Path, threshold: float) -> list[SentencePair]:
+    """Align every level of each article against its level 0, in article-id
+    then level order."""
+    pairs: list[SentencePair] = []
+    articles = load_article_dir(path)
+    for art_id in sorted(articles):
+        levels = articles[art_id]
+        if 0 not in levels:
+            print(f"warning: {art_id}: no level-0 file, skipping", file=sys.stderr)
+            continue
+        for level in sorted(levels):
+            if level != 0:
+                pairs.extend(align_articles(levels[0], levels[level], threshold))
+    return pairs
+
+
+def _load_pairs(config: RunConfig) -> list[SentencePair]:
     kind = config.input_kind
     path = Path(config.input_path)
     if kind is None:
@@ -217,18 +236,7 @@ def _load_pairs(config: RunConfig):
     if kind == "aligned-tsv":
         return load_aligned_tsv(path)
     if kind == "article-dir":
-        pairs = []
-        articles = load_article_dir(path)
-        for art_id in sorted(articles):
-            levels = articles[art_id]
-            if 0 not in levels:
-                print(f"warning: {art_id}: no level-0 file, skipping", file=sys.stderr)
-                continue
-            for level in sorted(levels):
-                if level == 0:
-                    continue
-                pairs.extend(align_articles(levels[0], levels[level], config.threshold))
-        return pairs
+        return _align_article_dir(path, config.threshold)
     raise ConfigError(f"unknown input kind {kind!r}")
 
 
@@ -259,8 +267,12 @@ def cmd_mine(args: argparse.Namespace) -> int:
         worker = partial(
             _mine_shard, inventory=inventory, stores=stores, sense_level=config.sense_level
         )
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(worker, _shards(pairs, config.workers)))
+        try:
+            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+                results = list(pool.map(worker, _shards(pairs, config.workers)))
+        except BrokenProcessPool:
+            print("error: mining worker process exited unexpectedly", file=sys.stderr)
+            return INPUT_ERROR
         inv = AltLexInventory()
         for shard_inv in results:
             inv = inv.merge(shard_inv)
@@ -279,22 +291,10 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_align(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    articles = load_article_dir(config.input_path)
-    lines = []
-    count = 0
-    for art_id in sorted(articles):
-        levels = articles[art_id]
-        if 0 not in levels:
-            print(f"warning: {art_id}: no level-0 file, skipping", file=sys.stderr)
-            continue
-        for level in sorted(levels):
-            if level == 0:
-                continue
-            for pair in align_articles(levels[0], levels[level], config.threshold):
-                lines.append(f"{pair.complex.raw}\t{pair.simple.raw}\t{pair.similarity:.6f}")
-                count += 1
-    Path(config.output).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    print(f"{count} pairs written to {config.output}")
+    pairs = _align_article_dir(config.input_path, config.threshold)
+    lines = "".join(f"{p.complex.raw}\t{p.simple.raw}\t{p.similarity:.6f}\n" for p in pairs)
+    Path(config.output).write_text(lines, encoding="utf-8")
+    print(f"{len(pairs)} pairs written to {config.output}")
     return 0
 
 

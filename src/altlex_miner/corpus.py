@@ -72,7 +72,7 @@ def load_aligned_tsv(path: str | Path) -> list[SentencePair]:
     exactly two tab-separated fields. Empty lines are skipped.
     """
     pairs: list[SentencePair] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -113,7 +113,7 @@ def load_article_dir(path: str | Path) -> dict[str, dict[int, Article]]:
         level = int(m.group("level"))
         sentences = tuple(
             tokenize(line)
-            for line in file.read_text(encoding="utf-8").splitlines()
+            for line in file.read_text(encoding="utf-8-sig").splitlines()
             if line.strip()
         )
         articles.setdefault(art_id, {})[level] = Article(id=art_id, level=level, sentences=sentences)
@@ -124,7 +124,7 @@ def tfidf_cosine(a: Sentence, b: Sentence, idf: dict[str, float]) -> float:
     """Cosine of the two sentences' TF-IDF vectors over lowercased types.
 
     Terms missing from ``idf`` get weight 0. Returns 0.0 when either vector
-    is all-zero. This is the reference the alignment kernels are checked
+    is all-zero. This is the reference the alignment kernel is checked
     against; accumulation runs in sorted term order.
     """
     counts_a = Counter(t.lowercased for t in a.tokens)
@@ -215,7 +215,7 @@ def cohen_kappa(table: AgreementTable) -> float:
 def load_agreement_tsv(path: str | Path) -> AgreementTable:
     """Read ``pair_id<TAB>a(0|1)<TAB>b(0|1)`` rows into an AgreementTable."""
     yy = nn = yn = ny = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

@@ -157,7 +157,7 @@ def load_inventory(path: str | Path | None = None) -> ConnectiveInventory:
         text = ref.read_text(encoding="utf-8")
         name = "pdtb_connectives.tsv"
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
         name = str(path)
 
     entries: list[ConnectiveEntry] = []

@@ -106,7 +106,7 @@ def load_ppdb(
     counted on the returned store.
     """
     store = ParaphraseStore(Resource.PPDB)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -135,7 +135,7 @@ def load_ppdb(
 def load_synonyms(path: str | Path) -> ParaphraseStore:
     """Load a ``word<TAB>synonym`` lexicon; every entry gets score 1.0."""
     store = ParaphraseStore(Resource.SYNONYM_LEXICON)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

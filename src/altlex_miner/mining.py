@@ -175,11 +175,13 @@ def classify_annotations(
     return ChangeCase(CaseKind.OTHER, OtherKind.DIFF_REL_DIFF_CONN)
 
 
+def _detections(pair: SentencePair, inventory: ConnectiveInventory):
+    return detect_explicit(pair.complex, inventory), detect_explicit(pair.simple, inventory)
+
+
 def categorize(pair: SentencePair, inventory: ConnectiveInventory) -> ChangeCase:
     """Detect both sides and classify the pair."""
-    return classify_annotations(
-        detect_explicit(pair.complex, inventory), detect_explicit(pair.simple, inventory)
-    )
+    return classify_annotations(*_detections(pair, inventory))
 
 
 def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...] | list[str]) -> Sentence:
@@ -219,10 +221,6 @@ def verify_candidate(
         elif ann.sense == candidate.sense:
             return True
     return False
-
-
-def _detections(pair: SentencePair, inventory: ConnectiveInventory):
-    return detect_explicit(pair.complex, inventory), detect_explicit(pair.simple, inventory)
 
 
 def _mine_single(
@@ -275,6 +273,25 @@ def _resolve_overlaps(candidates: list[AltLexCandidate]) -> list[AltLexCandidate
     return kept
 
 
+def _mine_dispatch(
+    pair: SentencePair,
+    inventory: ConnectiveInventory,
+    stores: list[ParaphraseStore],
+    sense_level: int,
+) -> tuple[ChangeCase, ExplicitAnnotation | None, list[AltLexCandidate]]:
+    """Classify the pair and, for a one-sided single-annotation case, mine
+    the explicit side's connective: (case, annotation or None, candidates)."""
+    complex_anns, simple_anns = _detections(pair, inventory)
+    case = classify_annotations(complex_anns, simple_anns)
+    if case.kind is CaseKind.EXP_NON_EXP:
+        annotation = complex_anns[0]
+    elif case.kind is CaseKind.NON_EXP_EXP:
+        annotation = simple_anns[0]
+    else:
+        return case, None, []
+    return case, annotation, _mine_single(pair, case.kind, annotation, inventory, stores, sense_level)
+
+
 def mine_pair(
     pair: SentencePair,
     inventory: ConnectiveInventory,
@@ -283,13 +300,7 @@ def mine_pair(
 ) -> list[AltLexCandidate]:
     """Verified AltLex candidates for one pair (empty unless the pair is a
     one-sided single-annotation case)."""
-    complex_anns, simple_anns = _detections(pair, inventory)
-    case = classify_annotations(complex_anns, simple_anns)
-    if case.kind is CaseKind.EXP_NON_EXP:
-        return _mine_single(pair, case.kind, complex_anns[0], inventory, stores, sense_level)
-    if case.kind is CaseKind.NON_EXP_EXP:
-        return _mine_single(pair, case.kind, simple_anns[0], inventory, stores, sense_level)
-    return []
+    return _mine_dispatch(pair, inventory, stores, sense_level)[2]
 
 
 def mine_corpus(
@@ -301,16 +312,10 @@ def mine_corpus(
     """Fold categorization counts and verified candidates over a corpus."""
     result = AltLexInventory()
     for pair in pairs:
-        complex_anns, simple_anns = _detections(pair, inventory)
-        case = classify_annotations(complex_anns, simple_anns)
+        case, annotation, candidates = _mine_dispatch(pair, inventory, stores, sense_level)
         result._add_case(case)
-        if case.kind is CaseKind.EXP_NON_EXP:
-            annotation, direction = complex_anns[0], case.kind
-        elif case.kind is CaseKind.NON_EXP_EXP:
-            annotation, direction = simple_anns[0], case.kind
-        else:
-            continue
-        result._add_alignment(annotation.sense)
-        for candidate in _mine_single(pair, direction, annotation, inventory, stores, sense_level):
+        if annotation is not None:
+            result._add_alignment(annotation.sense)
+        for candidate in candidates:
             result._add_candidate(candidate)
     return result

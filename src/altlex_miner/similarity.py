@@ -1,53 +1,23 @@
-"""Pairwise TF-IDF cosine similarity kernels for article alignment.
+"""Pairwise TF-IDF cosine similarity for article alignment.
 
-This is the only numeric hot loop in the pipeline: aligning two articles
-needs an (n_simple x n_complex) cosine matrix over sparse TF-IDF vectors.
-Two implementations are provided:
-
-* a numba ``@njit`` CSR merge kernel (default) whose accumulation order is
-  identical to the pure-Python reference ``corpus.tfidf_cosine``, so the two
-  agree bitwise;
-* a vectorized pure-numpy densified fallback, selected by setting the
-  environment variable ``ALTLEX_MINER_DISABLE_NUMBA=1`` (or when numba is
-  unavailable). It agrees with the reference to ~1e-12.
-
-``benchmarks/bench_alignment.py`` compares the two paths.
+Aligning two articles needs an (n_simple x n_complex) cosine matrix over
+sparse TF-IDF vectors. ``csr_weights`` builds each side as CSR arrays and
+``cosine_matrix`` multiplies them with ``scipy.sparse``; the result agrees
+with the pure-Python reference ``corpus.tfidf_cosine`` to ~1e-12.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 
 import numpy as np
 
 from .text import Sentence
 
-_DISABLE = os.environ.get("ALTLEX_MINER_DISABLE_NUMBA", "").lower() in {"1", "true", "yes"}
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-USING_NUMBA = _HAVE_NUMBA and not _DISABLE
-
 
 def build_vocab(sentence_groups: list[list[Sentence]]) -> dict[str, int]:
-    """Assign vocabulary ids in lexicographic term order.
-
-    Lexicographic ids make the CSR kernel's ascending-id accumulation match
-    the reference implementation's sorted-term accumulation exactly.
-    """
+    """Assign vocabulary ids in lexicographic term order, so ids and the
+    CSR rows built from them do not depend on sentence order."""
     terms: set[str] = set()
     for group in sentence_groups:
         for s in group:
@@ -74,74 +44,16 @@ def csr_weights(
     return indptr, indices, data
 
 
-@njit(cache=True)
-def _cosine_matrix_csr(aptr, aidx, adat, bptr, bidx, bdat, out):  # pragma: no cover - compiled
-    n = aptr.shape[0] - 1
-    m = bptr.shape[0] - 1
-    anorm = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for k in range(aptr[i], aptr[i + 1]):
-            acc += adat[k] * adat[k]
-        anorm[i] = acc
-    bnorm = np.zeros(m)
-    for j in range(m):
-        acc = 0.0
-        for k in range(bptr[j], bptr[j + 1]):
-            acc += bdat[k] * bdat[k]
-        bnorm[j] = acc
-    for i in range(n):
-        for j in range(m):
-            if anorm[i] == 0.0 or bnorm[j] == 0.0:
-                out[i, j] = 0.0
-                continue
-            dot = 0.0
-            k = aptr[i]
-            l = bptr[j]
-            while k < aptr[i + 1] and l < bptr[j + 1]:
-                ka = aidx[k]
-                kb = bidx[l]
-                if ka == kb:
-                    dot += adat[k] * bdat[l]
-                    k += 1
-                    l += 1
-                elif ka < kb:
-                    k += 1
-                else:
-                    l += 1
-            out[i, j] = dot / np.sqrt(anorm[i] * bnorm[j])
-
-
-def _cosine_matrix_numba(a, b, vocab_size: int) -> np.ndarray:
-    aptr, aidx, adat = a
-    bptr, bidx, bdat = b
-    out = np.zeros((aptr.shape[0] - 1, bptr.shape[0] - 1), dtype=np.float64)
-    _cosine_matrix_csr(aptr, aidx, adat, bptr, bidx, bdat, out)
-    return out
-
-
-def _densify(csr, vocab_size: int) -> np.ndarray:
-    indptr, indices, data = csr
-    n = indptr.shape[0] - 1
-    dense = np.zeros((n, vocab_size), dtype=np.float64)
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    dense[rows, indices] = data
-    return dense
-
-def _cosine_matrix_numpy(a, b, vocab_size: int) -> np.ndarray:
-    da = _densify(a, vocab_size)
-    db = _densify(b, vocab_size)
-    anorm = np.sqrt((da * da).sum(axis=1))
-    bnorm = np.sqrt((db * db).sum(axis=1))
-    out = da @ db.T
-    denom = np.outer(anorm, bnorm)
-    np.divide(out, denom, out=out, where=denom > 0)
-    out[anorm == 0.0, :] = 0.0
-    out[:, bnorm == 0.0] = 0.0
-    return out
-
-
 def cosine_matrix(a, b, vocab_size: int) -> np.ndarray:
-    """Pairwise cosine matrix between two CSR weight sets."""
-    impl = _cosine_matrix_numba if USING_NUMBA else _cosine_matrix_numpy
-    return impl(a, b, vocab_size)
+    """Pairwise cosine matrix between two ``(indptr, indices, data)`` CSR
+    weight sets; rows or columns with an all-zero vector give 0.0."""
+    # Imported here: TSV-only runs never align, and scipy costs ~20 MiB and
+    # ~0.2 s to import.
+    from scipy.sparse import csr_matrix
+
+    sa = csr_matrix((a[2], a[1], a[0]), shape=(len(a[0]) - 1, vocab_size))
+    sb = csr_matrix((b[2], b[1], b[0]), shape=(len(b[0]) - 1, vocab_size))
+    anorm = np.sqrt(sa.multiply(sa).sum(axis=1).A1)
+    bnorm = np.sqrt(sb.multiply(sb).sum(axis=1).A1)
+    denom = np.outer(anorm, bnorm)
+    return np.divide((sa @ sb.T).toarray(), denom, out=np.zeros_like(denom), where=denom > 0)

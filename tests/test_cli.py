@@ -1,9 +1,12 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
 import pytest
 
+from altlex_miner import cli
 from altlex_miner.cli import main, percent_rows
 
 from conftest import (
@@ -102,6 +105,19 @@ def test_mine_deterministic_across_worker_counts(tmp_path, example_corpus, ppdb_
             tuple((out / name).read_bytes() for name in ("cases.tsv", "altlexes.tsv", "altlexes.json"))
         )
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers must inherit the patched mine_corpus",
+)
+def test_mine_crashed_worker_is_input_error(
+    tmp_path, example_corpus, ppdb_file, synonym_file, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "mine_corpus", lambda *args, **kwargs: os._exit(3))
+    args = _mine_args(example_corpus, tmp_path / "out", ppdb_file, synonym_file, ["--workers", "2"])
+    assert main(args) == 2
+    assert "error: mining worker process exited unexpectedly" in capsys.readouterr().err
 
 
 def test_mine_sense_level_flag(tmp_path, example_corpus, ppdb_file, synonym_file):

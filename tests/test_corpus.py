@@ -16,6 +16,7 @@ from altlex_miner.corpus import (
     load_article_dir,
     tfidf_cosine,
 )
+from altlex_miner.mining import CaseKind, ChangeCase, categorize
 from altlex_miner.text import tokenize
 
 from conftest import WOODCUTS_COMPLEX, WOODCUTS_SIMPLE
@@ -29,6 +30,20 @@ def test_load_aligned_tsv_two_lines(tmp_path):
     assert pairs[0].similarity == 1.0
     assert pairs[0].source_id == "1"
     assert [t.surface for t in pairs[1].complex.tokens] == ["e", "f"]
+
+
+def test_load_aligned_tsv_strips_utf8_bom(tmp_path, inventory):
+    # A BOM read as text would become token 0 and hide the sentence-initial
+    # connective, moving the pair from Exp-NonExp to NonExp-NonExp.
+    path = tmp_path / "pairs.tsv"
+    path.write_text(
+        "\ufeffAlthough the farmer watched the road, the storm crossed the river.\t"
+        "The farmer watched the road. The storm crossed the river.\n",
+        encoding="utf-8",
+    )
+    (pair,) = load_aligned_tsv(path)
+    assert pair.complex.tokens[0].surface == "Although"
+    assert categorize(pair, inventory) == ChangeCase(CaseKind.EXP_NON_EXP)
 
 
 def test_load_aligned_tsv_malformed_line(tmp_path):

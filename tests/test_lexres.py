@@ -58,6 +58,13 @@ def test_load_synonyms(tmp_path):
     assert entry.resource is Resource.SYNONYM_LEXICON
 
 
+def test_load_synonyms_strips_utf8_bom(tmp_path):
+    path = tmp_path / "syn.tsv"
+    path.write_text("\ufeffbecause\tsince\n", encoding="utf-8")
+    store = load_synonyms(path)
+    assert [e.target for e in store.lookup(("because",))] == [("since",)]
+
+
 def test_load_synonyms_empty_file(tmp_path):
     path = tmp_path / "syn.tsv"
     path.write_text("", encoding="utf-8")

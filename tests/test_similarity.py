@@ -2,10 +2,12 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import altlex_miner
 from altlex_miner import similarity
 from altlex_miner.corpus import compute_idf, tfidf_cosine
 from altlex_miner.text import tokenize
@@ -31,32 +33,12 @@ def _matrices(rng):
     return csr_a, csr_b, len(vocab), reference
 
 
-def test_numba_kernel_matches_reference_bitwise():
-    if not similarity.USING_NUMBA:
-        pytest.skip("numba path disabled")
-    rng = random.Random(11)
-    for _ in range(30):
-        csr_a, csr_b, nv, reference = _matrices(rng)
-        got = similarity._cosine_matrix_numba(csr_a, csr_b, nv)
-        assert np.array_equal(got, reference)
-
-
 def test_numpy_fallback_matches_reference():
     rng = random.Random(12)
     for _ in range(30):
         csr_a, csr_b, nv, reference = _matrices(rng)
-        got = similarity._cosine_matrix_numpy(csr_a, csr_b, nv)
+        got = similarity.cosine_matrix(csr_a, csr_b, nv)
         assert got == pytest.approx(reference, abs=1e-12)
-
-
-def test_paths_agree():
-    rng = random.Random(13)
-    for _ in range(10):
-        csr_a, csr_b, nv, _ = _matrices(rng)
-        a = similarity._cosine_matrix_numpy(csr_a, csr_b, nv)
-        if similarity.USING_NUMBA:
-            b = similarity._cosine_matrix_numba(csr_a, csr_b, nv)
-            assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_zero_rows_give_zero_similarity():
@@ -71,10 +53,21 @@ def test_zero_rows_give_zero_similarity():
     assert sims[1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_env_flag_selects_numpy_fallback():
-    env = dict(os.environ, ALTLEX_MINER_DISABLE_NUMBA="1")
-    code = "import altlex_miner.similarity as s; print(s.USING_NUMBA)"
+def test_tsv_mine_does_not_import_scipy(tmp_path, ppdb_file, synonym_file):
+    # scipy is only needed to align article directories; importing it on
+    # every run would add its memory and start-up cost to TSV-only runs.
+    corpus = tmp_path / "pairs.tsv"
+    corpus.write_text("Although it rained, we left.\tIt rained. We left.\n", encoding="utf-8")
+    argv = ["mine", str(corpus), "--ppdb", str(ppdb_file), "--synonyms", str(synonym_file),
+            "--output-dir", str(tmp_path / "out")]
+    code = (
+        "import sys\n"
+        "from altlex_miner import cli\n"
+        f"print(cli.main({argv!r}), 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(altlex_miner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "0 False"
