@@ -2,9 +2,10 @@
 
 Outputs are deterministic: fixed row orders, fixed float formats, and
 largest-remainder percentage rounding so report percentages always sum to
-100.00. Mining can shard pairs across worker processes; shard results merge
-in index order, so the emitted files are byte-identical for any worker
-count.
+100.00. With ``--workers N`` the parent only reads raw text rows and
+splits them into N contiguous shards; each worker tokenizes and mines its
+shard and returns an AltLexInventory. Shard results merge in index order,
+so the emitted files are byte-identical for any worker count.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse error or a crashed
 worker process.
@@ -29,6 +30,8 @@ from .corpus import (
     load_agreement_tsv,
     load_aligned_tsv,
     load_article_dir,
+    pairs_from_rows,
+    read_aligned_rows,
 )
 from .discourse import InventoryError, Sense, load_inventory
 from .lexres import ParaphraseStore, ResourceError, load_ppdb, load_synonyms
@@ -228,15 +231,20 @@ def _align_article_dir(path: str | Path, threshold: float) -> list[SentencePair]
     return pairs
 
 
-def _load_pairs(config: RunConfig) -> list[SentencePair]:
+def _load_input(config: RunConfig, sharded: bool) -> list:
+    """The run's input: SentencePairs to mine in this process or, when
+    ``sharded``, raw ``(source_id, complex, simple)`` rows for the workers to
+    tokenize. An aligned TSV is then only split into rows; article
+    directories are still aligned here, which needs their tokens."""
     kind = config.input_kind
     path = Path(config.input_path)
     if kind is None:
         kind = "article-dir" if path.is_dir() else "aligned-tsv"
     if kind == "aligned-tsv":
-        return load_aligned_tsv(path)
+        return read_aligned_rows(path) if sharded else load_aligned_tsv(path)
     if kind == "article-dir":
-        return _align_article_dir(path, config.threshold)
+        pairs = _align_article_dir(path, config.threshold)
+        return [(p.source_id, p.complex.raw, p.simple.raw) for p in pairs] if sharded else pairs
     raise ConfigError(f"unknown input kind {kind!r}")
 
 
@@ -251,28 +259,33 @@ def _shards(items: list, n: int) -> list[list]:
     return shards
 
 
-def _mine_shard(pairs, inventory, stores, sense_level):
-    return mine_corpus(pairs, inventory, stores, sense_level=sense_level)
+def _mine_shard(rows, inventory, stores, sense_level):
+    """Tokenize and mine one shard of raw rows; what each pool worker runs."""
+    return mine_corpus(pairs_from_rows(rows), inventory, stores, sense_level=sense_level)
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     inventory = load_inventory(config.inventory)
     stores = _load_stores(config)
-    pairs = _load_pairs(config)
 
-    if config.workers == 1 or len(pairs) <= 1:
+    if config.workers == 1:
+        pairs = _load_input(config, sharded=False)
         inv = mine_corpus(pairs, inventory, stores, sense_level=config.sense_level)
     else:
         worker = partial(
             _mine_shard, inventory=inventory, stores=stores, sense_level=config.sense_level
         )
-        try:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(worker, _shards(pairs, config.workers)))
-        except BrokenProcessPool:
-            print("error: mining worker process exited unexpectedly", file=sys.stderr)
-            return INPUT_ERROR
+        shards = _shards(_load_input(config, sharded=True), config.workers)
+        if len(shards) == 1:  # at most one row: not worth starting a pool
+            results = [worker(shards[0])]
+        else:
+            try:
+                with ProcessPoolExecutor(max_workers=config.workers) as pool:
+                    results = list(pool.map(worker, shards))
+            except BrokenProcessPool:
+                print("error: mining worker process exited unexpectedly", file=sys.stderr)
+                return INPUT_ERROR
         inv = AltLexInventory()
         for shard_inv in results:
             inv = inv.merge(shard_inv)

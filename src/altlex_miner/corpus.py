@@ -10,6 +10,7 @@ and drops pairs below a threshold.
 
 from __future__ import annotations
 
+import codecs
 import math
 import re
 from collections import Counter
@@ -65,31 +66,60 @@ class AgreementTable:
         return self.both_yes + self.both_no + self.a_yes_b_no + self.a_no_b_yes
 
 
+def _read_text(path: str | Path) -> str:
+    """The file decoded as UTF-8 without a leading BOM, with ``\r\n`` and
+    ``\r`` line ends turned into ``\n`` as text-mode ``open`` does.
+
+    Raises CorpusFormatError naming the file and line of an undecodable byte.
+    """
+    data = Path(path).read_bytes()
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8) :]
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        lineno = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
+        raise CorpusFormatError(f"{path}: line {lineno}: invalid UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_aligned_rows(path: str | Path) -> list[tuple[str, str, str]]:
+    """Split a pre-aligned 2-column TSV into ``(source_id, complex_raw,
+    simple_raw)`` rows without tokenizing; the source id is the line number.
+
+    Raises CorpusFormatError naming the line for an undecodable byte or any
+    line that does not have exactly two tab-separated fields. Empty lines
+    are skipped.
+    """
+    rows: list[tuple[str, str, str]] = []
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise CorpusFormatError(
+                f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(fields)}"
+            )
+        rows.append((str(lineno), fields[0], fields[1]))
+    return rows
+
+
+def pairs_from_rows(rows: list[tuple[str, str, str]]) -> list[SentencePair]:
+    """Tokenize ``(source_id, complex_raw, simple_raw)`` rows into pairs with
+    similarity 1.0."""
+    return [
+        SentencePair(complex=tokenize(complex_raw), simple=tokenize(simple_raw), source_id=source_id)
+        for source_id, complex_raw, simple_raw in rows
+    ]
+
+
 def load_aligned_tsv(path: str | Path) -> list[SentencePair]:
     """Load a pre-aligned 2-column TSV; similarity is 1.0 for every pair.
 
-    Raises CorpusFormatError naming the line for any line that does not have
-    exactly two tab-separated fields. Empty lines are skipped.
+    Raises CorpusFormatError as ``read_aligned_rows`` does.
     """
-    pairs: list[SentencePair] = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise CorpusFormatError(
-                    f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(fields)}"
-                )
-            pairs.append(
-                SentencePair(
-                    complex=tokenize(fields[0]),
-                    simple=tokenize(fields[1]),
-                    source_id=str(lineno),
-                )
-            )
-    return pairs
+    return pairs_from_rows(read_aligned_rows(path))
 
 
 _ARTICLE_FILE_RE = re.compile(r"^(?P<id>.+)\.(?P<level>\d+)\.txt$")
@@ -113,7 +143,7 @@ def load_article_dir(path: str | Path) -> dict[str, dict[int, Article]]:
         level = int(m.group("level"))
         sentences = tuple(
             tokenize(line)
-            for line in file.read_text(encoding="utf-8-sig").splitlines()
+            for line in _read_text(file).splitlines()
             if line.strip()
         )
         articles.setdefault(art_id, {})[level] = Article(id=art_id, level=level, sentences=sentences)
@@ -127,8 +157,8 @@ def tfidf_cosine(a: Sentence, b: Sentence, idf: dict[str, float]) -> float:
     is all-zero. This is the reference the alignment kernel is checked
     against; accumulation runs in sorted term order.
     """
-    counts_a = Counter(t.lowercased for t in a.tokens)
-    counts_b = Counter(t.lowercased for t in b.tokens)
+    counts_a = Counter(a.lower_forms)
+    counts_b = Counter(b.lower_forms)
     dot = na = nb = 0.0
     for term in sorted(counts_a.keys() | counts_b.keys()):
         w = idf.get(term, 0.0)
@@ -149,7 +179,7 @@ def compute_idf(sentences: list[Sentence]) -> dict[str, float]:
     n = len(sentences)
     df: Counter[str] = Counter()
     for s in sentences:
-        df.update(set(t.lowercased for t in s.tokens))
+        df.update(set(s.lower_forms))
     return {term: math.log((n + 1) / (d + 1)) + 1.0 for term, d in df.items()}
 
 

@@ -237,34 +237,34 @@ def _is_verbish(lower: str, position: int) -> bool:
     return False
 
 
-def _has_clause(sentence: Sentence, start: int, end: int, skip: TokenSpan | None = None) -> bool:
+def _has_clause(lowers: tuple[str, ...], start: int, end: int, skip: TokenSpan | None = None) -> bool:
     for i in range(start, end):
         if skip is not None and skip.start <= i < skip.end:
             continue
-        if _is_verbish(sentence.tokens[i].lowercased, i):
+        if _is_verbish(lowers[i], i):
             return True
     return False
 
 
-def _match_at(sentence: Sentence, part: tuple[str, ...], pos: int, occupied: list[bool]) -> bool:
-    if pos + len(part) > len(sentence.tokens):
+def _match_at(lowers: tuple[str, ...], part: tuple[str, ...], pos: int, occupied: list[bool]) -> bool:
+    if pos + len(part) > len(lowers):
         return False
     for offset, word in enumerate(part):
         i = pos + offset
-        if occupied[i] or sentence.tokens[i].lowercased != word:
+        if occupied[i] or lowers[i] != word:
             return False
     return True
 
 
-def _trim_before(sentence: Sentence, end: int) -> TokenSpan | None:
-    while end > 0 and sentence.tokens[end - 1].lowercased in _BOUNDARY_TOKENS:
+def _trim_before(lowers: tuple[str, ...], end: int) -> TokenSpan | None:
+    while end > 0 and lowers[end - 1] in _BOUNDARY_TOKENS:
         end -= 1
     return TokenSpan(0, end) if end > 0 else None
 
 
-def _trim_after(sentence: Sentence, start: int) -> TokenSpan | None:
-    n = len(sentence.tokens)
-    while start < n and sentence.tokens[start].lowercased in _BOUNDARY_TOKENS:
+def _trim_after(lowers: tuple[str, ...], start: int) -> TokenSpan | None:
+    n = len(lowers)
+    while start < n and lowers[start] in _BOUNDARY_TOKENS:
         start += 1
     return TokenSpan(start, n) if start < n else None
 
@@ -277,7 +277,8 @@ def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[
     the same start). Accepted occurrences claim their token positions, so
     annotation spans never overlap.
     """
-    n = len(sentence.tokens)
+    lowers = sentence.lower_forms
+    n = len(lowers)
     if n == 0:
         return []
     occupied = [False] * n
@@ -288,14 +289,14 @@ def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[
             continue
         entry = None
         span2 = None
-        for cand in inventory.candidates_at(sentence.tokens[pos].lowercased):
-            if not _match_at(sentence, cand.parts[0], pos, occupied):
+        for cand in inventory.candidates_at(lowers[pos]):
+            if not _match_at(lowers, cand.parts[0], pos, occupied):
                 continue
             if cand.discontinuous:
                 found = None
                 j = pos + len(cand.parts[0])
                 while j + len(cand.parts[1]) <= n:
-                    if _match_at(sentence, cand.parts[1], j, occupied):
+                    if _match_at(lowers, cand.parts[1], j, occupied):
                         found = TokenSpan(j, j + len(cand.parts[1]))
                         break
                     j += 1
@@ -310,10 +311,10 @@ def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[
         span = TokenSpan(pos, pos + len(entry.parts[0]))
 
         if entry.id in _COMMA_GUARDED and pos > 0:
-            if sentence.tokens[pos - 1].lowercased not in _BOUNDARY_TOKENS:
+            if lowers[pos - 1] not in _BOUNDARY_TOKENS:
                 continue
-        right_ok = _has_clause(sentence, span.end, n, skip=span2)
-        left_ok = pos == 0 or _has_clause(sentence, 0, pos)
+        right_ok = _has_clause(lowers, span.end, n, skip=span2)
+        left_ok = pos == 0 or _has_clause(lowers, 0, pos)
         if not (right_ok and left_ok):
             continue
 
@@ -324,8 +325,8 @@ def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[
                 span=span,
                 span2=span2,
                 sense=entry.top_sense,
-                arg_before=_trim_before(sentence, pos),
-                arg_after=_trim_after(sentence, last_end),
+                arg_before=_trim_before(lowers, pos),
+                arg_after=_trim_after(lowers, last_end),
             )
         )
         for i in range(span.start, span.end):

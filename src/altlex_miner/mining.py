@@ -192,14 +192,13 @@ def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...]
     sentence with a capitalized token, the replacement's first token is
     capitalized too.
     """
-    if not (0 <= span.start < span.end <= len(sentence.tokens)):
-        raise ValueError(f"span [{span.start}, {span.end}) invalid for {len(sentence.tokens)} tokens")
+    surfaces = sentence.surface_forms
+    if not (0 <= span.start < span.end <= len(surfaces)):
+        raise ValueError(f"span [{span.start}, {span.end}) invalid for {len(surfaces)} tokens")
     replacement = list(replacement)
-    if replacement and span.start == 0 and sentence.tokens[0].surface[:1].isupper():
+    if replacement and span.start == 0 and surfaces[0][:1].isupper():
         replacement[0] = replacement[0][:1].upper() + replacement[0][1:]
-    surfaces = [t.surface for t in sentence.tokens]
-    new_surfaces = surfaces[: span.start] + replacement + surfaces[span.end :]
-    return tokenize(" ".join(new_surfaces))
+    return tokenize(" ".join([*surfaces[: span.start], *replacement, *surfaces[span.end :]]))
 
 
 def verify_candidate(

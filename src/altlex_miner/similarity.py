@@ -21,7 +21,7 @@ def build_vocab(sentence_groups: list[list[Sentence]]) -> dict[str, int]:
     terms: set[str] = set()
     for group in sentence_groups:
         for s in group:
-            terms.update(t.lowercased for t in s.tokens)
+            terms.update(s.lower_forms)
     return {term: i for i, term in enumerate(sorted(terms))}
 
 
@@ -33,7 +33,7 @@ def csr_weights(
     idx_chunks: list[list[int]] = []
     dat_chunks: list[list[float]] = []
     for row, s in enumerate(sentences):
-        counts = Counter(t.lowercased for t in s.tokens)
+        counts = Counter(s.lower_forms)
         ids = sorted(vocab[t] for t in counts)
         idx_chunks.append(ids)
         by_id = {vocab[t]: c * idf[t] for t, c in counts.items()}

@@ -3,8 +3,9 @@
 The tokenizer is deliberately rule-based and dependency-free: words (with
 internal hyphens and apostrophes kept intact, so "don't" and
 "African-Americans" stay single tokens) and standalone punctuation marks.
-All matching downstream is case-insensitive, so every token carries its
-lowercased form alongside the surface and character offsets.
+All matching downstream is case-insensitive, so a Sentence stores each
+token's lowercased form alongside its surface. Character offsets are only
+computed on request, through ``Sentence.tokens``.
 """
 
 from __future__ import annotations
@@ -48,40 +49,44 @@ class TokenSpan:
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
-    """Raw text plus its tokens; the unit all detection and mining works on."""
+    """Raw text plus its tokens; the unit all detection and mining works on.
+
+    ``surface_forms`` holds the token strings in order and ``lower_forms``
+    their lowercased forms, one per token (lowercasing a token can change
+    its length, e.g. "İ"). Both come from ``raw``; build a Sentence with
+    ``tokenize``.
+    """
 
     raw: str
-    tokens: tuple[Token, ...]
+    surface_forms: tuple[str, ...]
+    lower_forms: tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.surface_forms)
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        """The tokens with character offsets into ``raw``, rebuilt on each call."""
+        return tuple(
+            Token(m.group(), m.group().lower(), m.start(), m.end()) for m in _TOKEN_RE.finditer(self.raw)
+        )
 
     def surfaces(self, span: TokenSpan | None = None) -> tuple[str, ...]:
-        toks = self.tokens if span is None else self.tokens[span.start : span.end]
-        return tuple(t.surface for t in toks)
+        return self.surface_forms if span is None else self.surface_forms[span.start : span.end]
 
     def lowers(self, span: TokenSpan | None = None) -> tuple[str, ...]:
-        toks = self.tokens if span is None else self.tokens[span.start : span.end]
-        return tuple(t.lowercased for t in toks)
+        return self.lower_forms if span is None else self.lower_forms[span.start : span.end]
 
 
 def tokenize(raw: str) -> Sentence:
-    """Split ``raw`` into word and punctuation tokens with char offsets.
+    """Split ``raw`` into word and punctuation tokens.
 
     Punctuation marks become their own tokens; hyphenated words and clitics
     ("don't", "it's") remain single tokens. Empty or whitespace-only input
     yields a sentence with no tokens.
     """
-    tokens = tuple(
-        Token(
-            surface=m.group(),
-            lowercased=m.group().lower(),
-            char_start=m.start(),
-            char_end=m.end(),
-        )
-        for m in _TOKEN_RE.finditer(raw)
-    )
-    return Sentence(raw=raw, tokens=tokens)
+    surfaces = tuple(_TOKEN_RE.findall(raw))
+    return Sentence(raw, surfaces, tuple(map(str.lower, surfaces)))
 
 
 def match_phrase(sentence: Sentence, phrase: list[str] | tuple[str, ...]) -> list[TokenSpan]:
@@ -94,9 +99,9 @@ def match_phrase(sentence: Sentence, phrase: list[str] | tuple[str, ...]) -> lis
         raise ValueError("phrase must be non-empty")
     phrase = tuple(phrase)
     width = len(phrase)
-    lowers = [t.lowercased for t in sentence.tokens]
+    lowers = sentence.lower_forms
     spans = []
     for start in range(len(lowers) - width + 1):
-        if tuple(lowers[start : start + width]) == phrase:
+        if lowers[start : start + width] == phrase:
             spans.append(TokenSpan(start, start + width))
     return spans

@@ -1,12 +1,14 @@
+import io
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
-from altlex_miner import cli
+from altlex_miner import SentencePair, Sentence, Token, cli
 from altlex_miner.cli import main, percent_rows
 
 from conftest import (
@@ -118,6 +120,98 @@ def test_mine_crashed_worker_is_input_error(
     args = _mine_args(example_corpus, tmp_path / "out", ppdb_file, synonym_file, ["--workers", "2"])
     assert main(args) == 2
     assert "error: mining worker process exited unexpectedly" in capsys.readouterr().err
+
+
+def _article_dir(tmp_path):
+    # Level 0 holds the complex sides of the example rows and levels 1 and 2
+    # their simple sides; at threshold 0.4 all ten simple lines align, and
+    # the three comics pairs yield "despite".
+    art = tmp_path / "articles"
+    art.mkdir()
+    for level, column in ((0, 0), (1, 1), (2, 1)):
+        text = "".join(f"{row[column]}\n" for row in EXAMPLE_ROWS)
+        (art / f"a.{level}.txt").write_text(text, encoding="utf-8")
+    (art / "b.0.txt").write_text(f"{COMICS_COMPLEX}\n{LANDMARK_COMPLEX}\n", encoding="utf-8")
+    (art / "b.1.txt").write_text(f"{LANDMARK_SIMPLE}\n{COMICS_SIMPLE}\n", encoding="utf-8")
+    return art
+
+
+def test_mine_article_dir_deterministic_across_worker_counts(tmp_path, ppdb_file, synonym_file):
+    art = _article_dir(tmp_path)
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        extra = ("--workers", workers, "--threshold", "0.4")
+        assert main(_mine_args(art, out, ppdb_file, synonym_file, extra)) == 0
+        outputs.append(
+            tuple((out / name).read_bytes() for name in ("cases.tsv", "altlexes.tsv", "altlexes.json"))
+        )
+    payload = json.loads(outputs[0][2])
+    assert payload["total_pairs"] == 10
+    assert [a["example_pair_ids"] for a in payload["altlexes"]] == [["a:1:3", "a:2:3", "b:1:1"]]
+    assert outputs[0] == outputs[1]
+
+
+def _pickled_types(obj) -> set[type]:
+    """The type of every object that pickling ``obj`` visits."""
+    seen: set[type] = set()
+
+    class Recorder(pickle.Pickler):
+        def persistent_id(self, value):
+            seen.add(type(value))
+            return None
+
+    Recorder(io.BytesIO()).dump(obj)
+    return seen
+
+
+@pytest.mark.parametrize("input_kind", ["aligned-tsv", "article-dir"])
+def test_mine_pool_ships_text_rows(
+    tmp_path, example_corpus, ppdb_file, synonym_file, monkeypatch, input_kind
+):
+    sent = []
+
+    class InProcessPool:
+        """Runs the shards in this process and keeps what ``map`` receives."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shards):
+            shards = list(shards)
+            sent.extend((fn, shard) for shard in shards)
+            return [fn(shard) for shard in shards]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    corpus = example_corpus if input_kind == "aligned-tsv" else _article_dir(tmp_path)
+    assert main(_mine_args(corpus, tmp_path / "out", ppdb_file, synonym_file, ("--workers", "2"))) == 0
+    assert len(sent) == 2
+    for fn, shard in sent:
+        assert shard
+        for row in shard:
+            assert isinstance(row, tuple) and len(row) == 3
+            assert all(type(field) is str for field in row)
+        assert not _pickled_types((fn, shard)) & {Sentence, SentencePair, Token}
+
+
+@pytest.mark.parametrize("input_kind", ["aligned-tsv", "article-dir"])
+def test_mine_invalid_utf8_names_file_and_line(tmp_path, ppdb_file, synonym_file, capsys, input_kind):
+    data = b"\xef\xbb\xbfa\tb\r\nc\td\nbad \xff byte\tx\n"
+    if input_kind == "aligned-tsv":
+        corpus = bad = tmp_path / "pairs.tsv"
+    else:
+        corpus = tmp_path / "articles"
+        corpus.mkdir()
+        bad = corpus / "a.0.txt"
+    bad.write_bytes(data)
+    assert main(_mine_args(corpus, tmp_path / "out", ppdb_file, synonym_file)) == 2
+    assert f"error: {bad}: line 3: invalid UTF-8" in capsys.readouterr().err
 
 
 def test_mine_sense_level_flag(tmp_path, example_corpus, ppdb_file, synonym_file):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from altlex_miner.corpus import (
     load_agreement_tsv,
     load_aligned_tsv,
     load_article_dir,
+    read_aligned_rows,
     tfidf_cosine,
 )
 from altlex_miner.mining import CaseKind, ChangeCase, categorize
@@ -51,6 +53,21 @@ def test_load_aligned_tsv_malformed_line(tmp_path):
     path.write_text("a\tb\nx\ty\tz\tw\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="line 2"):
         load_aligned_tsv(path)
+
+
+def test_read_aligned_rows_keeps_line_numbers_across_line_ends(tmp_path):
+    # CR and CRLF end a line as LF does, as text-mode reading treats them;
+    # the line number is the row's source id.
+    path = tmp_path / "pairs.tsv"
+    path.write_bytes(b"\xef\xbb\xbfa\tb\r\nc\td\re\tf\n\ng\th")
+    assert read_aligned_rows(path) == [("1", "a", "b"), ("2", "c", "d"), ("3", "e", "f"), ("5", "g", "h")]
+
+
+def test_read_aligned_rows_invalid_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "pairs.tsv"
+    path.write_bytes(b"\xef\xbb\xbfa\tb\r\nc\td\re\tf\nbad \xff\tg\n")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line 4: invalid UTF-8$"):
+        read_aligned_rows(path)
 
 
 def test_load_aligned_tsv_woodcuts_pair(tmp_path):

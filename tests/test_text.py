@@ -59,6 +59,31 @@ def test_deterministic(raw):
     assert tokenize(raw) == tokenize(raw)
 
 
+# Text mixing arbitrary characters with ones whose case mapping changes
+# length or splits them: "İ".lower() has two code points, "ß".upper() and
+# "ﬁ".upper() have two letters.
+_CASE_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from("İßﬁ -'"), st.characters()), max_size=200
+)
+
+
+@given(_CASE_TEXT)
+def test_lower_forms_lowercase_each_surface(raw):
+    s = tokenize(raw)
+    assert len(s.lower_forms) == len(s.surface_forms) == len(s)
+    for surface, lower in zip(s.surface_forms, s.lower_forms):
+        assert lower == surface.lower()
+
+
+@given(_CASE_TEXT)
+def test_token_view_offsets_address_surfaces(raw):
+    s = tokenize(raw)
+    assert tuple(t.surface for t in s.tokens) == s.surface_forms
+    assert tuple(t.lowercased for t in s.tokens) == s.lower_forms
+    for t in s.tokens:
+        assert s.raw[t.char_start : t.char_end] == t.surface
+
+
 def test_match_phrase_single():
     s = tokenize("He used to check fields")
     assert match_phrase(s, ["used", "to"]) == [TokenSpan(1, 3)]
