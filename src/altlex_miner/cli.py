@@ -33,7 +33,7 @@ from .corpus import (
     pairs_from_rows,
     read_aligned_rows,
 )
-from .discourse import InventoryError, Sense, load_inventory
+from .discourse import ConnectiveInventory, InventoryError, Sense, load_inventory
 from .lexres import ParaphraseStore, ResourceError, load_ppdb, load_synonyms
 from .mining import AltLexInventory, CaseKind, OtherKind, mine_corpus
 
@@ -206,12 +206,15 @@ def write_altlexes_json(path: Path, inv: AltLexInventory) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_stores(config: RunConfig) -> list[ParaphraseStore]:
+def _load_stores(config: RunConfig, inventory: ConnectiveInventory) -> list[ParaphraseStore]:
+    """The paraphrase stores, holding only the lines that can expand a
+    connective: mining looks up nothing but each connective's first part."""
+    keep = {entry.parts[0] for entry in inventory}
     stores: list[ParaphraseStore] = []
     if config.ppdb:
-        stores.append(load_ppdb(config.ppdb, min_score=config.min_score))
+        stores.append(load_ppdb(config.ppdb, min_score=config.min_score, keep=keep))
     if config.synonyms:
-        stores.append(load_synonyms(config.synonyms))
+        stores.append(load_synonyms(config.synonyms, keep=keep))
     return stores
 
 
@@ -267,7 +270,7 @@ def _mine_shard(rows, inventory, stores, sense_level):
 def cmd_mine(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     inventory = load_inventory(config.inventory)
-    stores = _load_stores(config)
+    stores = _load_stores(config, inventory)
 
     if config.workers == 1:
         pairs = _load_input(config, sharded=False)

@@ -6,6 +6,10 @@ files (``|||``-delimited, score taken from the feature column) and plain
 connective returns its stored paraphrases minus anything that is itself an
 inventory connective, since a connective-for-connective swap is not an
 alternative lexicalization.
+
+Mining only ever looks up a connective's first part, so both loaders take a
+``keep`` set of phrases and store only the lines whose source or target is
+in it: resident memory then scales with the inventory, not with the file.
 """
 
 from __future__ import annotations
@@ -13,8 +17,11 @@ from __future__ import annotations
 import enum
 import logging
 import re
+from collections.abc import Collection, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from .discourse import ConnectiveEntry, ConnectiveInventory
 
@@ -27,7 +34,7 @@ class Resource(enum.Enum):
 
 
 class ResourceError(Exception):
-    """Raised when a paraphrase resource file cannot be read at all."""
+    """Raised when a paraphrase resource file is not valid UTF-8."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,25 +59,31 @@ class ParaphraseStore:
         self.query_count = 0
         self.result_count = 0
         self._by_source: dict[tuple[str, ...], dict[tuple[str, ...], float]] = {}
+        self._sorted: dict[tuple[str, ...], list[ParaphraseEntry]] = {}
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._by_source.values())
 
     def add(self, source: tuple[str, ...], target: tuple[str, ...], score: float) -> None:
         """Insert both directions, keeping the best score for duplicates."""
+        self._sorted.clear()
         for src, tgt in ((source, target), (target, source)):
             targets = self._by_source.setdefault(src, {})
             if score > targets.get(tgt, float("-inf")):
                 targets[tgt] = score
 
     def lookup(self, source: tuple[str, ...]) -> list[ParaphraseEntry]:
-        targets = self._by_source.get(source, {})
-        entries = [
-            ParaphraseEntry(source=source, target=t, score=s, resource=self.resource)
-            for t, s in targets.items()
-        ]
-        entries.sort(key=lambda e: (-e.score, e.target))
-        return entries
+        """The source's paraphrases, best score first then by target; the
+        sorted list is built once per source and copied on each call."""
+        entries = self._sorted.get(source)
+        if entries is None:
+            entries = [
+                ParaphraseEntry(source=source, target=t, score=s, resource=self.resource)
+                for t, s in self._by_source.get(source, {}).items()
+            ]
+            entries.sort(key=lambda e: (-e.score, e.target))
+            self._sorted[source] = entries
+        return list(entries)
 
     @property
     def mean_expansions(self) -> float:
@@ -95,18 +108,50 @@ def _feature_score(features: str, score_key: str) -> float | None:
     return float(m.group()) if m else None
 
 
+@contextmanager
+def _open_utf8(path: str | Path) -> Iterator[TextIO]:
+    """Open a resource file as text: a leading BOM dropped, ``\r\n`` and
+    ``\r`` read as ``\n``. An undecodable byte read inside the ``with``
+    block raises ResourceError naming the file and line."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise ResourceError(f"{path}: line {_invalid_utf8_line(path)}: invalid UTF-8") from None
+
+
+def _invalid_utf8_line(path: str | Path) -> int:
+    """Number of the first line that is not valid UTF-8, counting line ends
+    as text mode does. ``\r`` and ``\n`` never occur inside a multi-byte
+    sequence, so the line that fails alone is the one the stream failed in."""
+    lineno = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            for raw in chunk.splitlines():
+                lineno += 1
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    return lineno
+    return lineno
+
+
 def load_ppdb(
-    path: str | Path, min_score: float = 0.0, score_key: str = "PPDB2.0Score"
+    path: str | Path,
+    min_score: float = 0.0,
+    score_key: str = "PPDB2.0Score",
+    keep: Collection[tuple[str, ...]] | None = None,
 ) -> ParaphraseStore:
     """Load a PPDB flat file, keeping entries with score >= min_score.
 
     Expected fields: ``LHS ||| source ||| target ||| features [||| ...]``.
     The score is the value of ``score_key`` in the feature column, falling
     back to the first number found there. Malformed lines are skipped and
-    counted on the returned store.
+    counted on the returned store. With ``keep``, only lines whose source or
+    target is in it are stored; every line is still validated and counted.
     """
     store = ParaphraseStore(Resource.PPDB)
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -127,15 +172,20 @@ def load_ppdb(
                 store.skipped += 1
                 logger.warning("%s:%d: no score found in feature column", path, lineno)
                 continue
-            if score >= min_score:
+            if score >= min_score and (keep is None or source in keep or target in keep):
                 store.add(source, target, score)
     return store
 
 
-def load_synonyms(path: str | Path) -> ParaphraseStore:
-    """Load a ``word<TAB>synonym`` lexicon; every entry gets score 1.0."""
+def load_synonyms(
+    path: str | Path, keep: Collection[tuple[str, ...]] | None = None
+) -> ParaphraseStore:
+    """Load a ``word<TAB>synonym`` lexicon; every entry gets score 1.0.
+
+    ``keep`` filters lines as in ``load_ppdb``.
+    """
     store = ParaphraseStore(Resource.SYNONYM_LEXICON)
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -151,7 +201,8 @@ def load_synonyms(path: str | Path) -> ParaphraseStore:
                 store.skipped += 1
                 logger.warning("%s:%d: skipping empty or identity synonym pair", path, lineno)
                 continue
-            store.add(source, target, 1.0)
+            if keep is None or source in keep or target in keep:
+                store.add(source, target, 1.0)
     return store
 
 

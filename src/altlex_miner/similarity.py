@@ -4,15 +4,21 @@ Aligning two articles needs an (n_simple x n_complex) cosine matrix over
 sparse TF-IDF vectors. ``csr_weights`` builds each side as CSR arrays and
 ``cosine_matrix`` multiplies them with ``scipy.sparse``; the result agrees
 with the pure-Python reference ``corpus.tfidf_cosine`` to ~1e-12.
+
+numpy and scipy are imported inside the functions that need them: TSV runs
+never align, and importing both costs tens of MiB and a few tenths of a
+second.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .text import Sentence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def build_vocab(sentence_groups: list[list[Sentence]]) -> dict[str, int]:
@@ -29,6 +35,8 @@ def csr_weights(
     sentences: list[Sentence], vocab: dict[str, int], idf: dict[str, float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build CSR arrays of tf*idf weights, indices ascending per row."""
+    import numpy as np
+
     indptr = np.zeros(len(sentences) + 1, dtype=np.int64)
     idx_chunks: list[list[int]] = []
     dat_chunks: list[list[float]] = []
@@ -47,8 +55,7 @@ def csr_weights(
 def cosine_matrix(a, b, vocab_size: int) -> np.ndarray:
     """Pairwise cosine matrix between two ``(indptr, indices, data)`` CSR
     weight sets; rows or columns with an all-zero vector give 0.0."""
-    # Imported here: TSV-only runs never align, and scipy costs ~20 MiB and
-    # ~0.2 s to import.
+    import numpy as np
     from scipy.sparse import csr_matrix
 
     sa = csr_matrix((a[2], a[1], a[0]), shape=(len(a[0]) - 1, vocab_size))

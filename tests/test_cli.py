@@ -214,6 +214,45 @@ def test_mine_invalid_utf8_names_file_and_line(tmp_path, ppdb_file, synonym_file
     assert f"error: {bad}: line 3: invalid UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, line",
+    [("--ppdb", b"[X] ||| though ||| despite ||| PPDB2.0Score=3.0"), ("--synonyms", b"because\tsince")],
+    ids=["ppdb", "synonyms"],
+)
+def test_mine_invalid_utf8_resource_names_file_and_line(
+    tmp_path, example_corpus, ppdb_file, synonym_file, capsys, flag, line
+):
+    bad = tmp_path / "resource.txt"
+    bad.write_bytes(b"\xef\xbb\xbf" + line + b"\r\n" + line + b"\r" + line.replace(b"e", b"\xff", 1) + b"\n")
+    argv = _mine_args(example_corpus, tmp_path / "out", ppdb_file, synonym_file)
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main(argv) == 2
+    assert f"error: {bad}: line 3: invalid UTF-8" in capsys.readouterr().err
+
+
+def test_mine_loads_only_lines_a_connective_reaches(
+    tmp_path, example_corpus, ppdb_file, synonym_file, monkeypatch, inventory
+):
+    calls = {}
+
+    def recording(name, load):
+        def wrapper(*args, **kwargs):
+            calls[name] = kwargs
+            return load(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "load_ppdb", recording("ppdb", cli.load_ppdb))
+    monkeypatch.setattr(cli, "load_synonyms", recording("synonyms", cli.load_synonyms))
+    extra = ("--min-score", "1.0")
+    assert main(_mine_args(example_corpus, tmp_path / "out", ppdb_file, synonym_file, extra)) == 0
+    first_parts = {e.parts[0] for e in inventory}
+    assert calls == {
+        "ppdb": {"min_score": 1.0, "keep": first_parts},
+        "synonyms": {"keep": first_parts},
+    }
+
+
 def test_mine_sense_level_flag(tmp_path, example_corpus, ppdb_file, synonym_file):
     out = tmp_path / "out"
     code = main(

@@ -1,6 +1,6 @@
 import pytest
 
-from altlex_miner.lexres import Resource, expand, load_ppdb, load_synonyms
+from altlex_miner.lexres import ParaphraseStore, Resource, expand, load_ppdb, load_synonyms
 
 
 def test_load_ppdb_basic(tmp_path):
@@ -137,3 +137,98 @@ def test_mean_expansions_instrumentation(tmp_path, inventory):
     expand(inventory.by_id["though"], store, inventory)
     expand(inventory.by_id["because"], store, inventory)
     assert store.mean_expansions == pytest.approx(1.0)  # 2 results over 2 queries
+
+
+def test_load_ppdb_cr_and_crlf_line_ends(tmp_path):
+    path = tmp_path / "ppdb"
+    path.write_bytes(
+        b"\xef\xbb\xbf[X] ||| though ||| despite ||| PPDB2.0Score=3.0\r\n"
+        b"[X] ||| though ||| even so ||| PPDB2.0Score=2.0\r"
+        b"[X] ||| before ||| used to ||| PPDB2.0Score=1.0\n"
+    )
+    store = load_ppdb(path)
+    assert store.skipped == 0
+    assert [e.target for e in store.lookup(("though",))] == [("despite",), ("even", "so")]
+    assert [e.target for e in store.lookup(("before",))] == [("used", "to")]
+
+
+# Lines whose source or target is a connective's first part ("though",
+# "in short", "nevertheless" only as a target, "but"/"however" both), lines
+# no connective reaches, malformed and identity lines of both kinds, and a
+# duplicate pair whose second copy scores better.
+KEEP_PPDB_RELEVANT = [
+    "[X] ||| though ||| despite ||| PPDB2.0Score=3.0 ||| 0 ||| x",
+    "[X] ||| In Short ||| briefly ||| PPDB2.0Score=1.5",
+    "[X] ||| in spite of this ||| nevertheless ||| PPDB2.0Score=2.0 ||| 0 ||| x",
+    "[X] ||| though ||| despite ||| PPDB2.0Score=4.0 ||| 0 ||| x",
+    "[X] ||| but ||| however ||| PPDB2.0Score=0.5",
+]
+KEEP_PPDB_OTHER = [
+    "[X] ||| rock ||| stone ||| PPDB2.0Score=5.0 ||| 0 ||| x",
+    "[X] ||| despite ||| in spite of ||| PPDB2.0Score=2.5",
+    "[X] ||| because ||| Because ||| PPDB2.0Score=1.0",
+    "[X] ||| rock ||| rock ||| PPDB2.0Score=1.0",
+    "though ||| despite",
+    "[X] ||| pebble ||| gravel",
+    "[X] ||| unless ||| except if ||| no score here",
+    "[X] ||| pebble ||| gravel ||| no score here",
+    "[X] |||  ||| though ||| PPDB2.0Score=1.0",
+]
+KEEP_SYNONYM_RELEVANT = ["because\tsince", "after all\tbecause", "because\towing to", "so\ttherefore"]
+KEEP_SYNONYM_OTHER = ["rock\tstone", "while\twhile", "just one field", "a\tb\tc", "pebble\tgravel"]
+
+
+def _interleave(relevant, other):
+    lines = []
+    for i in range(max(len(relevant), len(other))):
+        lines.extend(relevant[i : i + 1] + other[i : i + 1])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("min_score", [0.0, 2.0])
+def test_load_ppdb_keep_is_exact(tmp_path, inventory, min_score):
+    keep = {e.parts[0] for e in inventory}
+    mixed = tmp_path / "mixed"
+    mixed.write_text(_interleave(KEEP_PPDB_RELEVANT, KEEP_PPDB_OTHER), encoding="utf-8")
+    relevant = tmp_path / "relevant"
+    relevant.write_text("\n".join(KEEP_PPDB_RELEVANT) + "\n", encoding="utf-8")
+    full = load_ppdb(mixed, min_score=min_score)
+    kept = load_ppdb(mixed, min_score=min_score, keep=keep)
+    for form in sorted(keep):
+        assert kept.lookup(form) == full.lookup(form)
+    assert kept.skipped == full.skipped == 7
+    assert len(kept) == len(load_ppdb(relevant, min_score=min_score)) < len(full)
+    assert kept.lookup(("though",))[0].score == 4.0
+    assert kept.lookup(("nevertheless",))[0].target == ("in", "spite", "of", "this")
+    assert kept.lookup(("rock",)) == []
+
+
+def test_load_synonyms_keep_is_exact(tmp_path, inventory):
+    keep = {e.parts[0] for e in inventory}
+    mixed = tmp_path / "mixed.tsv"
+    mixed.write_text(_interleave(KEEP_SYNONYM_RELEVANT, KEEP_SYNONYM_OTHER), encoding="utf-8")
+    relevant = tmp_path / "relevant.tsv"
+    relevant.write_text("\n".join(KEEP_SYNONYM_RELEVANT) + "\n", encoding="utf-8")
+    full = load_synonyms(mixed)
+    kept = load_synonyms(mixed, keep=keep)
+    for form in sorted(keep):
+        assert kept.lookup(form) == full.lookup(form)
+    assert kept.skipped == full.skipped == 3
+    assert len(kept) == len(load_synonyms(relevant)) < len(full)
+    assert kept.lookup(("rock",)) == []
+
+
+def test_lookup_memo_follows_add_and_returns_fresh_lists():
+    store = ParaphraseStore(Resource.PPDB)
+    store.add(("though",), ("despite",), 2.0)
+    first = store.lookup(("though",))
+    assert [e.target for e in first] == [("despite",)]
+    first.clear()
+    assert [e.target for e in store.lookup(("though",))] == [("despite",)]
+    store.add(("though",), ("even", "so"), 3.0)
+    assert [e.target for e in store.lookup(("though",))] == [("even", "so"), ("despite",)]
+    store.add(("even", "so"), ("though",), 1.0)  # a worse duplicate changes nothing
+    assert [(e.target, e.score) for e in store.lookup(("though",))] == [
+        (("even", "so"), 3.0),
+        (("despite",), 2.0),
+    ]

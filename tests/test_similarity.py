@@ -71,3 +71,24 @@ def test_tsv_mine_does_not_import_scipy(tmp_path, ppdb_file, synonym_file):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_tsv_mine_does_not_import_numpy(tmp_path, ppdb_file, synonym_file):
+    # numpy, like scipy, is only needed to align article directories; a
+    # module-level import anywhere in the package would make every TSV run
+    # pay for it.
+    corpus = tmp_path / "pairs.tsv"
+    corpus.write_text("Although it rained, we left.\tIt rained. We left.\n", encoding="utf-8")
+    argv = ["mine", str(corpus), "--ppdb", str(ppdb_file), "--synonyms", str(synonym_file),
+            "--output-dir", str(tmp_path / "out")]
+    code = (
+        "import sys\n"
+        "from altlex_miner import cli\n"
+        f"print(cli.main({argv!r}), 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(altlex_miner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"

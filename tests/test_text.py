@@ -116,3 +116,20 @@ def test_match_phrase_spans_sorted_unique_starts(letters):
     assert len(starts) == len(set(starts))
     for sp in spans:
         assert s.lowers(sp) == ("a", "b")
+
+
+@given(
+    st.lists(st.sampled_from("abc"), max_size=8),
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=4),
+)
+def test_match_phrase_equals_brute_force(letters, phrase):
+    # Phrases longer than the sentence are included: they must match nowhere.
+    s = tokenize(" ".join(letters))
+    width = len(phrase)
+    expected = [
+        TokenSpan(i, i + width)
+        for i in range(len(s) - width + 1)
+        if s.lower_forms[i : i + width] == tuple(phrase)
+    ]
+    assert match_phrase(s, phrase) == expected
+    assert match_phrase(s, tuple(phrase)) == expected
