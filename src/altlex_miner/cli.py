@@ -36,6 +36,7 @@ from .corpus import (
 from .discourse import ConnectiveInventory, InventoryError, Sense, load_inventory
 from .lexres import ParaphraseStore, ResourceError, load_ppdb, load_synonyms
 from .mining import AltLexInventory, CaseKind, OtherKind, mine_corpus
+from .text import read_text
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
@@ -86,7 +87,7 @@ def load_config_file(path: str) -> dict:
     """Flat key=value config; '#' comments; keys match the long flag names."""
     values: dict = {}
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -10,7 +10,6 @@ and drops pairs below a threshold.
 
 from __future__ import annotations
 
-import codecs
 import math
 import re
 from collections import Counter
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import similarity
-from .text import Sentence, tokenize
+from .text import Sentence, read_text, tokenize
 
 
 class CorpusFormatError(Exception):
@@ -66,24 +65,6 @@ class AgreementTable:
         return self.both_yes + self.both_no + self.a_yes_b_no + self.a_no_b_yes
 
 
-def _read_text(path: str | Path) -> str:
-    """The file decoded as UTF-8 without a leading BOM, with ``\r\n`` and
-    ``\r`` line ends turned into ``\n`` as text-mode ``open`` does.
-
-    Raises CorpusFormatError naming the file and line of an undecodable byte.
-    """
-    data = Path(path).read_bytes()
-    if data.startswith(codecs.BOM_UTF8):
-        data = data[len(codecs.BOM_UTF8) :]
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = data[: exc.start].decode("utf-8")
-        lineno = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
-        raise CorpusFormatError(f"{path}: line {lineno}: invalid UTF-8") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
 def read_aligned_rows(path: str | Path) -> list[tuple[str, str, str]]:
     """Split a pre-aligned 2-column TSV into ``(source_id, complex_raw,
     simple_raw)`` rows without tokenizing; the source id is the line number.
@@ -93,7 +74,7 @@ def read_aligned_rows(path: str | Path) -> list[tuple[str, str, str]]:
     are skipped.
     """
     rows: list[tuple[str, str, str]] = []
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path, CorpusFormatError).split("\n"), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -143,7 +124,7 @@ def load_article_dir(path: str | Path) -> dict[str, dict[int, Article]]:
         level = int(m.group("level"))
         sentences = tuple(
             tokenize(line)
-            for line in _read_text(file).splitlines()
+            for line in read_text(file, CorpusFormatError).splitlines()
             if line.strip()
         )
         articles.setdefault(art_id, {})[level] = Article(id=art_id, level=level, sentences=sentences)
@@ -206,14 +187,12 @@ def align_articles(
         len(vocab),
     )
     pairs: list[SentencePair] = []
-    for si, row in enumerate(sims):
-        best = int(row.argmax())
-        score = float(row[best])
+    for si, (ci, score) in enumerate(zip(sims.argmax(axis=1).tolist(), sims.max(axis=1).tolist())):
         if score < threshold:
             continue
         pairs.append(
             SentencePair(
-                complex=cx[best],
+                complex=cx[ci],
                 simple=sx[si],
                 source_id=f"{simple_article.id}:{simple_article.level}:{si}",
                 similarity=min(score, 1.0),
@@ -245,23 +224,21 @@ def cohen_kappa(table: AgreementTable) -> float:
 def load_agreement_tsv(path: str | Path) -> AgreementTable:
     """Read ``pair_id<TAB>a(0|1)<TAB>b(0|1)`` rows into an AgreementTable."""
     yy = nn = yn = ny = 0
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 or fields[1] not in ("0", "1") or fields[2] not in ("0", "1"):
-                raise CorpusFormatError(
-                    f"{path}: row {lineno}: expected pair_id<TAB>0|1<TAB>0|1"
-                )
-            a, b = fields[1] == "1", fields[2] == "1"
-            if a and b:
-                yy += 1
-            elif not a and not b:
-                nn += 1
-            elif a:
-                yn += 1
-            else:
-                ny += 1
+    for lineno, line in enumerate(read_text(path, CorpusFormatError).split("\n"), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3 or fields[1] not in ("0", "1") or fields[2] not in ("0", "1"):
+            raise CorpusFormatError(
+                f"{path}: row {lineno}: expected pair_id<TAB>0|1<TAB>0|1"
+            )
+        a, b = fields[1] == "1", fields[2] == "1"
+        if a and b:
+            yy += 1
+        elif not a and not b:
+            nn += 1
+        elif a:
+            yn += 1
+        else:
+            ny += 1
     return AgreementTable(both_yes=yy, both_no=nn, a_yes_b_no=yn, a_no_b_yes=ny)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .text import Sentence, TokenSpan
+from .text import Sentence, TokenSpan, read_text
 
 
 class Level1(enum.Enum):
@@ -157,7 +157,7 @@ def load_inventory(path: str | Path | None = None) -> ConnectiveInventory:
         text = ref.read_text(encoding="utf-8")
         name = "pdtb_connectives.tsv"
     else:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = read_text(path, InventoryError)
         name = str(path)
 
     entries: list[ConnectiveEntry] = []

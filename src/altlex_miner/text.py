@@ -5,13 +5,16 @@ internal hyphens and apostrophes kept intact, so "don't" and
 "African-Americans" stay single tokens) and standalone punctuation marks.
 All matching downstream is case-insensitive, so a Sentence stores each
 token's lowercased form alongside its surface. Character offsets are only
-computed on request, through ``Sentence.tokens``.
+computed on request, through ``Sentence.tokens``. ``read_text`` decodes
+every input file that is read whole.
 """
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 # A word is a run of word characters, optionally joined by internal hyphens
 # or apostrophes; anything else that is not whitespace is a one-char token.
@@ -76,6 +79,24 @@ class Sentence:
 
     def lowers(self, span: TokenSpan | None = None) -> tuple[str, ...]:
         return self.lower_forms if span is None else self.lower_forms[span.start : span.end]
+
+
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """The file decoded as UTF-8 without a leading BOM, with ``\r\n`` and
+    ``\r`` line ends turned into ``\n`` as text-mode ``open`` does.
+
+    Raises ``error`` naming the file and line of an undecodable byte.
+    """
+    data = Path(path).read_bytes()
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8) :]
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        lineno = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
+        raise error(f"{path}: line {lineno}: invalid UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def tokenize(raw: str) -> Sentence:

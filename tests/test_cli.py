@@ -230,6 +230,24 @@ def test_mine_invalid_utf8_resource_names_file_and_line(
     assert f"error: {bad}: line 3: invalid UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "reader, line",
+    [("inventory", b"# comment"), ("agreement", b"p1\t1\t0"), ("config", b"# comment")],
+    ids=["inventory", "agreement", "config"],
+)
+def test_invalid_utf8_names_file_and_line(tmp_path, example_corpus, capsys, reader, line):
+    bad = tmp_path / "input.txt"
+    bad.write_bytes(b"\xef\xbb\xbf" + line + b"\r\n" + line + b"\rbad \xff byte\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "inventory": ["mine", str(example_corpus), "--inventory", str(bad), "--output-dir", out],
+        "agreement": ["kappa", str(bad)],
+        "config": ["mine", str(example_corpus), "--config", str(bad), "--output-dir", out],
+    }[reader]
+    assert main(argv) == 2
+    assert f"error: {bad}: line 3: invalid UTF-8" in capsys.readouterr().err
+
+
 def test_mine_loads_only_lines_a_connective_reaches(
     tmp_path, example_corpus, ppdb_file, synonym_file, monkeypatch, inventory
 ):

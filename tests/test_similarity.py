@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import altlex_miner
 from altlex_miner import similarity
@@ -53,6 +55,71 @@ def test_zero_rows_give_zero_similarity():
     assert sims[1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+# Sentences over three words, empty ones included; a side repeats sentences
+# often, so rows tie exactly.
+_SIDE = st.lists(
+    st.lists(st.sampled_from(["sun", "moon", "tide"]), max_size=4).map(" ".join),
+    min_size=1,
+    max_size=7,
+)
+
+
+@given(_SIDE, _SIDE)
+@example(["", "sun moon", "", "tide", ""], ["", "moon", "", "sun tide", ""])
+@example(["sun moon", "sun moon", "tide"], ["tide", "sun moon", "sun moon", "moon sun"])
+@example(["sun", "sun sun", ""], ["sun sun sun", "", "sun"])
+def test_kernel_matches_brute_force_reference(simple_raws, complex_raws):
+    sx = [tokenize(r) for r in simple_raws]
+    cx = [tokenize(r) for r in complex_raws]
+    idf = compute_idf(sx + cx)
+    vocab = similarity.build_vocab([cx, sx])
+    sims = similarity.cosine_matrix(
+        similarity.csr_weights(sx, vocab, idf), similarity.csr_weights(cx, vocab, idf), len(vocab)
+    )
+    reference = [[tfidf_cosine(s, c, idf) for c in cx] for s in sx]
+    assert sims.shape == (len(sx), len(cx))
+    assert sims == pytest.approx(np.array(reference), abs=1e-12)
+    bags = [sorted(c.lower_forms) for c in cx]
+    for ref_row, best in zip(reference, sims.argmax(axis=1).tolist()):
+        # The pick is a reference maximum. Parallel vectors ("sun" and "sun
+        # sun sun") may round apart in the last bit in either computation, so
+        # only sentences with the same terms must tie exactly: the first wins.
+        assert ref_row[best] >= max(ref_row) - 1e-12
+        assert bags.index(bags[best]) == best
+
+
+def test_kernel_blocks_do_not_change_bits(monkeypatch):
+    rng = random.Random(5)
+    sx = _random_sentences(rng, 40) + [tokenize("")]
+    cx = [tokenize("")] + _random_sentences(rng, 30)
+    idf = compute_idf(sx + cx)
+    vocab = similarity.build_vocab([cx, sx])
+    a = similarity.csr_weights(sx, vocab, idf)
+    b = similarity.csr_weights(cx, vocab, idf)
+    default = similarity.cosine_matrix(a, b, len(vocab))
+    monkeypatch.setattr(similarity, "_BLOCK_PRODUCTS", 1)
+    one_row_blocks = similarity.cosine_matrix(a, b, len(vocab))
+    assert np.array_equal(one_row_blocks.view(np.int64), default.view(np.int64))
+
+
+@pytest.mark.parametrize("raws", [[], [""]], ids=["no-sentences", "empty-sentence"])
+def test_csr_weights_without_terms(raws):
+    indptr, indices, data = similarity.csr_weights([tokenize(r) for r in raws], {}, {})
+    assert indptr.tolist() == [0] * (len(raws) + 1)
+    assert indices.size == 0 and data.size == 0
+    assert (indptr.dtype, indices.dtype, data.dtype) == (np.int64, np.int64, np.float64)
+
+
+def test_csr_weights_sums_a_repeated_term():
+    sentences = [tokenize("tide tide tide"), tokenize(""), tokenize("moon sun moon")]
+    idf = compute_idf(sentences)
+    vocab = similarity.build_vocab([sentences])
+    indptr, indices, data = similarity.csr_weights(sentences, vocab, idf)
+    assert indptr.tolist() == [0, 1, 1, 3]
+    assert indices.tolist() == [vocab["tide"], vocab["moon"], vocab["sun"]]
+    assert data.tolist() == [3 * idf["tide"], 2 * idf["moon"], 1 * idf["sun"]]
+
+
 def test_tsv_mine_does_not_import_scipy(tmp_path, ppdb_file, synonym_file):
     # scipy is only needed to align article directories; importing it on
     # every run would add its memory and start-up cost to TSV-only runs.
@@ -92,3 +159,25 @@ def test_tsv_mine_does_not_import_numpy(tmp_path, ppdb_file, synonym_file):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_article_dir_align_and_mine_do_not_import_scipy(tmp_path, ppdb_file, synonym_file):
+    # Alignment needs numpy alone; scipy is no dependency.
+    art = tmp_path / "articles"
+    art.mkdir()
+    (art / "a.0.txt").write_text("Although it rained, we left.\nThe sun rose.\n", encoding="utf-8")
+    (art / "a.1.txt").write_text("It rained. We left.\nThe sun rose.\n", encoding="utf-8")
+    mine = ["mine", str(art), "--ppdb", str(ppdb_file), "--synonyms", str(synonym_file),
+            "--output-dir", str(tmp_path / "out")]
+    align = ["align", str(art), "--output", str(tmp_path / "aligned.tsv")]
+    code = (
+        "import sys\n"
+        "from altlex_miner import cli\n"
+        f"print(cli.main({mine!r}), cli.main({align!r}), 'numpy' in sys.modules, 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(altlex_miner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "0 0 True False"
