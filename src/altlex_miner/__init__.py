@@ -18,7 +18,6 @@ from .discourse import (
     Level1,
     Sense,
     detect_explicit,
-    is_nonexplicit,
     load_inventory,
 )
 from .lexres import ParaphraseEntry, ParaphraseStore, Resource, expand, load_ppdb, load_synonyms
@@ -65,7 +64,6 @@ __all__ = [
     "cohen_kappa",
     "detect_explicit",
     "expand",
-    "is_nonexplicit",
     "load_aligned_tsv",
     "load_article_dir",
     "load_inventory",

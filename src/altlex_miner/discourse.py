@@ -115,7 +115,11 @@ class ExplicitAnnotation:
 
 
 class ConnectiveInventory:
-    """Loaded connective inventory with a first-token match index."""
+    """Loaded connective inventory with a first-token match index.
+
+    ``by_first_token`` maps a first part's first token to the entries that
+    start with it, longest entry first.
+    """
 
     def __init__(self, entries: list[ConnectiveEntry]):
         self.entries = list(entries)
@@ -130,16 +134,13 @@ class ConnectiveInventory:
             index.setdefault(e.parts[0][0], []).append(e)
         for bucket in index.values():
             bucket.sort(key=lambda e: (-e.total_tokens, -len(e.parts[0]), e.id))
-        self._index = index
+        self.by_first_token = index
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
-
-    def candidates_at(self, first_token: str) -> list[ConnectiveEntry]:
-        return self._index.get(first_token, [])
 
 
 def _entry_id(parts: tuple[tuple[str, ...], ...]) -> str:
@@ -283,13 +284,15 @@ def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[
         return []
     occupied = [False] * n
     annotations: list[ExplicitAnnotation] = []
+    by_first_token = inventory.by_first_token
 
-    for pos in range(n):
-        if occupied[pos]:
+    for pos, token in enumerate(lowers):
+        bucket = by_first_token.get(token)
+        if bucket is None:
             continue
         entry = None
         span2 = None
-        for cand in inventory.candidates_at(lowers[pos]):
+        for cand in bucket:
             if not _match_at(lowers, cand.parts[0], pos, occupied):
                 continue
             if cand.discontinuous:
@@ -337,7 +340,3 @@ def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[
 
     return annotations
 
-
-def is_nonexplicit(sentence: Sentence, inventory: ConnectiveInventory) -> bool:
-    """True iff no explicit connective is detected in the sentence."""
-    return not detect_explicit(sentence, inventory)

@@ -48,16 +48,12 @@ class ParaphraseEntry:
 class ParaphraseStore:
     """Symmetric phrase-paraphrase index.
 
-    Tracks how many malformed lines were skipped at load time and simple
-    query statistics so the mean number of expansions per queried connective
-    can be reported.
+    Tracks how many malformed lines were skipped at load time.
     """
 
     def __init__(self, resource: Resource):
         self.resource = resource
         self.skipped = 0
-        self.query_count = 0
-        self.result_count = 0
         self._by_source: dict[tuple[str, ...], dict[tuple[str, ...], float]] = {}
         self._sorted: dict[tuple[str, ...], list[ParaphraseEntry]] = {}
 
@@ -84,13 +80,6 @@ class ParaphraseStore:
             entries.sort(key=lambda e: (-e.score, e.target))
             self._sorted[source] = entries
         return list(entries)
-
-    @property
-    def mean_expansions(self) -> float:
-        """Mean number of expansions returned per expand() call so far."""
-        if self.query_count == 0:
-            return 0.0
-        return self.result_count / self.query_count
 
 
 _PPDB_SEP = " ||| "
@@ -215,7 +204,4 @@ def expand(
     connective replacements, not alternative lexicalizations. Results are
     unique by target, sorted by descending score then target.
     """
-    entries = [e for e in store.lookup(connective.parts[0]) if e.target not in inventory.forms]
-    store.query_count += 1
-    store.result_count += len(entries)
-    return entries
+    return [e for e in store.lookup(connective.parts[0]) if e.target not in inventory.forms]

@@ -2,12 +2,18 @@
 
 Each pair is classified by what the detector finds on the two sides. Only
 pairs where exactly one side carries exactly one explicit connective are
-mined: the connective is expanded through the paraphrase stores, every
-expansion found in the non-explicit side becomes a candidate, the
-connective is substituted into the candidate's span, and the candidate is
-kept only if re-detection finds the same connective with the same sense.
-Verified candidates aggregate into an AltLexInventory keyed by
-(text, sense); inventories merge associatively so corpora can be sharded.
+mined: every expansion of the connective found in the non-explicit side
+becomes a candidate, the connective is substituted into the candidate's
+span, and the candidate is kept only if re-detection finds the same
+connective with the same sense. Verified candidates aggregate into an
+AltLexInventory keyed by (text, sense); inventories merge associatively so
+corpora can be sharded.
+
+Each mining call expands a connective through each paraphrase store once,
+on first use, into one index keyed by the expansions' first tokens; a
+non-explicit side is then scanned once for all of them. A substitution
+splices token tuples, so only the replacement is split into tokens, never
+the whole sentence.
 """
 
 from __future__ import annotations
@@ -18,7 +24,12 @@ from dataclasses import dataclass, field
 from .corpus import SentencePair
 from .discourse import ConnectiveEntry, ConnectiveInventory, ExplicitAnnotation, Sense, detect_explicit
 from .lexres import ParaphraseEntry, ParaphraseStore, Resource, expand
-from .text import Sentence, TokenSpan, match_phrase, tokenize
+from .text import Sentence, TokenSpan, split_tokens
+# Not called here: perfbench's tracer binds these names on this module.
+from .text import match_phrase, tokenize  # noqa: F401
+
+# Resource order for deterministic picks: PPDB first.
+_RESOURCE_RANK = {resource: rank for rank, resource in enumerate(Resource)}
 
 
 class CaseKind(enum.Enum):
@@ -146,8 +157,7 @@ class AltLexInventory:
 def _merge_resource(a: Resource, b: Resource) -> Resource:
     # Deterministic, order-independent pick when both resources yield the
     # same AltLex: PPDB wins.
-    order = list(Resource)
-    return a if order.index(a) <= order.index(b) else b
+    return a if _RESOURCE_RANK[a] <= _RESOURCE_RANK[b] else b
 
 
 def classify_annotations(
@@ -187,10 +197,10 @@ def categorize(pair: SentencePair, inventory: ConnectiveInventory) -> ChangeCase
 def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...] | list[str]) -> Sentence:
     """Replace the span's tokens with the replacement token sequence.
 
-    The rebuilt sentence joins token surfaces with single spaces and is
-    re-tokenized, so offsets are consistent. If the span started the
-    sentence with a capitalized token, the replacement's first token is
-    capitalized too.
+    The result equals ``tokenize`` of the token surfaces joined with single
+    spaces. No token spans a space, so the kept tokens stay as they are and
+    only the replacement is split. If the span started the sentence with a
+    capitalized token, the replacement's first token is capitalized too.
     """
     surfaces = sentence.surface_forms
     if not (0 <= span.start < span.end <= len(surfaces)):
@@ -198,7 +208,14 @@ def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...]
     replacement = list(replacement)
     if replacement and span.start == 0 and surfaces[0][:1].isupper():
         replacement[0] = replacement[0][:1].upper() + replacement[0][1:]
-    return tokenize(" ".join([*surfaces[: span.start], *replacement, *surfaces[span.end :]]))
+    inserted = split_tokens(" ".join(replacement))
+    before, after = surfaces[: span.start], surfaces[span.end :]
+    lowers = sentence.lower_forms
+    return Sentence(
+        " ".join([*before, *replacement, *after]),
+        before + inserted + after,
+        lowers[: span.start] + tuple(map(str.lower, inserted)) + lowers[span.end :],
+    )
 
 
 def verify_candidate(
@@ -222,30 +239,72 @@ def verify_candidate(
     return False
 
 
+# One connective's expansions by first token: (store position, rank in that
+# store's ``expand`` result, entry).
+_FirstTokenIndex = dict[str, list[tuple[int, int, ParaphraseEntry]]]
+
+
+class _Expansions:
+    """Each connective's expansions from all stores, indexed by first token.
+
+    A connective's index is built on its first use and kept for the life of
+    this object, which is one ``mine_corpus`` or ``mine_pair`` call: each
+    (store, connective) pair is expanded once.
+    """
+
+    def __init__(self, inventory: ConnectiveInventory, stores: list[ParaphraseStore]):
+        self._inventory = inventory
+        self._stores = stores
+        self._by_connective: dict[str, _FirstTokenIndex] = {}
+
+    def _index(self, connective: ConnectiveEntry) -> _FirstTokenIndex:
+        index = self._by_connective.get(connective.id)
+        if index is None:
+            index = self._by_connective[connective.id] = {}
+            for store_pos, store in enumerate(self._stores):
+                for rank, entry in enumerate(expand(connective, store, self._inventory)):
+                    index.setdefault(entry.target[0], []).append((store_pos, rank, entry))
+        return index
+
+    def matches(
+        self, connective: ConnectiveEntry, sentence: Sentence
+    ) -> list[tuple[ParaphraseEntry, TokenSpan]]:
+        """Every expansion occurrence in the sentence, in store order, then
+        expansion rank, then start: the order of ``match_phrase`` run for
+        each entry of each store's ``expand`` result."""
+        lowers = sentence.lower_forms
+        index = self._index(connective)
+        hits = []
+        for start, token in enumerate(lowers):
+            for store_pos, rank, entry in index.get(token, ()):
+                if lowers[start : start + len(entry.target)] == entry.target:
+                    hits.append((store_pos, rank, start, entry))
+        hits.sort(key=lambda hit: hit[:3])
+        return [(entry, TokenSpan(start, start + len(entry.target))) for _, _, start, entry in hits]
+
+
 def _mine_single(
     pair: SentencePair,
     direction: CaseKind,
     annotation: ExplicitAnnotation,
     inventory: ConnectiveInventory,
-    stores: list[ParaphraseStore],
+    expansions: _Expansions,
     sense_level: int,
 ) -> list[AltLexCandidate]:
     connective = inventory.by_id[annotation.connective_id]
     nonexp = pair.simple if direction is CaseKind.EXP_NON_EXP else pair.complex
     verified: list[AltLexCandidate] = []
-    for store in stores:
-        for paraphrase in expand(connective, store, inventory):
-            for span in match_phrase(nonexp, paraphrase.target):
-                candidate = AltLexCandidate(
-                    pair=pair,
-                    direction=direction,
-                    connective=connective,
-                    sense=annotation.sense,
-                    paraphrase=paraphrase,
-                    span=span,
-                )
-                if verify_candidate(candidate, inventory, sense_level=sense_level):
-                    verified.append(candidate)
+    for paraphrase, span in expansions.matches(connective, nonexp):
+        candidate = AltLexCandidate(
+            pair=pair,
+            direction=direction,
+            connective=connective,
+            sense=annotation.sense,
+            paraphrase=paraphrase,
+            span=span,
+        )
+        if verify_candidate(candidate, inventory, sense_level=sense_level):
+            verified.append(candidate)
     return _resolve_overlaps(verified)
 
 
@@ -259,7 +318,7 @@ def _resolve_overlaps(candidates: list[AltLexCandidate]) -> list[AltLexCandidate
             -c.paraphrase.score,
             c.span.start,
             c.span.end,
-            list(Resource).index(c.paraphrase.resource),
+            _RESOURCE_RANK[c.paraphrase.resource],
             c.paraphrase.target,
         ),
     )
@@ -275,7 +334,7 @@ def _resolve_overlaps(candidates: list[AltLexCandidate]) -> list[AltLexCandidate
 def _mine_dispatch(
     pair: SentencePair,
     inventory: ConnectiveInventory,
-    stores: list[ParaphraseStore],
+    expansions: _Expansions,
     sense_level: int,
 ) -> tuple[ChangeCase, ExplicitAnnotation | None, list[AltLexCandidate]]:
     """Classify the pair and, for a one-sided single-annotation case, mine
@@ -288,7 +347,7 @@ def _mine_dispatch(
         annotation = simple_anns[0]
     else:
         return case, None, []
-    return case, annotation, _mine_single(pair, case.kind, annotation, inventory, stores, sense_level)
+    return case, annotation, _mine_single(pair, case.kind, annotation, inventory, expansions, sense_level)
 
 
 def mine_pair(
@@ -299,7 +358,7 @@ def mine_pair(
 ) -> list[AltLexCandidate]:
     """Verified AltLex candidates for one pair (empty unless the pair is a
     one-sided single-annotation case)."""
-    return _mine_dispatch(pair, inventory, stores, sense_level)[2]
+    return _mine_dispatch(pair, inventory, _Expansions(inventory, stores), sense_level)[2]
 
 
 def mine_corpus(
@@ -310,8 +369,9 @@ def mine_corpus(
 ) -> AltLexInventory:
     """Fold categorization counts and verified candidates over a corpus."""
     result = AltLexInventory()
+    expansions = _Expansions(inventory, stores)
     for pair in pairs:
-        case, annotation, candidates = _mine_dispatch(pair, inventory, stores, sense_level)
+        case, annotation, candidates = _mine_dispatch(pair, inventory, expansions, sense_level)
         result._add_case(case)
         if annotation is not None:
             result._add_alignment(annotation.sense)

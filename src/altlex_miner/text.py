@@ -99,6 +99,11 @@ def read_text(path: str | Path, error: type[Exception]) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def split_tokens(raw: str) -> tuple[str, ...]:
+    """The token surfaces of ``raw``, as ``tokenize`` splits them."""
+    return tuple(_TOKEN_RE.findall(raw))
+
+
 def tokenize(raw: str) -> Sentence:
     """Split ``raw`` into word and punctuation tokens.
 
@@ -106,7 +111,7 @@ def tokenize(raw: str) -> Sentence:
     ("don't", "it's") remain single tokens. Empty or whitespace-only input
     yields a sentence with no tokens.
     """
-    surfaces = tuple(_TOKEN_RE.findall(raw))
+    surfaces = split_tokens(raw)
     return Sentence(raw, surfaces, tuple(map(str.lower, surfaces)))
 
 

@@ -7,7 +7,6 @@ from altlex_miner.discourse import (
     Level1,
     Sense,
     detect_explicit,
-    is_nonexplicit,
     load_inventory,
 )
 from altlex_miner.text import tokenize
@@ -111,12 +110,6 @@ def test_sentence_initial_connective_needs_only_right_argument(inventory):
     assert anns[0].arg_before is None
 
 
-def test_is_nonexplicit_examples(inventory):
-    assert is_nonexplicit(tokenize(WOODCUTS_COMPLEX), inventory)
-    assert not is_nonexplicit(tokenize(BROADCAST_COMPLEX), inventory)
-    assert is_nonexplicit(tokenize("... , . !"), inventory)
-
-
 def test_annotation_spans_disjoint_random(inventory):
     rng = random.Random(5)
     forms = [" ".join(e.parts[0]) for e in inventory]
@@ -139,19 +132,6 @@ def test_multiple_connectives_all_reported(inventory):
     raw = "Either the plan was approved or the team was ready, but the storm was coming."
     anns = detect_explicit(tokenize(raw), inventory)
     assert [a.connective_id for a in anns] == ["either..or", "but"]
-
-
-def test_xor_property(inventory):
-    sentences = [
-        "The team was ready, but the plan was rejected.",
-        "Nothing connective here.",
-        WOODCUTS_SIMPLE,
-        LANDMARK_SIMPLE,
-        "",
-    ]
-    for raw in sentences:
-        s = tokenize(raw)
-        assert is_nonexplicit(s, inventory) != bool(detect_explicit(s, inventory))
 
 
 def test_determinism(inventory):

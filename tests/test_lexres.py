@@ -125,20 +125,6 @@ def test_expand_symmetry(tmp_path, inventory):
     assert [e.target for e in store.lookup(("regardless", "of"))] == [("despite",)]
 
 
-def test_mean_expansions_instrumentation(tmp_path, inventory):
-    path = tmp_path / "ppdb"
-    lines = [
-        "[X] ||| though ||| despite ||| PPDB2.0Score=3.0 ||| 0 ||| x",
-        "[X] ||| though ||| in spite of this ||| PPDB2.0Score=2.0 ||| 0 ||| x",
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    store = load_ppdb(path)
-    assert store.mean_expansions == 0.0
-    expand(inventory.by_id["though"], store, inventory)
-    expand(inventory.by_id["because"], store, inventory)
-    assert store.mean_expansions == pytest.approx(1.0)  # 2 results over 2 queries
-
-
 def test_load_ppdb_cr_and_crlf_line_ends(tmp_path):
     path = tmp_path / "ppdb"
     path.write_bytes(

@@ -40,7 +40,7 @@ def test_numpy_fallback_matches_reference():
     for _ in range(30):
         csr_a, csr_b, nv, reference = _matrices(rng)
         got = similarity.cosine_matrix(csr_a, csr_b, nv)
-        assert got == pytest.approx(reference, abs=1e-12)
+        assert got.tolist() == reference.tolist()
 
 
 def test_zero_rows_give_zero_similarity():
@@ -68,6 +68,7 @@ _SIDE = st.lists(
 @example(["", "sun moon", "", "tide", ""], ["", "moon", "", "sun tide", ""])
 @example(["sun moon", "sun moon", "tide"], ["tide", "sun moon", "sun moon", "moon sun"])
 @example(["sun", "sun sun", ""], ["sun sun sun", "", "sun"])
+@example([""], ["", ""])
 def test_kernel_matches_brute_force_reference(simple_raws, complex_raws):
     sx = [tokenize(r) for r in simple_raws]
     cx = [tokenize(r) for r in complex_raws]
@@ -78,14 +79,11 @@ def test_kernel_matches_brute_force_reference(simple_raws, complex_raws):
     )
     reference = [[tfidf_cosine(s, c, idf) for c in cx] for s in sx]
     assert sims.shape == (len(sx), len(cx))
-    assert sims == pytest.approx(np.array(reference), abs=1e-12)
-    bags = [sorted(c.lower_forms) for c in cx]
+    assert sims.tolist() == reference
+    # Alignment picks each row's first maximum, as a scan of the reference
+    # would; "sun" against "sun sun sun" and "sun" must tie or not tie alike.
     for ref_row, best in zip(reference, sims.argmax(axis=1).tolist()):
-        # The pick is a reference maximum. Parallel vectors ("sun" and "sun
-        # sun sun") may round apart in the last bit in either computation, so
-        # only sentences with the same terms must tie exactly: the first wins.
-        assert ref_row[best] >= max(ref_row) - 1e-12
-        assert bags.index(bags[best]) == best
+        assert best == ref_row.index(max(ref_row))
 
 
 def test_kernel_blocks_do_not_change_bits(monkeypatch):
