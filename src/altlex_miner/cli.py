@@ -2,10 +2,13 @@
 
 Outputs are deterministic: fixed row orders, fixed float formats, and
 largest-remainder percentage rounding so report percentages always sum to
-100.00. With ``--workers N`` the parent only reads raw text rows and
-splits them into N contiguous shards; each worker tokenizes and mines its
-shard and returns an AltLexInventory. Shard results merge in index order,
-so the emitted files are byte-identical for any worker count.
+100.00. With ``--workers N`` the parent splits the input into N contiguous
+shards without tokenizing it: an aligned TSV into raw text rows, an
+article directory into article ids and their file names. Each worker
+reads, tokenizes, aligns and mines its shard and returns an
+AltLexInventory. Shard results merge in index order, so the emitted files
+are byte-identical for any worker count. An article directory with one
+worker runs the same shard function in this process.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse error or a crashed
 worker process.
@@ -16,8 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -29,9 +30,11 @@ from .corpus import (
     align_articles,
     load_agreement_tsv,
     load_aligned_tsv,
-    load_article_dir,
+    list_article_dir,
+    load_article_dir,  # noqa: F401 - bound by perfbench's tracer
     pairs_from_rows,
     read_aligned_rows,
+    read_article,
 )
 from .discourse import ConnectiveInventory, InventoryError, Sense, load_inventory
 from .lexres import ParaphraseStore, ResourceError, load_ppdb, load_synonyms
@@ -219,37 +222,36 @@ def _load_stores(config: RunConfig, inventory: ConnectiveInventory) -> list[Para
     return stores
 
 
-def _align_article_dir(path: str | Path, threshold: float) -> list[SentencePair]:
-    """Align every level of each article against its level 0, in article-id
-    then level order."""
-    pairs: list[SentencePair] = []
-    articles = load_article_dir(path)
-    for art_id in sorted(articles):
-        levels = articles[art_id]
-        if 0 not in levels:
+def _list_articles(path: str | Path) -> list[tuple[str, tuple[tuple[int, str], ...]]]:
+    """The articles to align, in id order, as ``(article_id, ((level, file
+    path), ...))`` with levels ascending; an article without a level-0 file
+    is skipped with a warning. No file is read."""
+    articles = []
+    for art_id, files in sorted(list_article_dir(path).items()):
+        if 0 not in files:
             print(f"warning: {art_id}: no level-0 file, skipping", file=sys.stderr)
             continue
-        for level in sorted(levels):
-            if level != 0:
-                pairs.extend(align_articles(levels[0], levels[level], threshold))
+        articles.append((art_id, tuple(sorted(files.items()))))
+    return articles
+
+
+def _align(articles: list[tuple], threshold: float) -> list[SentencePair]:
+    """Read and align ``_list_articles`` entries: every level of an article
+    against its level 0, in article then level order."""
+    pairs: list[SentencePair] = []
+    for art_id, files in articles:
+        original, *simplified = read_article(art_id, files).values()  # level 0 first
+        pairs.extend(align_articles(original, simplified, threshold))
     return pairs
 
 
-def _load_input(config: RunConfig, sharded: bool) -> list:
-    """The run's input: SentencePairs to mine in this process or, when
-    ``sharded``, raw ``(source_id, complex, simple)`` rows for the workers to
-    tokenize. An aligned TSV is then only split into rows; article
-    directories are still aligned here, which needs their tokens."""
+def _input_kind(config: RunConfig) -> str:
     kind = config.input_kind
-    path = Path(config.input_path)
     if kind is None:
-        kind = "article-dir" if path.is_dir() else "aligned-tsv"
-    if kind == "aligned-tsv":
-        return read_aligned_rows(path) if sharded else load_aligned_tsv(path)
-    if kind == "article-dir":
-        pairs = _align_article_dir(path, config.threshold)
-        return [(p.source_id, p.complex.raw, p.simple.raw) for p in pairs] if sharded else pairs
-    raise ConfigError(f"unknown input kind {kind!r}")
+        return "article-dir" if Path(config.input_path).is_dir() else "aligned-tsv"
+    if kind not in ("aligned-tsv", "article-dir"):
+        raise ConfigError(f"unknown input kind {kind!r}")
+    return kind
 
 
 def _shards(items: list, n: int) -> list[list]:
@@ -263,36 +265,55 @@ def _shards(items: list, n: int) -> list[list]:
     return shards
 
 
-def _mine_shard(rows, inventory, stores, sense_level):
-    """Tokenize and mine one shard of raw rows; what each pool worker runs."""
+def _mine_rows(rows, inventory, stores, sense_level):
+    """Tokenize and mine one shard of raw TSV rows; a pool worker's task."""
     return mine_corpus(pairs_from_rows(rows), inventory, stores, sense_level=sense_level)
+
+
+def _mine_articles(articles, threshold, inventory, stores, sense_level):
+    """Read, align and mine one shard of ``_list_articles`` entries; a pool
+    worker's task, or the whole run's with one worker."""
+    return mine_corpus(_align(articles, threshold), inventory, stores, sense_level=sense_level)
+
+
+def ProcessPoolExecutor(*args, **kwargs):  # noqa: N802 - perfbench and tests rebind this name
+    """A ``concurrent.futures.ProcessPoolExecutor``, imported only by runs
+    that start a pool."""
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+
+    return pool_class(*args, **kwargs)
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     inventory = load_inventory(config.inventory)
     stores = _load_stores(config, inventory)
+    kind = _input_kind(config)
+    options = dict(inventory=inventory, stores=stores, sense_level=config.sense_level)
 
-    if config.workers == 1:
-        pairs = _load_input(config, sharded=False)
-        inv = mine_corpus(pairs, inventory, stores, sense_level=config.sense_level)
+    if kind == "aligned-tsv" and config.workers == 1:
+        inv = mine_corpus(load_aligned_tsv(config.input_path), **options)
     else:
-        worker = partial(
-            _mine_shard, inventory=inventory, stores=stores, sense_level=config.sense_level
-        )
-        shards = _shards(_load_input(config, sharded=True), config.workers)
-        if len(shards) == 1:  # at most one row: not worth starting a pool
-            results = [worker(shards[0])]
+        if kind == "aligned-tsv":
+            items, work = read_aligned_rows(config.input_path), partial(_mine_rows, **options)
         else:
+            items = _list_articles(config.input_path)
+            work = partial(_mine_articles, threshold=config.threshold, **options)
+        shards = _shards(items, config.workers)
+        if len(shards) == 1:  # one worker, or at most one item: no pool
+            inv = work(shards[0])
+        else:
+            from concurrent.futures.process import BrokenProcessPool
+
             try:
                 with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                    results = list(pool.map(worker, shards))
+                    results = list(pool.map(work, shards))
             except BrokenProcessPool:
                 print("error: mining worker process exited unexpectedly", file=sys.stderr)
                 return INPUT_ERROR
-        inv = AltLexInventory()
-        for shard_inv in results:
-            inv = inv.merge(shard_inv)
+            inv = AltLexInventory()
+            for shard_inv in results:
+                inv = inv.merge(shard_inv)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -308,7 +329,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_align(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    pairs = _align_article_dir(config.input_path, config.threshold)
+    pairs = _align(_list_articles(config.input_path), config.threshold)
     lines = "".join(f"{p.complex.raw}\t{p.simple.raw}\t{p.similarity:.6f}\n" for p in pairs)
     Path(config.output).write_text(lines, encoding="utf-8")
     print(f"{len(pairs)} pairs written to {config.output}")

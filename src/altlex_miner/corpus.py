@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,29 +107,50 @@ def load_aligned_tsv(path: str | Path) -> list[SentencePair]:
 _ARTICLE_FILE_RE = re.compile(r"^(?P<id>.+)\.(?P<level>\d+)\.txt$")
 
 
-def load_article_dir(path: str | Path) -> dict[str, dict[int, Article]]:
-    """Load ``<articleid>.<level>.txt`` files, one sentence per line.
-
-    Returns {article_id: {level: Article}}. Files not matching the naming
-    pattern are ignored.
+def list_article_dir(path: str | Path) -> dict[str, dict[int, str]]:
+    """List ``<articleid>.<level>.txt`` files as {article_id: {level: file
+    path}}, without reading them. Files not matching the naming pattern are
+    ignored; a level outside 0..5 raises CorpusFormatError naming the file.
     """
     root = Path(path)
     if not root.is_dir():
         raise CorpusFormatError(f"{path}: not a directory")
-    articles: dict[str, dict[int, Article]] = {}
+    files: dict[str, dict[int, str]] = {}
     for file in sorted(root.iterdir()):
         m = _ARTICLE_FILE_RE.match(file.name)
         if m is None or not file.is_file():
             continue
-        art_id = m.group("id")
         level = int(m.group("level"))
-        sentences = tuple(
-            tokenize(line)
-            for line in read_text(file, CorpusFormatError).splitlines()
-            if line.strip()
+        if not 0 <= level <= 5:
+            raise CorpusFormatError(f"{file}: article level {level} outside 0..5")
+        files.setdefault(m.group("id"), {})[level] = str(file)
+    return files
+
+
+def read_article(art_id: str, files: Iterable[tuple[int, str]]) -> dict[int, Article]:
+    """Read and tokenize one article's ``(level, file path)`` files, one
+    sentence per non-blank line, into {level: Article}."""
+    return {
+        level: Article(
+            id=art_id,
+            level=level,
+            sentences=tuple(
+                tokenize(line)
+                for line in read_text(path, CorpusFormatError).splitlines()
+                if line.strip()
+            ),
         )
-        articles.setdefault(art_id, {})[level] = Article(id=art_id, level=level, sentences=sentences)
-    return articles
+        for level, path in files
+    }
+
+
+def load_article_dir(path: str | Path) -> dict[str, dict[int, Article]]:
+    """Load ``<articleid>.<level>.txt`` files, one sentence per line, as
+    {article_id: {level: Article}}; see ``list_article_dir``."""
+    return {
+        art_id: read_article(art_id, files.items())
+        for art_id, files in list_article_dir(path).items()
+    }
 
 
 def tfidf_cosine(a: Sentence, b: Sentence, idf: dict[str, float]) -> float:
@@ -165,39 +187,37 @@ def compute_idf(sentences: list[Sentence]) -> dict[str, float]:
 
 
 def align_articles(
-    complex_article: Article, simple_article: Article, threshold: float = 0.5
+    complex_article: Article, simple_articles: list[Article], threshold: float = 0.5
 ) -> list[SentencePair]:
-    """Pair each simple sentence with its best complex sentence.
+    """Pair each sentence of each simple article with its best complex
+    sentence, in the order of ``simple_articles`` and then of the sentences.
 
     Simple-side-driven argmax (first maximum wins ties); pairs with
-    similarity below ``threshold`` are dropped. IDF is computed over the
-    union of both articles' sentences.
+    similarity below ``threshold`` are dropped. For each simple article, IDF
+    is computed over the union of its and the complex article's sentences,
+    as ``compute_idf`` computes it.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
-    cx = list(complex_article.sentences)
-    sx = list(simple_article.sentences)
-    if not cx or not sx:
+    cx = complex_article.sentences
+    levels = [a for a in simple_articles if a.sentences] if cx else []
+    if not levels:
         return []
-    idf = compute_idf(cx + sx)
-    vocab = similarity.build_vocab([cx, sx])
-    sims = similarity.cosine_matrix(
-        similarity.csr_weights(sx, vocab, idf),
-        similarity.csr_weights(cx, vocab, idf),
-        len(vocab),
-    )
+    matches = similarity.best_matches(list(cx), [list(a.sentences) for a in levels])
     pairs: list[SentencePair] = []
-    for si, (ci, score) in enumerate(zip(sims.argmax(axis=1).tolist(), sims.max(axis=1).tolist())):
-        if score < threshold:
-            continue
-        pairs.append(
-            SentencePair(
-                complex=cx[ci],
-                simple=sx[si],
-                source_id=f"{simple_article.id}:{simple_article.level}:{si}",
-                similarity=min(score, 1.0),
+    for simple_article, (best, scores) in zip(levels, matches):
+        sx = simple_article.sentences
+        for si, (ci, score) in enumerate(zip(best, scores)):
+            if score < threshold:
+                continue
+            pairs.append(
+                SentencePair(
+                    complex=cx[ci],
+                    simple=sx[si],
+                    source_id=f"{simple_article.id}:{simple_article.level}:{si}",
+                    similarity=min(score, 1.0),
+                )
             )
-        )
     return pairs
 
 

@@ -100,18 +100,13 @@ class ExplicitAnnotation:
     """A detected discourse connective occurrence with its assigned sense.
 
     ``span`` covers the (first part of the) connective; ``span2`` is the
-    second part for discontinuous connectives. ``arg_before``/``arg_after``
-    are the token ranges before the first part and after the last part,
-    trimmed of commas adjacent to the connective; either may be None when
-    empty. Argument extents are informational, not PDTB-gold spans.
+    second part for discontinuous connectives.
     """
 
     connective_id: str
     span: TokenSpan
     sense: Sense
     span2: TokenSpan | None = None
-    arg_before: TokenSpan | None = None
-    arg_after: TokenSpan | None = None
 
 
 class ConnectiveInventory:
@@ -257,19 +252,6 @@ def _match_at(lowers: tuple[str, ...], part: tuple[str, ...], pos: int, occupied
     return True
 
 
-def _trim_before(lowers: tuple[str, ...], end: int) -> TokenSpan | None:
-    while end > 0 and lowers[end - 1] in _BOUNDARY_TOKENS:
-        end -= 1
-    return TokenSpan(0, end) if end > 0 else None
-
-
-def _trim_after(lowers: tuple[str, ...], start: int) -> TokenSpan | None:
-    n = len(lowers)
-    while start < n and lowers[start] in _BOUNDARY_TOKENS:
-        start += 1
-    return TokenSpan(start, n) if start < n else None
-
-
 def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[ExplicitAnnotation]:
     """Detect discourse-usage connective occurrences, longest match first.
 
@@ -321,16 +303,8 @@ def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[
         if not (right_ok and left_ok):
             continue
 
-        last_end = span2.end if span2 is not None else span.end
         annotations.append(
-            ExplicitAnnotation(
-                connective_id=entry.id,
-                span=span,
-                span2=span2,
-                sense=entry.top_sense,
-                arg_before=_trim_before(lowers, pos),
-                arg_after=_trim_after(lowers, last_end),
-            )
+            ExplicitAnnotation(connective_id=entry.id, span=span, span2=span2, sense=entry.top_sense)
         )
         for i in range(span.start, span.end):
             occupied[i] = True

@@ -142,13 +142,11 @@ def load_ppdb(
     store = ParaphraseStore(Resource.PPDB)
     with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split(_PPDB_SEP)
+            fields = line.rstrip("\n").split(_PPDB_SEP)
             if len(fields) < 4:
-                store.skipped += 1
-                logger.warning("%s:%d: skipping line with %d fields", path, lineno, len(fields))
+                if line.strip():
+                    store.skipped += 1
+                    logger.warning("%s:%d: skipping line with %d fields", path, lineno, len(fields))
                 continue
             source = tuple(fields[1].lower().split())
             target = tuple(fields[2].lower().split())
@@ -156,12 +154,16 @@ def load_ppdb(
                 store.skipped += 1
                 logger.warning("%s:%d: skipping empty or identity paraphrase", path, lineno)
                 continue
-            score = _feature_score(fields[3], score_key)
+            stored = keep is None or source in keep or target in keep
+            # A line that is not stored needs only whether it has a score. The
+            # score key's value is part of the features, so it has one exactly
+            # when the features hold a number.
+            score = _feature_score(fields[3], score_key) if stored else _FLOAT_RE.search(fields[3])
             if score is None:
                 store.skipped += 1
                 logger.warning("%s:%d: no score found in feature column", path, lineno)
                 continue
-            if score >= min_score and (keep is None or source in keep or target in keep):
+            if stored and score >= min_score:
                 store.add(source, target, score)
     return store
 

@@ -1,9 +1,12 @@
 """Pairwise TF-IDF cosine similarity for article alignment.
 
-Aligning two articles needs an (n_simple x n_complex) cosine matrix over
-sparse TF-IDF vectors. ``csr_weights`` builds each side as CSR arrays and
-``cosine_matrix`` multiplies them with numpy alone; the result equals the
-pure-Python reference ``corpus.tfidf_cosine`` bit for bit.
+Aligning an article level against the original needs an (n_simple x
+n_complex) cosine matrix over sparse TF-IDF vectors. ``best_matches``
+aligns all levels of one article: ``csr_counts`` builds each level's term
+counts as CSR arrays once, ``csr_weights`` weights them by each level
+pair's IDF, and ``cosine_matrix`` multiplies them with numpy alone; the
+result equals the pure-Python reference ``corpus.tfidf_cosine`` bit for
+bit.
 
 numpy is imported inside the functions that need it: TSV runs never align,
 and importing it costs about 15 MiB and 0.15 s.
@@ -11,6 +14,7 @@ and importing it costs about 15 MiB and 0.15 s.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from .text import Sentence
@@ -34,10 +38,11 @@ def build_vocab(sentence_groups: list[list[Sentence]]) -> dict[str, int]:
     return {term: i for i, term in enumerate(sorted(terms))}
 
 
-def csr_weights(
-    sentences: list[Sentence], vocab: dict[str, int], idf: dict[str, float]
+def csr_counts(
+    sentences: list[Sentence], vocab: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build CSR arrays of tf*idf weights, indices ascending per row.
+    """Build CSR arrays of term counts, indices ascending per row: the
+    skeleton ``csr_weights`` weights. Each row holds a term at most once.
 
     ``vocab`` ids must be ``0 .. len(vocab) - 1``, as ``build_vocab`` makes
     them.
@@ -55,11 +60,55 @@ def csr_weights(
     rows, indices = np.divmod(keys, width)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    idf_by_id = np.empty(len(vocab))
-    idf_by_id[np.fromiter(vocab.values(), np.int64, len(vocab))] = np.fromiter(
-        (idf[t] for t in vocab), np.float64, len(vocab)
-    )
-    return indptr, indices, counts * idf_by_id[indices]
+    return indptr, indices, counts
+
+
+def csr_weights(counts, df: np.ndarray, n_docs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weight a ``csr_counts`` skeleton by tf*idf, where ``df`` holds each
+    term id's document frequency among ``n_docs`` sentences.
+
+    idf is ``corpus.compute_idf``'s ``ln((N + 1) / (df + 1)) + 1``, taken
+    with ``math.log`` on Python numbers as there, so that every weight has
+    the reference's bits.
+    """
+    import numpy as np
+
+    indptr, indices, tf = counts
+    values, inverse = np.unique(df[indices], return_inverse=True)
+    idf = [math.log((n_docs + 1) / (d + 1)) + 1.0 for d in values.tolist()]
+    return indptr, indices, tf * np.array(idf)[inverse]
+
+
+def best_matches(
+    complex_sentences: list[Sentence], simple_levels: list[list[Sentence]]
+) -> list[tuple[list[int], list[float]]]:
+    """For each simple level, each sentence's most similar complex sentence
+    (the first one on ties) and that cosine. ``complex_sentences`` must
+    not be empty.
+
+    Each level's IDF treats the complex and that level's sentences as the
+    documents. One vocabulary serves every level: its ids are in
+    lexicographic order, so each level's sums run in the same term order,
+    and give the same bits, as with a vocabulary of that level alone. The
+    complex side's counts and document frequencies are built once.
+    """
+    import numpy as np
+
+    vocab = build_vocab([complex_sentences, *simple_levels])
+    size = len(vocab)
+    complex_counts = csr_counts(complex_sentences, vocab)
+    complex_df = np.bincount(complex_counts[1], minlength=size)
+    matches = []
+    for simple in simple_levels:
+        simple_counts = csr_counts(simple, vocab)
+        df = complex_df + np.bincount(simple_counts[1], minlength=size)
+        n_docs = len(complex_sentences) + len(simple)
+        sims = cosine_matrix(
+            csr_weights(simple_counts, df, n_docs), csr_weights(complex_counts, df, n_docs), size
+        )
+        matches.append((sims.argmax(axis=1).tolist(), sims.max(axis=1).tolist()))
+        del sims  # one level's matrix at a time bounds peak memory
+    return matches
 
 
 def _squared_norms(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:

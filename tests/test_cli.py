@@ -136,20 +136,83 @@ def _article_dir(tmp_path):
     return art
 
 
-def test_mine_article_dir_deterministic_across_worker_counts(tmp_path, ppdb_file, synonym_file):
+def _sharded_article_dir(tmp_path):
+    # Five articles, one without level 0 and one with an empty level: with
+    # two and with three workers, some shard holds more than one article.
     art = _article_dir(tmp_path)
+    (art / "c.0.txt").write_text(f"{WOODCUTS_COMPLEX}\n{BROADCAST_COMPLEX}\n", encoding="utf-8")
+    (art / "c.3.txt").write_text(f"{BROADCAST_SIMPLE}\n{WOODCUTS_SIMPLE}\n", encoding="utf-8")
+    (art / "d.1.txt").write_text(f"{COMICS_SIMPLE}\n", encoding="utf-8")
+    (art / "e.0.txt").write_text(f"{COMICS_COMPLEX}\n", encoding="utf-8")
+    (art / "e.1.txt").write_text(f"{COMICS_SIMPLE}\n", encoding="utf-8")
+    (art / "e.2.txt").write_text("", encoding="utf-8")
+    return art
+
+
+def test_mine_article_dir_deterministic_across_worker_counts(tmp_path, ppdb_file, synonym_file, capsys):
+    art = _sharded_article_dir(tmp_path)
     outputs = []
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
         out = tmp_path / f"out{workers}"
         extra = ("--workers", workers, "--threshold", "0.4")
         assert main(_mine_args(art, out, ppdb_file, synonym_file, extra)) == 0
+        assert capsys.readouterr().err.count("warning: d: no level-0 file, skipping") == 1
         outputs.append(
             tuple((out / name).read_bytes() for name in ("cases.tsv", "altlexes.tsv", "altlexes.json"))
         )
     payload = json.loads(outputs[0][2])
-    assert payload["total_pairs"] == 10
-    assert [a["example_pair_ids"] for a in payload["altlexes"]] == [["a:1:3", "a:2:3", "b:1:1"]]
-    assert outputs[0] == outputs[1]
+    assert payload["total_pairs"] == 13
+    assert [a["example_pair_ids"] for a in payload["altlexes"]] == [
+        ["a:1:3", "a:2:3", "b:1:1", "e:1:0"]
+    ]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("bad_file", ["utf-8", "level"])
+def test_mine_article_shard_errors_are_input_errors(tmp_path, ppdb_file, synonym_file, capsys, bad_file):
+    art = _sharded_article_dir(tmp_path)
+    if bad_file == "utf-8":
+        bad = art / "e.1.txt"
+        bad.write_bytes(b"a\nb\nbad \xff byte\n")
+        message = f"error: {bad}: line 3: invalid UTF-8"
+    else:
+        bad = art / "e.7.txt"
+        bad.write_text("A sentence.\n", encoding="utf-8")
+        message = f"error: {bad}: article level 7 outside 0..5"
+    args = _mine_args(art, tmp_path / "out", ppdb_file, synonym_file, ("--workers", "2"))
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
+_MODULES_AFTER_RUN = """
+import sys
+from altlex_miner import cli
+code = cli.main(sys.argv[2:])
+print(code, " ".join(name for name in sys.argv[1].split(",") if name in sys.modules))
+"""
+
+
+def _modules_after_run(argv, modules):
+    """Run ``cli.main(argv)`` in a fresh interpreter; its exit code and which
+    of ``modules`` it imported, in this process only."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_RUN, ",".join(modules), *map(str, argv)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return out.stdout.splitlines()[-1]
+
+
+def test_runs_import_numpy_and_the_pool_only_where_used(tmp_path, example_corpus, ppdb_file, synonym_file):
+    # Workers align article shards, so the parent never needs numpy; a run
+    # with one worker never starts a pool.
+    art = _sharded_article_dir(tmp_path)
+    modules = ("numpy", "concurrent.futures.process")
+    sharded = _mine_args(art, tmp_path / "a", ppdb_file, synonym_file, ("--workers", "2"))
+    assert _modules_after_run(sharded, modules) == "0 concurrent.futures.process"
+    serial = _mine_args(example_corpus, tmp_path / "t", ppdb_file, synonym_file, ("--workers", "1"))
+    assert _modules_after_run(serial, modules) == "0 "
 
 
 def _pickled_types(obj) -> set[type]:
@@ -194,9 +257,12 @@ def test_mine_pool_ships_text_rows(
     assert len(sent) == 2
     for fn, shard in sent:
         assert shard
-        for row in shard:
-            assert isinstance(row, tuple) and len(row) == 3
-            assert all(type(field) is str for field in row)
+        # Raw (source_id, complex, simple) rows, or (article_id, ((level,
+        # file path), ...)) entries: nothing read from an article file.
+        shape = (3, str) if input_kind == "aligned-tsv" else (2, tuple)
+        for item in shard:
+            assert isinstance(item, tuple) and len(item) == shape[0] and type(item[-1]) is shape[1]
+        assert _pickled_types(shard) <= {list, tuple, str, int}
         assert not _pickled_types((fn, shard)) & {Sentence, SentencePair, Token}
 
 

@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from altlex_miner.corpus import (
@@ -122,7 +122,7 @@ def _article(art_id, level, raws):
 
 def test_align_identical_articles():
     raws = ["the red fox ran.", "a cold night fell.", "we watched the stars."]
-    pairs = align_articles(_article("a", 0, raws), _article("a", 1, raws), threshold=0.5)
+    pairs = align_articles(_article("a", 0, raws), [_article("a", 1, raws)], threshold=0.5)
     assert len(pairs) == 3
     for i, pair in enumerate(pairs):
         assert pair.similarity == pytest.approx(1.0, abs=1e-9)
@@ -133,7 +133,7 @@ def test_align_identical_articles():
 def test_align_drops_dissimilar():
     complex_a = _article("a", 0, ["the red fox ran fast."])
     simple_a = _article("a", 1, ["nothing shared here whatsoever."])
-    assert align_articles(complex_a, simple_a, threshold=0.5) == []
+    assert align_articles(complex_a, [simple_a], threshold=0.5) == []
 
 
 def test_align_three_by_three_matches_bruteforce():
@@ -149,7 +149,7 @@ def test_align_three_by_three_matches_bruteforce():
     ]
     ca = _article("t", 0, complex_raws)
     sa = _article("t", 1, simple_raws)
-    pairs = align_articles(ca, sa, threshold=0.5)
+    pairs = align_articles(ca, [sa], threshold=0.5)
 
     # Exhaustive 9-pair oracle: argmax per simple sentence with threshold.
     idf = compute_idf(list(ca.sentences) + list(sa.sentences))
@@ -173,12 +173,12 @@ def test_align_threshold_monotonic():
     make = lambda: " ".join(rng.choice(vocab) for _ in range(rng.randint(2, 6)))
     ca = _article("m", 0, [make() for _ in range(5)])
     sa = _article("m", 1, [make() for _ in range(5)])
-    counts = [len(align_articles(ca, sa, threshold=t)) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    counts = [len(align_articles(ca, [sa], threshold=t)) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
     assert counts == sorted(counts, reverse=True)
 
 
 def test_align_empty_article():
-    assert align_articles(_article("e", 0, []), _article("e", 1, ["a b."]), 0.5) == []
+    assert align_articles(_article("e", 0, []), [_article("e", 1, ["a b."])], 0.5) == []
 
 
 def test_align_output_similarities_above_threshold():
@@ -187,8 +187,45 @@ def test_align_output_similarities_above_threshold():
     make = lambda: " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 5)))
     ca = _article("x", 0, [make() for _ in range(4)])
     sa = _article("x", 2, [make() for _ in range(4)])
-    for pair in align_articles(ca, sa, threshold=0.4):
+    for pair in align_articles(ca, [sa], threshold=0.4):
         assert pair.similarity >= 0.4 - 1e-12
+
+
+# Level 0 draws from three words and the simple levels from five, so some
+# simple levels share no term with level 0 and the levels' vocabularies differ.
+_COMPLEX_LEVEL = st.lists(
+    st.lists(st.sampled_from(["sun", "moon", "tide"]), max_size=4).map(" ".join), max_size=6
+)
+_SIMPLE_LEVEL = st.lists(
+    st.lists(st.sampled_from(["sun", "moon", "tide", "rock", "fern"]), max_size=4).map(" ".join),
+    max_size=6,
+)
+
+
+@given(_COMPLEX_LEVEL, st.lists(_SIMPLE_LEVEL, min_size=1, max_size=4), st.sampled_from([0.0, 1.0]))
+@example(["sun moon", "tide"], [[], ["rock fern", "rock"], ["sun", "", "moon tide"]], 0.0)
+@example(["sun", "sun sun", "sun moon"], [["sun sun sun", "sun"], ["fern"]], 1.0)
+@example([], [["sun"]], 0.0)
+def test_align_articles_equals_per_level_reference(complex_raws, simple_levels, threshold):
+    # One index for all levels must give, bit for bit, what aligning each
+    # level alone against the brute-force reference gives.
+    complex_article = _article("p", 0, complex_raws)
+    cx = complex_article.sentences
+    simple_articles = [_article("p", k, raws) for k, raws in enumerate(simple_levels, start=1)]
+    expected = []
+    for simple_article in simple_articles:
+        sx = simple_article.sentences
+        idf = compute_idf(list(cx) + list(sx))
+        for si, s in enumerate(sx if cx else ()):
+            row = [tfidf_cosine(s, c, idf) for c in cx]
+            best = max(row)
+            if best >= threshold:
+                expected.append((f"p:{simple_article.level}:{si}", row.index(best), min(best, 1.0)))
+    got = [
+        (p.source_id, next(i for i, c in enumerate(cx) if c is p.complex), p.similarity)
+        for p in align_articles(complex_article, simple_articles, threshold)
+    ]
+    assert got == expected
 
 
 def test_article_level_validation():

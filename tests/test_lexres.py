@@ -159,6 +159,12 @@ KEEP_PPDB_OTHER = [
     "[X] ||| unless ||| except if ||| no score here",
     "[X] ||| pebble ||| gravel ||| no score here",
     "[X] |||  ||| though ||| PPDB2.0Score=1.0",
+    # Unreachable lines are not parsed for a score, only tested for one: the
+    # first has a number, though not as its score key's value; the second
+    # has none.
+    "[X] ||| pebble ||| gravel ||| PPDB2.0Score=abc 0.75",
+    "[X] ||| pebble ||| cobble ||| Score= none",
+    "  \t ",
 ]
 KEEP_SYNONYM_RELEVANT = ["because\tsince", "after all\tbecause", "because\towing to", "so\ttherefore"]
 KEEP_SYNONYM_OTHER = ["rock\tstone", "while\twhile", "just one field", "a\tb\tc", "pebble\tgravel"]
@@ -182,7 +188,7 @@ def test_load_ppdb_keep_is_exact(tmp_path, inventory, min_score):
     kept = load_ppdb(mixed, min_score=min_score, keep=keep)
     for form in sorted(keep):
         assert kept.lookup(form) == full.lookup(form)
-    assert kept.skipped == full.skipped == 7
+    assert kept.skipped == full.skipped == 8
     assert len(kept) == len(load_ppdb(relevant, min_score=min_score)) < len(full)
     assert kept.lookup(("though",))[0].score == 4.0
     assert kept.lookup(("nevertheless",))[0].target == ("in", "spite", "of", "this")

@@ -24,13 +24,20 @@ def _random_sentences(rng, count):
     ]
 
 
+def _weights(sentences, vocab, idf):
+    """CSR tf*idf weights of ``sentences`` under a ``compute_idf`` table."""
+    indptr, indices, counts = similarity.csr_counts(sentences, vocab)
+    idf_by_id = np.array([idf.get(term, 0.0) for term in vocab])  # vocab is in id order
+    return indptr, indices, counts * idf_by_id[indices]
+
+
 def _matrices(rng):
     a = _random_sentences(rng, rng.randint(1, 6))
     b = _random_sentences(rng, rng.randint(1, 6))
     idf = compute_idf(a + b)
     vocab = similarity.build_vocab([a, b])
-    csr_a = similarity.csr_weights(a, vocab, idf)
-    csr_b = similarity.csr_weights(b, vocab, idf)
+    csr_a = _weights(a, vocab, idf)
+    csr_b = _weights(b, vocab, idf)
     reference = np.array([[tfidf_cosine(sa, sb, idf) for sb in b] for sa in a])
     return csr_a, csr_b, len(vocab), reference
 
@@ -49,7 +56,7 @@ def test_zero_rows_give_zero_similarity():
     idf = compute_idf(a + b)
     vocab = similarity.build_vocab([a, b])
     sims = similarity.cosine_matrix(
-        similarity.csr_weights(a, vocab, idf), similarity.csr_weights(b, vocab, idf), len(vocab)
+        _weights(a, vocab, idf), _weights(b, vocab, idf), len(vocab)
     )
     assert sims[0, 0] == 0.0
     assert sims[1, 0] == pytest.approx(1.0, abs=1e-12)
@@ -75,7 +82,7 @@ def test_kernel_matches_brute_force_reference(simple_raws, complex_raws):
     idf = compute_idf(sx + cx)
     vocab = similarity.build_vocab([cx, sx])
     sims = similarity.cosine_matrix(
-        similarity.csr_weights(sx, vocab, idf), similarity.csr_weights(cx, vocab, idf), len(vocab)
+        _weights(sx, vocab, idf), _weights(cx, vocab, idf), len(vocab)
     )
     reference = [[tfidf_cosine(s, c, idf) for c in cx] for s in sx]
     assert sims.shape == (len(sx), len(cx))
@@ -92,8 +99,8 @@ def test_kernel_blocks_do_not_change_bits(monkeypatch):
     cx = [tokenize("")] + _random_sentences(rng, 30)
     idf = compute_idf(sx + cx)
     vocab = similarity.build_vocab([cx, sx])
-    a = similarity.csr_weights(sx, vocab, idf)
-    b = similarity.csr_weights(cx, vocab, idf)
+    a = _weights(sx, vocab, idf)
+    b = _weights(cx, vocab, idf)
     default = similarity.cosine_matrix(a, b, len(vocab))
     monkeypatch.setattr(similarity, "_BLOCK_PRODUCTS", 1)
     one_row_blocks = similarity.cosine_matrix(a, b, len(vocab))
@@ -102,7 +109,8 @@ def test_kernel_blocks_do_not_change_bits(monkeypatch):
 
 @pytest.mark.parametrize("raws", [[], [""]], ids=["no-sentences", "empty-sentence"])
 def test_csr_weights_without_terms(raws):
-    indptr, indices, data = similarity.csr_weights([tokenize(r) for r in raws], {}, {})
+    counts = similarity.csr_counts([tokenize(r) for r in raws], {})
+    indptr, indices, data = similarity.csr_weights(counts, np.zeros(0, np.int64), len(raws))
     assert indptr.tolist() == [0] * (len(raws) + 1)
     assert indices.size == 0 and data.size == 0
     assert (indptr.dtype, indices.dtype, data.dtype) == (np.int64, np.int64, np.float64)
@@ -112,10 +120,25 @@ def test_csr_weights_sums_a_repeated_term():
     sentences = [tokenize("tide tide tide"), tokenize(""), tokenize("moon sun moon")]
     idf = compute_idf(sentences)
     vocab = similarity.build_vocab([sentences])
-    indptr, indices, data = similarity.csr_weights(sentences, vocab, idf)
+    counts = similarity.csr_counts(sentences, vocab)
+    assert counts[2].tolist() == [3, 2, 1]
+    df = np.bincount(counts[1], minlength=len(vocab))
+    indptr, indices, data = similarity.csr_weights(counts, df, len(sentences))
     assert indptr.tolist() == [0, 1, 1, 3]
     assert indices.tolist() == [vocab["tide"], vocab["moon"], vocab["sun"]]
     assert data.tolist() == [3 * idf["tide"], 2 * idf["moon"], 1 * idf["sun"]]
+
+
+def test_csr_weights_match_compute_idf_bits():
+    # 20 documents, "sun" in 19: np.log gives ln(21 / 20) one bit away from
+    # math.log on some builds, so the weights must take compute_idf's path.
+    sentences = [tokenize("sun")] * 18 + [tokenize("moon sun moon"), tokenize("tide")]
+    idf = compute_idf(sentences)
+    vocab = similarity.build_vocab([sentences])
+    counts = similarity.csr_counts(sentences, vocab)
+    df = np.bincount(counts[1], minlength=len(vocab))
+    weights = similarity.csr_weights(counts, df, len(sentences))
+    assert [w.tolist() for w in weights] == [w.tolist() for w in _weights(sentences, vocab, idf)]
 
 
 def test_tsv_mine_does_not_import_scipy(tmp_path, ppdb_file, synonym_file):
