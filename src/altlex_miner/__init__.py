@@ -15,7 +15,6 @@ from .discourse import (
     ConnectiveEntry,
     ConnectiveInventory,
     ExplicitAnnotation,
-    Level1,
     Sense,
     detect_explicit,
     load_inventory,
@@ -49,7 +48,6 @@ __all__ = [
     "ConnectiveEntry",
     "ConnectiveInventory",
     "ExplicitAnnotation",
-    "Level1",
     "OtherKind",
     "ParaphraseEntry",
     "ParaphraseStore",

@@ -7,8 +7,8 @@ shards without tokenizing it: an aligned TSV into raw text rows, an
 article directory into article ids and their file names. Each worker
 reads, tokenizes, aligns and mines its shard and returns an
 AltLexInventory. Shard results merge in index order, so the emitted files
-are byte-identical for any worker count. An article directory with one
-worker runs the same shard function in this process.
+are byte-identical for any worker count. One shard runs the same shard
+function in this process, without a pool.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse error or a crashed
 worker process.
@@ -29,7 +29,7 @@ from .corpus import (
     cohen_kappa,
     align_articles,
     load_agreement_tsv,
-    load_aligned_tsv,
+    load_aligned_tsv,  # noqa: F401 - bound by perfbench's tracer
     list_article_dir,
     load_article_dir,  # noqa: F401 - bound by perfbench's tracer
     pairs_from_rows,
@@ -52,13 +52,11 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     input_path: str | None = None
-    input_kind: str | None = None  # aligned-tsv | article-dir
     ppdb: str | None = None
     synonyms: str | None = None
     inventory: str | None = None
     threshold: float = 0.5
     min_score: float = 0.0
-    sense_level: int = 2
     workers: int = 1
     output_dir: str = "altlex_out"
     output: str = "aligned_pairs.tsv"
@@ -68,18 +66,14 @@ class RunConfig:
             raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.sense_level not in (1, 2):
-            raise ConfigError(f"sense-level must be 1 or 2, got {self.sense_level}")
 
 
 _CONFIG_TYPES = {
-    "input_kind": str,
     "ppdb": str,
     "synonyms": str,
     "inventory": str,
     "threshold": float,
     "min_score": float,
-    "sense_level": int,
     "workers": int,
     "output_dir": str,
     "output": str,
@@ -158,7 +152,7 @@ def write_cases_tsv(path: Path, inv: AltLexInventory) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _sorted_records(inv: AltLexInventory):
+def _ordered_records(inv: AltLexInventory):
     sense_order = {s: i for i, s in enumerate(Sense)}
     return sorted(
         inv.records.values(),
@@ -168,7 +162,7 @@ def _sorted_records(inv: AltLexInventory):
 
 def write_altlexes_tsv(path: Path, inv: AltLexInventory) -> None:
     lines = ["text\tsense\tresource\ttoken_count\tsense_alignments\texample_pair_ids"]
-    for rec in _sorted_records(inv):
+    for rec in _ordered_records(inv):
         alignments = inv.per_sense_alignment_counts.get(rec.sense, 0)
         lines.append(
             "\t".join(
@@ -204,7 +198,7 @@ def write_altlexes_json(path: Path, inv: AltLexInventory) -> None:
                 "token_count": rec.token_count,
                 "example_pair_ids": list(rec.example_pair_ids),
             }
-            for rec in _sorted_records(inv)
+            for rec in _ordered_records(inv)
         ],
     }
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -245,15 +239,6 @@ def _align(articles: list[tuple], threshold: float) -> list[SentencePair]:
     return pairs
 
 
-def _input_kind(config: RunConfig) -> str:
-    kind = config.input_kind
-    if kind is None:
-        return "article-dir" if Path(config.input_path).is_dir() else "aligned-tsv"
-    if kind not in ("aligned-tsv", "article-dir"):
-        raise ConfigError(f"unknown input kind {kind!r}")
-    return kind
-
-
 def _shards(items: list, n: int) -> list[list]:
     n = max(1, min(n, len(items)) if items else 1)
     size, extra = divmod(len(items), n)
@@ -265,15 +250,14 @@ def _shards(items: list, n: int) -> list[list]:
     return shards
 
 
-def _mine_rows(rows, inventory, stores, sense_level):
-    """Tokenize and mine one shard of raw TSV rows; a pool worker's task."""
-    return mine_corpus(pairs_from_rows(rows), inventory, stores, sense_level=sense_level)
+def _mine_rows(rows, inventory, stores):
+    """Tokenize and mine one shard of raw TSV rows."""
+    return mine_corpus(pairs_from_rows(rows), inventory, stores)
 
 
-def _mine_articles(articles, threshold, inventory, stores, sense_level):
-    """Read, align and mine one shard of ``_list_articles`` entries; a pool
-    worker's task, or the whole run's with one worker."""
-    return mine_corpus(_align(articles, threshold), inventory, stores, sense_level=sense_level)
+def _mine_articles(articles, threshold, inventory, stores):
+    """Read, align and mine one shard of ``_list_articles`` entries."""
+    return mine_corpus(_align(articles, threshold), inventory, stores)
 
 
 def ProcessPoolExecutor(*args, **kwargs):  # noqa: N802 - perfbench and tests rebind this name
@@ -288,32 +272,28 @@ def cmd_mine(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     inventory = load_inventory(config.inventory)
     stores = _load_stores(config, inventory)
-    kind = _input_kind(config)
-    options = dict(inventory=inventory, stores=stores, sense_level=config.sense_level)
-
-    if kind == "aligned-tsv" and config.workers == 1:
-        inv = mine_corpus(load_aligned_tsv(config.input_path), **options)
+    if Path(config.input_path).is_dir():
+        items = _list_articles(config.input_path)
+        work = partial(_mine_articles, threshold=config.threshold, inventory=inventory, stores=stores)
     else:
-        if kind == "aligned-tsv":
-            items, work = read_aligned_rows(config.input_path), partial(_mine_rows, **options)
-        else:
-            items = _list_articles(config.input_path)
-            work = partial(_mine_articles, threshold=config.threshold, **options)
-        shards = _shards(items, config.workers)
-        if len(shards) == 1:  # one worker, or at most one item: no pool
-            inv = work(shards[0])
-        else:
-            from concurrent.futures.process import BrokenProcessPool
+        items = read_aligned_rows(config.input_path)
+        work = partial(_mine_rows, inventory=inventory, stores=stores)
 
-            try:
-                with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                    results = list(pool.map(work, shards))
-            except BrokenProcessPool:
-                print("error: mining worker process exited unexpectedly", file=sys.stderr)
-                return INPUT_ERROR
-            inv = AltLexInventory()
-            for shard_inv in results:
-                inv = inv.merge(shard_inv)
+    shards = _shards(items, config.workers)
+    if len(shards) == 1:  # one worker, or at most one item: no pool
+        inv = work(shards[0])
+    else:
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+                results = list(pool.map(work, shards))
+        except BrokenProcessPool:
+            print("error: mining worker process exited unexpectedly", file=sys.stderr)
+            return INPUT_ERROR
+        inv = AltLexInventory()
+        for shard_inv in results:
+            inv = inv.merge(shard_inv)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -367,13 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mine = sub.add_parser("mine", help="mine AltLexes from an aligned corpus")
     p_mine.add_argument("input_path", metavar="INPUT", help="aligned TSV file or article directory")
-    p_mine.add_argument("--input-kind", choices=("aligned-tsv", "article-dir"), default=None)
     p_mine.add_argument("--ppdb", default=None, help="PPDB flat file")
     p_mine.add_argument("--synonyms", default=None, help="word<TAB>synonym lexicon")
     p_mine.add_argument("--inventory", default=None, help="connective inventory TSV (default: shipped)")
     p_mine.add_argument("--threshold", type=float, default=None, help="alignment cutoff for article dirs")
     p_mine.add_argument("--min-score", type=float, default=None, help="minimum paraphrase score")
-    p_mine.add_argument("--sense-level", type=int, choices=(1, 2), default=None)
     p_mine.add_argument("--workers", type=int, default=None)
     p_mine.add_argument("--output-dir", default=None)
     p_mine.add_argument("--config", default=None, help="key=value config file")

@@ -110,7 +110,9 @@ _ARTICLE_FILE_RE = re.compile(r"^(?P<id>.+)\.(?P<level>\d+)\.txt$")
 def list_article_dir(path: str | Path) -> dict[str, dict[int, str]]:
     """List ``<articleid>.<level>.txt`` files as {article_id: {level: file
     path}}, without reading them. Files not matching the naming pattern are
-    ignored; a level outside 0..5 raises CorpusFormatError naming the file.
+    ignored. A level outside 0..5, or two files for one article level (such
+    as ``s.0.txt`` and ``s.00.txt``), raises CorpusFormatError naming the
+    files.
     """
     root = Path(path)
     if not root.is_dir():
@@ -123,7 +125,10 @@ def list_article_dir(path: str | Path) -> dict[str, dict[int, str]]:
         level = int(m.group("level"))
         if not 0 <= level <= 5:
             raise CorpusFormatError(f"{file}: article level {level} outside 0..5")
-        files.setdefault(m.group("id"), {})[level] = str(file)
+        levels = files.setdefault(m.group("id"), {})
+        if level in levels:
+            raise CorpusFormatError(f"{levels[level]} and {file}: both are article level {level}")
+        levels[level] = str(file)
     return files
 
 

@@ -24,13 +24,6 @@ from pathlib import Path
 from .text import Sentence, TokenSpan, read_text
 
 
-class Level1(enum.Enum):
-    TEMPORAL = "Temporal"
-    CONTINGENCY = "Contingency"
-    COMPARISON = "Comparison"
-    EXPANSION = "Expansion"
-
-
 class Sense(enum.Enum):
     """Level-2 relation senses, in fixed report order."""
 
@@ -47,25 +40,6 @@ class Sense(enum.Enum):
     EXCEPTION = "Exception"
     LIST = "List"
 
-    @property
-    def level1(self) -> Level1:
-        return _LEVEL1_OF[self]
-
-
-_LEVEL1_OF = {
-    Sense.ASYNCHRONOUS: Level1.TEMPORAL,
-    Sense.SYNCHRONY: Level1.TEMPORAL,
-    Sense.CAUSE: Level1.CONTINGENCY,
-    Sense.CONDITION: Level1.CONTINGENCY,
-    Sense.CONTRAST: Level1.COMPARISON,
-    Sense.CONCESSION: Level1.COMPARISON,
-    Sense.CONJUNCTION: Level1.EXPANSION,
-    Sense.INSTANTIATION: Level1.EXPANSION,
-    Sense.RESTATEMENT: Level1.EXPANSION,
-    Sense.ALTERNATIVE: Level1.EXPANSION,
-    Sense.EXCEPTION: Level1.EXPANSION,
-    Sense.LIST: Level1.EXPANSION,
-}
 
 _SENSE_BY_NAME = {s.value.lower(): s for s in Sense}
 

@@ -55,41 +55,37 @@ class ParaphraseStore:
         self.resource = resource
         self.skipped = 0
         self._by_source: dict[tuple[str, ...], dict[tuple[str, ...], float]] = {}
-        self._sorted: dict[tuple[str, ...], list[ParaphraseEntry]] = {}
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._by_source.values())
 
     def add(self, source: tuple[str, ...], target: tuple[str, ...], score: float) -> None:
         """Insert both directions, keeping the best score for duplicates."""
-        self._sorted.clear()
         for src, tgt in ((source, target), (target, source)):
             targets = self._by_source.setdefault(src, {})
             if score > targets.get(tgt, float("-inf")):
                 targets[tgt] = score
 
     def lookup(self, source: tuple[str, ...]) -> list[ParaphraseEntry]:
-        """The source's paraphrases, best score first then by target; the
-        sorted list is built once per source and copied on each call."""
-        entries = self._sorted.get(source)
-        if entries is None:
-            entries = [
-                ParaphraseEntry(source=source, target=t, score=s, resource=self.resource)
-                for t, s in self._by_source.get(source, {}).items()
-            ]
-            entries.sort(key=lambda e: (-e.score, e.target))
-            self._sorted[source] = entries
-        return list(entries)
+        """The source's paraphrases, best score first then by target."""
+        entries = [
+            ParaphraseEntry(source=source, target=t, score=s, resource=self.resource)
+            for t, s in self._by_source.get(source, {}).items()
+        ]
+        entries.sort(key=lambda e: (-e.score, e.target))
+        return entries
 
 
 _PPDB_SEP = " ||| "
+# The feature whose value is a PPDB line's score.
+_SCORE_FEATURE = "PPDB2.0Score"
 _FLOAT_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 
-def _feature_score(features: str, score_key: str) -> float | None:
+def _feature_score(features: str) -> float | None:
     for item in features.split():
         key, eq, value = item.partition("=")
-        if eq and key == score_key:
+        if eq and key == _SCORE_FEATURE:
             m = _FLOAT_RE.fullmatch(value)
             if m:
                 return float(value)
@@ -128,13 +124,12 @@ def _invalid_utf8_line(path: str | Path) -> int:
 def load_ppdb(
     path: str | Path,
     min_score: float = 0.0,
-    score_key: str = "PPDB2.0Score",
     keep: Collection[tuple[str, ...]] | None = None,
 ) -> ParaphraseStore:
     """Load a PPDB flat file, keeping entries with score >= min_score.
 
     Expected fields: ``LHS ||| source ||| target ||| features [||| ...]``.
-    The score is the value of ``score_key`` in the feature column, falling
+    The score is the value of ``PPDB2.0Score`` in the feature column, falling
     back to the first number found there. Malformed lines are skipped and
     counted on the returned store. With ``keep``, only lines whose source or
     target is in it are stored; every line is still validated and counted.
@@ -158,7 +153,7 @@ def load_ppdb(
             # A line that is not stored needs only whether it has a score. The
             # score key's value is part of the features, so it has one exactly
             # when the features hold a number.
-            score = _feature_score(fields[3], score_key) if stored else _FLOAT_RE.search(fields[3])
+            score = _feature_score(fields[3]) if stored else _FLOAT_RE.search(fields[3])
             if score is None:
                 store.skipped += 1
                 logger.warning("%s:%d: no score found in feature column", path, lineno)

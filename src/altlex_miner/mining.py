@@ -5,7 +5,8 @@ pairs where exactly one side carries exactly one explicit connective are
 mined: every expansion of the connective found in the non-explicit side
 becomes a candidate, the connective is substituted into the candidate's
 span, and the candidate is kept only if re-detection finds the same
-connective with the same sense. Verified candidates aggregate into an
+connective. A candidate's sense is its connective's prior top sense, the
+one the detector assigns. Verified candidates aggregate into an
 AltLexInventory keyed by (text, sense); inventories merge associatively so
 corpora can be sharded.
 
@@ -68,7 +69,6 @@ class AltLexCandidate:
     pair: SentencePair
     direction: CaseKind  # NON_EXP_EXP or EXP_NON_EXP
     connective: ConnectiveEntry
-    sense: Sense
     paraphrase: ParaphraseEntry
     span: TokenSpan
 
@@ -77,6 +77,10 @@ class AltLexCandidate:
             raise ValueError(f"direction must be one-sided, got {self.direction}")
         if self.nonexplicit_sentence.lowers(self.span) != self.paraphrase.target:
             raise ValueError("candidate span does not match the paraphrase target")
+
+    @property
+    def sense(self) -> Sense:
+        return self.connective.top_sense
 
     @property
     def nonexplicit_sentence(self) -> Sentence:
@@ -218,25 +222,17 @@ def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...]
     )
 
 
-def verify_candidate(
-    candidate: AltLexCandidate, inventory: ConnectiveInventory, sense_level: int = 2
-) -> bool:
+def verify_candidate(candidate: AltLexCandidate, inventory: ConnectiveInventory) -> bool:
     """Substitute the connective into the candidate span and re-detect.
 
-    True iff some resulting annotation carries the candidate's connective
-    and its sense (level-2 equality by default, level-1 with
-    ``sense_level=1``). Any other outcome discards the candidate.
+    True iff some resulting annotation carries the candidate's connective.
+    The detector gives a connective its prior top sense, so the same
+    connective always comes back with the candidate's sense. Any other
+    outcome discards the candidate.
     """
     substituted = substitute(candidate.nonexplicit_sentence, candidate.span, candidate.connective.parts[0])
-    for ann in detect_explicit(substituted, inventory):
-        if ann.connective_id != candidate.connective.id:
-            continue
-        if sense_level == 1:
-            if ann.sense.level1 == candidate.sense.level1:
-                return True
-        elif ann.sense == candidate.sense:
-            return True
-    return False
+    connective_id = candidate.connective.id
+    return any(ann.connective_id == connective_id for ann in detect_explicit(substituted, inventory))
 
 
 # One connective's expansions by first token: (store position, rank in that
@@ -289,7 +285,6 @@ def _mine_single(
     annotation: ExplicitAnnotation,
     inventory: ConnectiveInventory,
     expansions: _Expansions,
-    sense_level: int,
 ) -> list[AltLexCandidate]:
     connective = inventory.by_id[annotation.connective_id]
     nonexp = pair.simple if direction is CaseKind.EXP_NON_EXP else pair.complex
@@ -299,11 +294,10 @@ def _mine_single(
             pair=pair,
             direction=direction,
             connective=connective,
-            sense=annotation.sense,
             paraphrase=paraphrase,
             span=span,
         )
-        if verify_candidate(candidate, inventory, sense_level=sense_level):
+        if verify_candidate(candidate, inventory):
             verified.append(candidate)
     return _resolve_overlaps(verified)
 
@@ -335,7 +329,6 @@ def _mine_dispatch(
     pair: SentencePair,
     inventory: ConnectiveInventory,
     expansions: _Expansions,
-    sense_level: int,
 ) -> tuple[ChangeCase, ExplicitAnnotation | None, list[AltLexCandidate]]:
     """Classify the pair and, for a one-sided single-annotation case, mine
     the explicit side's connective: (case, annotation or None, candidates)."""
@@ -347,31 +340,25 @@ def _mine_dispatch(
         annotation = simple_anns[0]
     else:
         return case, None, []
-    return case, annotation, _mine_single(pair, case.kind, annotation, inventory, expansions, sense_level)
+    return case, annotation, _mine_single(pair, case.kind, annotation, inventory, expansions)
 
 
 def mine_pair(
-    pair: SentencePair,
-    inventory: ConnectiveInventory,
-    stores: list[ParaphraseStore],
-    sense_level: int = 2,
+    pair: SentencePair, inventory: ConnectiveInventory, stores: list[ParaphraseStore]
 ) -> list[AltLexCandidate]:
     """Verified AltLex candidates for one pair (empty unless the pair is a
     one-sided single-annotation case)."""
-    return _mine_dispatch(pair, inventory, _Expansions(inventory, stores), sense_level)[2]
+    return _mine_dispatch(pair, inventory, _Expansions(inventory, stores))[2]
 
 
 def mine_corpus(
-    pairs: list[SentencePair],
-    inventory: ConnectiveInventory,
-    stores: list[ParaphraseStore],
-    sense_level: int = 2,
+    pairs: list[SentencePair], inventory: ConnectiveInventory, stores: list[ParaphraseStore]
 ) -> AltLexInventory:
     """Fold categorization counts and verified candidates over a corpus."""
     result = AltLexInventory()
     expansions = _Expansions(inventory, stores)
     for pair in pairs:
-        case, annotation, candidates = _mine_dispatch(pair, inventory, expansions, sense_level)
+        case, annotation, candidates = _mine_dispatch(pair, inventory, expansions)
         result._add_case(case)
         if annotation is not None:
             result._add_alignment(annotation.sense)

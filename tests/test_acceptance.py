@@ -66,10 +66,10 @@ def test_c1_worked_example_suite(
         pair=comics_pair,
         direction=CaseKind.NON_EXP_EXP,
         connective=inventory.by_id["though"],
-        sense=Sense.CONTRAST,
         paraphrase=ParaphraseEntry(("though",), ("despite",), 3.5, Resource.PPDB),
         span=match_phrase(comics_pair.complex, ("despite",))[0],
     )
+    assert despite_cand.sense is Sense.CONTRAST
     assert verify_candidate(despite_cand, inventory) is True
 
     # temporal-PP "since" -> Cause verifies false after substitution.
@@ -77,10 +77,10 @@ def test_c1_worked_example_suite(
         pair=landmark_pair,
         direction=CaseKind.EXP_NON_EXP,
         connective=inventory.by_id["because"],
-        sense=Sense.CAUSE,
         paraphrase=ParaphraseEntry(("because",), ("since",), 1.0, Resource.SYNONYM_LEXICON),
         span=match_phrase(landmark_pair.simple, ("since",))[0],
     )
+    assert since_cand.sense is Sense.CAUSE
     assert verify_candidate(since_cand, inventory) is False
 
     # drones pair: Exp-NonExp "before" Asynchronous mines AltLex "used to".

@@ -168,17 +168,21 @@ def test_mine_article_dir_deterministic_across_worker_counts(tmp_path, ppdb_file
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-@pytest.mark.parametrize("bad_file", ["utf-8", "level"])
+@pytest.mark.parametrize("bad_file", ["utf-8", "level", "duplicate-level"])
 def test_mine_article_shard_errors_are_input_errors(tmp_path, ppdb_file, synonym_file, capsys, bad_file):
     art = _sharded_article_dir(tmp_path)
     if bad_file == "utf-8":
         bad = art / "e.1.txt"
         bad.write_bytes(b"a\nb\nbad \xff byte\n")
         message = f"error: {bad}: line 3: invalid UTF-8"
-    else:
+    elif bad_file == "level":
         bad = art / "e.7.txt"
         bad.write_text("A sentence.\n", encoding="utf-8")
         message = f"error: {bad}: article level 7 outside 0..5"
+    else:
+        bad = art / "e.01.txt"
+        bad.write_text("A sentence.\n", encoding="utf-8")
+        message = f"error: {bad} and {art / 'e.1.txt'}: both are article level 1"
     args = _mine_args(art, tmp_path / "out", ppdb_file, synonym_file, ("--workers", "2"))
     assert main(args) == 2
     assert message in capsys.readouterr().err
@@ -337,15 +341,6 @@ def test_mine_loads_only_lines_a_connective_reaches(
     }
 
 
-def test_mine_sense_level_flag(tmp_path, example_corpus, ppdb_file, synonym_file):
-    out = tmp_path / "out"
-    code = main(
-        _mine_args(example_corpus, out, ppdb_file, synonym_file, ("--sense-level", "1"))
-    )
-    assert code == 0
-    assert "despite" in (out / "altlexes.tsv").read_text()
-
-
 def test_mine_missing_resource_is_input_error(tmp_path, example_corpus):
     out = tmp_path / "out"
     code = main(["mine", str(example_corpus), "--ppdb", str(tmp_path / "nope"), "--output-dir", str(out)])
@@ -360,12 +355,16 @@ def test_mine_malformed_corpus_is_input_error(tmp_path, ppdb_file, synonym_file)
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["mine"])  # missing INPUT positional
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 1
+    for argv in (
+        ["mine"],  # missing INPUT positional
+        ["frobnicate"],
+        # Removed options that could not change a result.
+        ["mine", "pairs.tsv", "--sense-level", "1"],
+        ["mine", "pairs.tsv", "--input-kind", "aligned-tsv"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
 
 
 def test_align_identical_levels(tmp_path, capsys):
@@ -399,12 +398,20 @@ def test_align_missing_dir_is_input_error(tmp_path):
 
 
 def test_align_bad_article_level_is_input_error(tmp_path, capsys):
-    art = tmp_path / "articles"
-    art.mkdir()
-    (art / "story.0.txt").write_text("A sentence.\n", encoding="utf-8")
-    (art / "story.7.txt").write_text("A sentence.\n", encoding="utf-8")
-    assert main(["align", str(art), "--output", str(tmp_path / "o.tsv")]) == 2
-    assert "level" in capsys.readouterr().err
+    for bad_name, message in (
+        ("story.7.txt", "story.7.txt: article level 7 outside 0..5"),
+        # A second file for level 0: neither may silently replace the other.
+        ("story.00.txt", "story.0.txt and {art}/story.00.txt: both are article level 0"),
+    ):
+        art = tmp_path / bad_name / "articles"
+        art.mkdir(parents=True)
+        (art / "story.0.txt").write_text("A sentence.\n", encoding="utf-8")
+        (art / "story.1.txt").write_text("A sentence.\n", encoding="utf-8")
+        (art / bad_name).write_text("A sentence.\n", encoding="utf-8")
+        out = tmp_path / bad_name / "o.tsv"
+        assert main(["align", str(art), "--output", str(out)]) == 2
+        assert message.format(art=art) in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_mine_article_dir_input(tmp_path, ppdb_file, synonym_file):
@@ -505,10 +512,14 @@ def test_config_file_flags_override(tmp_path, example_corpus, ppdb_file, synonym
     assert (tmp_path / "from_flag" / "cases.tsv").exists()
 
 
-def test_config_file_bad_key(tmp_path, example_corpus):
+def test_config_file_bad_key(tmp_path, example_corpus, capsys):
+    # A config file that sets a removed option's key is rejected, not ignored.
     config = tmp_path / "run.cfg"
-    config.write_text("nonsense=1\n", encoding="utf-8")
-    assert main(["mine", str(example_corpus), "--config", str(config)]) == 2
+    for line in ("nonsense=1", "sense_level=1", "input_kind=article-dir"):
+        config.write_text(line + "\n", encoding="utf-8")
+        assert main(["mine", str(example_corpus), "--config", str(config)]) == 2
+        key = line.partition("=")[0]
+        assert f"error: {config}:1: unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_percent_rows_sum_exact():

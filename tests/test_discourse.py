@@ -4,7 +4,6 @@ import pytest
 
 from altlex_miner.discourse import (
     InventoryError,
-    Level1,
     Sense,
     detect_explicit,
     load_inventory,
@@ -20,13 +19,6 @@ def test_default_inventory_has_100_entries(inventory):
 
 def test_but_top_sense_is_contrast(inventory):
     assert inventory.by_id["but"].top_sense is Sense.CONTRAST
-
-
-def test_sense_hierarchy():
-    assert Sense.CAUSE.level1 is Level1.CONTINGENCY
-    assert Sense.CONTRAST.level1 is Level1.COMPARISON
-    assert Sense.SYNCHRONY.level1 is Level1.TEMPORAL
-    assert Sense.LIST.level1 is Level1.EXPANSION
 
 
 def test_entry_weights_normalized(inventory):

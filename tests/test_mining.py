@@ -94,13 +94,12 @@ def test_substitute_invalid_span():
         substitute(tokenize("a b"), TokenSpan(1, 5), ("x",))
 
 
-def _candidate(pair, direction, connective, sense, target, score, resource, span):
+def _candidate(pair, direction, connective, target, score, resource, span):
     source = connective.parts[0]
     return AltLexCandidate(
         pair=pair,
         direction=direction,
         connective=connective,
-        sense=sense,
         paraphrase=ParaphraseEntry(source=source, target=target, score=score, resource=resource),
         span=span,
     )
@@ -112,7 +111,6 @@ def test_candidate_span_must_match_target(comics_pair, inventory):
             comics_pair,
             CaseKind.NON_EXP_EXP,
             inventory.by_id["though"],
-            Sense.CONTRAST,
             ("despite",),
             3.5,
             Resource.PPDB,
@@ -125,7 +123,6 @@ def test_verify_comics_true(comics_pair, inventory):
         comics_pair,
         CaseKind.NON_EXP_EXP,
         inventory.by_id["though"],
-        Sense.CONTRAST,
         ("despite",),
         3.5,
         Resource.PPDB,
@@ -139,7 +136,6 @@ def test_verify_landmark_false(landmark_pair, inventory):
         landmark_pair,
         CaseKind.EXP_NON_EXP,
         inventory.by_id["because"],
-        Sense.CAUSE,
         ("since",),
         1.0,
         Resource.SYNONYM_LEXICON,
@@ -159,30 +155,12 @@ def test_verify_filter_rejection_path(inventory):
         pair,
         CaseKind.NON_EXP_EXP,
         inventory.by_id["because"],
-        Sense.CAUSE,
         ("owing", "to", "the", "office", "closure"),
         1.0,
         Resource.PPDB,
         match_phrase(pair.complex, ("owing", "to", "the", "office", "closure"))[0],
     )
     assert verify_candidate(cand, inventory) is False
-
-
-def test_verify_sense_level_relaxation(comics_pair, inventory):
-    # Concession and Contrast share level-1 Comparison, so a Concession
-    # candidate verifies at level 1 but not at level 2.
-    cand = _candidate(
-        comics_pair,
-        CaseKind.NON_EXP_EXP,
-        inventory.by_id["though"],
-        Sense.CONCESSION,
-        ("despite",),
-        3.5,
-        Resource.PPDB,
-        match_phrase(comics_pair.complex, ("despite",))[0],
-    )
-    assert verify_candidate(cand, inventory, sense_level=2) is False
-    assert verify_candidate(cand, inventory, sense_level=1) is True
 
 
 def test_mine_pair_comics(comics_pair, inventory, fixture_stores):

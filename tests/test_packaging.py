@@ -1,11 +1,13 @@
 import ast
 import re
 import sys
+from argparse import _HelpAction, _SubParsersAction
 from pathlib import Path
 
 import pytest
 
 import altlex_miner
+from altlex_miner.cli import build_parser
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -34,3 +36,27 @@ def test_declared_dependencies_are_the_imported_ones():
     imported = set().union(*(_imported_top_levels(p) for p in PACKAGE.rglob("*.py")))
     third_party = imported - set(sys.stdlib_module_names) - {PACKAGE.name}
     assert declared == third_party
+
+
+def test_readme_lists_exactly_the_cli_options():
+    # An option the README does not name is one a user cannot find; a name
+    # the CLI does not accept is a usage error. Install lines name pip's
+    # options, and --help is argparse's own.
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, _SubParsersAction)]
+    cli_options = {
+        option
+        for sub in subcommands.choices.values()
+        for action in sub._actions
+        if not isinstance(action, _HelpAction)
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    readme_options = {
+        option
+        for line in readme.splitlines()
+        if "pip install" not in line
+        for option in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)
+    }
+    assert readme_options == cli_options
