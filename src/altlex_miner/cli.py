@@ -10,6 +10,12 @@ AltLexInventory. Shard results merge in index order, so the emitted files
 are byte-identical for any worker count. One shard runs the same shard
 function in this process, without a pool.
 
+A shard streams through mining: a TSV row is tokenized into its pair only
+when mining reaches it, and an article is read and aligned only when the
+pairs of the one before it are mined. Beyond the raw rows, memory holds
+one pair or one article's levels and pairs at a time, plus the mined
+inventory; it does not grow with the number of tokenized pairs.
+
 Exit codes: 0 success, 1 usage error, 2 input/parse error or a crashed
 worker process.
 """
@@ -19,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -87,7 +94,7 @@ def load_config_file(path: str) -> dict:
         text = read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -229,14 +236,13 @@ def _list_articles(path: str | Path) -> list[tuple[str, tuple[tuple[int, str], .
     return articles
 
 
-def _align(articles: list[tuple], threshold: float) -> list[SentencePair]:
+def _align(articles: Iterable[tuple], threshold: float) -> Iterator[SentencePair]:
     """Read and align ``_list_articles`` entries: every level of an article
-    against its level 0, in article then level order."""
-    pairs: list[SentencePair] = []
+    against its level 0, in article then level order. Each article is read
+    only once the pairs of the one before it have been consumed."""
     for art_id, files in articles:
         original, *simplified = read_article(art_id, files).values()  # level 0 first
-        pairs.extend(align_articles(original, simplified, threshold))
-    return pairs
+        yield from align_articles(original, simplified, threshold)
 
 
 def _shards(items: list, n: int) -> list[list]:
@@ -251,12 +257,13 @@ def _shards(items: list, n: int) -> list[list]:
 
 
 def _mine_rows(rows, inventory, stores):
-    """Tokenize and mine one shard of raw TSV rows."""
+    """Tokenize and mine one shard of raw TSV rows, one pair at a time."""
     return mine_corpus(pairs_from_rows(rows), inventory, stores)
 
 
 def _mine_articles(articles, threshold, inventory, stores):
-    """Read, align and mine one shard of ``_list_articles`` entries."""
+    """Read, align and mine one shard of ``_list_articles`` entries, one
+    article at a time."""
     return mine_corpus(_align(articles, threshold), inventory, stores)
 
 
@@ -309,7 +316,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_align(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    pairs = _align(_list_articles(config.input_path), config.threshold)
+    # All pairs before the first byte, so a failed run writes no partial file.
+    pairs = list(_align(_list_articles(config.input_path), config.threshold))
     lines = "".join(f"{p.complex.raw}\t{p.simple.raw}\t{p.similarity:.6f}\n" for p in pairs)
     Path(config.output).write_text(lines, encoding="utf-8")
     print(f"{len(pairs)} pairs written to {config.output}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,13 +87,12 @@ def read_aligned_rows(path: str | Path) -> list[tuple[str, str, str]]:
     return rows
 
 
-def pairs_from_rows(rows: list[tuple[str, str, str]]) -> list[SentencePair]:
+def pairs_from_rows(rows: Iterable[tuple[str, str, str]]) -> Iterator[SentencePair]:
     """Tokenize ``(source_id, complex_raw, simple_raw)`` rows into pairs with
-    similarity 1.0."""
-    return [
-        SentencePair(complex=tokenize(complex_raw), simple=tokenize(simple_raw), source_id=source_id)
-        for source_id, complex_raw, simple_raw in rows
-    ]
+    similarity 1.0, one pair per row as it is consumed: a caller that reads
+    each pair once never holds more than one tokenized pair."""
+    for source_id, complex_raw, simple_raw in rows:
+        yield SentencePair(complex=tokenize(complex_raw), simple=tokenize(simple_raw), source_id=source_id)
 
 
 def load_aligned_tsv(path: str | Path) -> list[SentencePair]:
@@ -101,7 +100,7 @@ def load_aligned_tsv(path: str | Path) -> list[SentencePair]:
 
     Raises CorpusFormatError as ``read_aligned_rows`` does.
     """
-    return pairs_from_rows(read_aligned_rows(path))
+    return list(pairs_from_rows(read_aligned_rows(path)))
 
 
 _ARTICLE_FILE_RE = re.compile(r"^(?P<id>.+)\.(?P<level>\d+)\.txt$")
@@ -134,14 +133,17 @@ def list_article_dir(path: str | Path) -> dict[str, dict[int, str]]:
 
 def read_article(art_id: str, files: Iterable[tuple[int, str]]) -> dict[int, Article]:
     """Read and tokenize one article's ``(level, file path)`` files, one
-    sentence per non-blank line, into {level: Article}."""
+    sentence per non-blank line, into {level: Article}. Lines end at ``\n``
+    only (after ``read_text``'s CR/CRLF folding), as in every other reader,
+    so a Unicode line or paragraph separator inside a line stays in its
+    sentence."""
     return {
         level: Article(
             id=art_id,
             level=level,
             sentences=tuple(
                 tokenize(line)
-                for line in read_text(path, CorpusFormatError).splitlines()
+                for line in read_text(path, CorpusFormatError).split("\n")
                 if line.strip()
             ),
         )

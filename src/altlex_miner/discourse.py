@@ -132,7 +132,7 @@ def load_inventory(path: str | Path | None = None) -> ConnectiveInventory:
 
     entries: list[ConnectiveEntry] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -81,16 +81,26 @@ _PPDB_SEP = " ||| "
 _SCORE_FEATURE = "PPDB2.0Score"
 _FLOAT_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
+# Searched in " " + features: a number that begins a feature's value or a
+# bare item, never digits of a feature name such as "PPDB2.0Score".
+_VALUE_NUMBER_RE = re.compile(r"[=\s](" + _FLOAT_RE.pattern + r")(?![^\s=]*=)")
+# Its matches that begin a value: most lines have one, and a search for a
+# literal "=" is the faster.
+_EQ_NUMBER_RE = re.compile(r"=(" + _FLOAT_RE.pattern + r")(?![^\s=]*=)")
+
 
 def _feature_score(features: str) -> float | None:
+    """The score feature's value, else the first number that begins a
+    value, else None. A numeric score value begins a value itself, so a
+    line has a score exactly when ``_VALUE_NUMBER_RE`` finds one."""
     for item in features.split():
         key, eq, value = item.partition("=")
         if eq and key == _SCORE_FEATURE:
             m = _FLOAT_RE.fullmatch(value)
             if m:
                 return float(value)
-    m = _FLOAT_RE.search(features)
-    return float(m.group()) if m else None
+    m = _VALUE_NUMBER_RE.search(" " + features)
+    return float(m.group(1)) if m else None
 
 
 @contextmanager
@@ -130,14 +140,18 @@ def load_ppdb(
 
     Expected fields: ``LHS ||| source ||| target ||| features [||| ...]``.
     The score is the value of ``PPDB2.0Score`` in the feature column, falling
-    back to the first number found there. Malformed lines are skipped and
-    counted on the returned store. With ``keep``, only lines whose source or
-    target is in it are stored; every line is still validated and counted.
+    back to the first number there that begins a feature's value or a bare
+    item (the digits of a name such as ``PPDB2.0Score`` are no score).
+    Malformed lines are skipped and counted on the returned store. With
+    ``keep``, only lines whose source or target is in it are stored; every
+    line is still validated and counted.
     """
     store = ParaphraseStore(Resource.PPDB)
     with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split(_PPDB_SEP)
+            # The "\n" stays: a line of 4 fields or more can end only its
+            # features with it, where it is whitespace; a shorter one is skipped.
+            fields = line.split(_PPDB_SEP)
             if len(fields) < 4:
                 if line.strip():
                     store.skipped += 1
@@ -150,10 +164,10 @@ def load_ppdb(
                 logger.warning("%s:%d: skipping empty or identity paraphrase", path, lineno)
                 continue
             stored = keep is None or source in keep or target in keep
-            # A line that is not stored needs only whether it has a score. The
-            # score key's value is part of the features, so it has one exactly
-            # when the features hold a number.
-            score = _feature_score(fields[3]) if stored else _FLOAT_RE.search(fields[3])
+            if stored:
+                score = _feature_score(fields[3])
+            else:  # only whether the line has a score
+                score = _EQ_NUMBER_RE.search(fields[3]) or _VALUE_NUMBER_RE.search(" " + fields[3])
             if score is None:
                 store.skipped += 1
                 logger.warning("%s:%d: no score found in feature column", path, lineno)

@@ -8,7 +8,8 @@ span, and the candidate is kept only if re-detection finds the same
 connective. A candidate's sense is its connective's prior top sense, the
 one the detector assigns. Verified candidates aggregate into an
 AltLexInventory keyed by (text, sense); inventories merge associatively so
-corpora can be sharded.
+corpora can be sharded. Pairs are folded one at a time, from any iterable,
+so a corpus streams through mining.
 
 Each mining call expands a connective through each paraphrase store once,
 on first use, into one index keyed by the expansions' first tokens; a
@@ -20,6 +21,7 @@ the whole sentence.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .corpus import SentencePair
@@ -60,6 +62,16 @@ class ChangeCase:
         if self.other_kind is not None:
             return f"{self.kind.value}:{self.other_kind.value}"
         return self.kind.value
+
+
+# The seven cases ``classify_annotations`` returns, built once.
+_NON_EXP_NON_EXP = ChangeCase(CaseKind.NON_EXP_NON_EXP)
+_EXP_EXP = ChangeCase(CaseKind.EXP_EXP)
+_NON_EXP_EXP = ChangeCase(CaseKind.NON_EXP_EXP)
+_EXP_NON_EXP = ChangeCase(CaseKind.EXP_NON_EXP)
+_MULTIPLE = ChangeCase(CaseKind.OTHER, OtherKind.MULTIPLE)
+_SAME_REL_DIFF_CONN = ChangeCase(CaseKind.OTHER, OtherKind.SAME_REL_DIFF_CONN)
+_DIFF_REL_DIFF_CONN = ChangeCase(CaseKind.OTHER, OtherKind.DIFF_REL_DIFF_CONN)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,23 +182,24 @@ def classify_annotations(
     """Total five-way classification of a pair's detection results.
 
     A side with more than one annotation always classifies as
-    Other:Multiple, before the one-sided cases apply.
+    Other:Multiple, before the one-sided cases apply. The result is one of
+    seven shared ChangeCase values, not a new object per pair.
     """
     nc, ns = len(complex_anns), len(simple_anns)
     if nc > 1 or ns > 1:
-        return ChangeCase(CaseKind.OTHER, OtherKind.MULTIPLE)
+        return _MULTIPLE
     if nc == 0 and ns == 0:
-        return ChangeCase(CaseKind.NON_EXP_NON_EXP)
+        return _NON_EXP_NON_EXP
     if nc == 0:
-        return ChangeCase(CaseKind.NON_EXP_EXP)
+        return _NON_EXP_EXP
     if ns == 0:
-        return ChangeCase(CaseKind.EXP_NON_EXP)
+        return _EXP_NON_EXP
     ca, sa = complex_anns[0], simple_anns[0]
     if ca.connective_id == sa.connective_id and ca.sense == sa.sense:
-        return ChangeCase(CaseKind.EXP_EXP)
+        return _EXP_EXP
     if ca.sense == sa.sense:
-        return ChangeCase(CaseKind.OTHER, OtherKind.SAME_REL_DIFF_CONN)
-    return ChangeCase(CaseKind.OTHER, OtherKind.DIFF_REL_DIFF_CONN)
+        return _SAME_REL_DIFF_CONN
+    return _DIFF_REL_DIFF_CONN
 
 
 def _detections(pair: SentencePair, inventory: ConnectiveInventory):
@@ -352,9 +365,15 @@ def mine_pair(
 
 
 def mine_corpus(
-    pairs: list[SentencePair], inventory: ConnectiveInventory, stores: list[ParaphraseStore]
+    pairs: Iterable[SentencePair], inventory: ConnectiveInventory, stores: list[ParaphraseStore]
 ) -> AltLexInventory:
-    """Fold categorization counts and verified candidates over a corpus."""
+    """Fold categorization counts and verified candidates over a corpus.
+
+    ``pairs`` is iterated once, in order, and may be a generator. No pair is
+    kept after its turn: the result holds only the source ids of verified
+    candidates, so a lazy ``pairs`` is mined in memory that does not grow
+    with its length.
+    """
     result = AltLexInventory()
     expansions = _Expansions(inventory, stores)
     for pair in pairs:

@@ -44,6 +44,10 @@ DRONES_SIMPLE = (
     "used to check farm fields on foot or with vehicles."
 )
 
+# Characters ``str.splitlines`` breaks a line at that end no line in a file
+# read as text: every reader must keep them inside their line.
+UNICODE_LINE_BREAKS = ["\u2028", "\u2029", "\x85", "\f", "\v", "\x1c", "\x1d", "\x1e"]
+
 
 @pytest.fixture(scope="session")
 def inventory():

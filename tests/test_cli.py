@@ -5,10 +5,15 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from altlex_miner import SentencePair, Sentence, Token, cli
+from altlex_miner import SentencePair, Sentence, Token, cli, load_ppdb, load_synonyms
 from altlex_miner.cli import main, percent_rows
 
 from conftest import (
@@ -20,6 +25,7 @@ from conftest import (
     LANDMARK_SIMPLE,
     COMICS_COMPLEX,
     COMICS_SIMPLE,
+    UNICODE_LINE_BREAKS,
 )
 
 EXAMPLE_ROWS = [
@@ -109,6 +115,88 @@ def test_mine_deterministic_across_worker_counts(tmp_path, example_corpus, ppdb_
     assert outputs[0] == outputs[1]
 
 
+_OUTPUT_NAMES = ("cases.tsv", "altlexes.tsv", "altlexes.json")
+# A BOM read as text would hide this sentence-initial connective.
+_INITIAL_CONNECTIVE = "Although the farmer watched the road, the storm crossed the river."
+# Sentences: the example sides, which mine AltLexes, that one, and short
+# random ones that mix connectives with verbs.
+_LINE = st.one_of(
+    st.sampled_from([side for row in EXAMPLE_ROWS for side in row] + [_INITIAL_CONNECTIVE]),
+    st.lists(
+        st.sampled_from(["we", "left", "though", "because", "since", "despite", "it", "rained", ",", "."]),
+        min_size=1,
+        max_size=8,
+    ).map(" ".join),
+)
+_LINE_ENDS = {"crlf": ("\r\n",), "cr": ("\r",), "mixed": ("\r\n", "\r", "\n"), "lf": ("\n",)}
+
+
+def _encode(lines, bom, ends):
+    """The lines as UTF-8 bytes, line i ended by ``ends[i % len(ends)]``."""
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+    return ("\ufeff" if bom else "").encode() + text.encode("utf-8")
+
+
+def _write_input(root, kind, files, bom, ends):
+    """Write ``files`` ({name: lines}) as one TSV or as an article dir."""
+    root.mkdir()
+    for name, lines in files.items():
+        (root / name).write_bytes(_encode(lines, bom, ends))
+    return root / "pairs.tsv" if kind == "tsv" else root
+
+
+def _mined_outputs(path, out, ppdb_file, synonym_file, workers):
+    extra = ("--workers", workers, "--threshold", "0.3")
+    assert main(_mine_args(path, out, ppdb_file, synonym_file, extra)) == 0
+    return tuple((out / name).read_bytes() for name in _OUTPUT_NAMES)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=st.sampled_from(["tsv", "articles"]),
+    complex_lines=st.lists(_LINE, min_size=1, max_size=6),
+    simple_lines=st.lists(_LINE, min_size=1, max_size=6),
+    bom=st.booleans(),
+    style=st.sampled_from(["crlf", "cr", "mixed"]),
+)
+@example(
+    kind="tsv",
+    complex_lines=[_INITIAL_CONNECTIVE, COMICS_COMPLEX],
+    simple_lines=[BROADCAST_SIMPLE, COMICS_SIMPLE],
+    bom=True,
+    style="mixed",
+)
+@example(
+    kind="articles",
+    complex_lines=[_INITIAL_CONNECTIVE, COMICS_COMPLEX],
+    simple_lines=[_INITIAL_CONNECTIVE, COMICS_SIMPLE],
+    bom=True,
+    style="cr",
+)
+def test_line_ends_do_not_change_outputs(
+    ppdb_file, synonym_file, kind, complex_lines, simple_lines, bom, style
+):
+    # A BOM and CR, CRLF or mixed line ends read as the LF form does, with
+    # one worker and with two.
+    if kind == "tsv":
+        files = {"pairs.tsv": [f"{c}\t{s}" for c, s in zip(complex_lines, simple_lines)]}
+    else:  # two articles, so two workers each get one
+        files = {
+            "a.0.txt": complex_lines,
+            "a.1.txt": simple_lines,
+            "a.2.txt": complex_lines[::-1],
+            "b.0.txt": simple_lines,
+            "b.1.txt": complex_lines,
+        }
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        lf = _write_input(tmp / "lf", kind, files, False, _LINE_ENDS["lf"])
+        expected = _mined_outputs(lf, tmp / "out-lf", ppdb_file, synonym_file, "1")
+        other = _write_input(tmp / "other", kind, files, bom, _LINE_ENDS[style])
+        for workers in ("1", "2"):
+            assert _mined_outputs(other, tmp / f"out{workers}", ppdb_file, synonym_file, workers) == expected
+
+
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="workers must inherit the patched mine_corpus",
@@ -186,6 +274,55 @@ def test_mine_article_shard_errors_are_input_errors(tmp_path, ppdb_file, synonym
     args = _mine_args(art, tmp_path / "out", ppdb_file, synonym_file, ("--workers", "2"))
     assert main(args) == 2
     assert message in capsys.readouterr().err
+
+
+def _fill_tuple_free_lists():
+    """Park the most tuples CPython keeps of each small size on its free
+    lists. tracemalloc counts a parked tuple as live, and CPython 3.11 parks
+    every freed 20-item tuple but never reuses one, so without this a run
+    seems to hold one more tuple per 20-token sentence it tokenized."""
+    held = [tuple(range(size)) for size in range(1, 21) for _ in range(2000)]
+    del held
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mine_rows_memory_does_not_grow_with_rows(inventory, ppdb_file, synonym_file):
+    # Rows are tokenized one pair at a time as mining reaches them, so four
+    # times the rows (all built before tracing) need about the same peak.
+    stores = [load_ppdb(ppdb_file), load_synonyms(synonym_file)]
+    rows = [(str(i), *EXAMPLE_ROWS[i % len(EXAMPLE_ROWS)]) for i in range(1200)]
+    _fill_tuple_free_lists()
+    cli._mine_rows(rows, inventory, stores)
+    small = _traced_peak(cli._mine_rows, rows[:300], inventory, stores)
+    large = _traced_peak(cli._mine_rows, rows, inventory, stores)
+    assert large < 1.5 * small
+
+
+def test_mine_articles_memory_does_not_grow_with_articles(tmp_path, inventory, ppdb_file, synonym_file):
+    # Each article is read, aligned and mined before the next is read, so
+    # four equal articles need about the peak of one.
+    art = tmp_path / "articles"
+    art.mkdir()
+    for art_id in "abcd":
+        for level, column in ((0, 0), (1, 1), (2, 1)):
+            text = "".join(f"{row[column]} w{i}\n" for i in range(40) for row in EXAMPLE_ROWS)
+            (art / f"{art_id}.{level}.txt").write_text(text, encoding="utf-8")
+    stores = [load_ppdb(ppdb_file), load_synonyms(synonym_file)]
+    articles = cli._list_articles(art)
+    _fill_tuple_free_lists()
+    cli._mine_articles(articles, 0.4, inventory, stores)
+    small = _traced_peak(cli._mine_articles, articles[:1], 0.4, inventory, stores)
+    large = _traced_peak(cli._mine_articles, articles, 0.4, inventory, stores)
+    assert large < 1.5 * small
 
 
 _MODULES_AFTER_RUN = """
@@ -316,6 +453,23 @@ def test_invalid_utf8_names_file_and_line(tmp_path, example_corpus, capsys, read
     }[reader]
     assert main(argv) == 2
     assert f"error: {bad}: line 3: invalid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", ["inventory", "config"])
+@pytest.mark.parametrize("sep", UNICODE_LINE_BREAKS, ids=lambda sep: f"U+{ord(sep):04X}")
+def test_readers_end_lines_only_at_newline(tmp_path, example_corpus, reader, sep):
+    # A comment holding a Unicode line break stays one comment line; split
+    # there, its second half would be a malformed entry.
+    path = tmp_path / "input.txt"
+    out = str(tmp_path / "out")
+    if reader == "inventory":
+        path.write_text(f"# note{sep}more\nbut\t\tContrast:1.0\n", encoding="utf-8")
+        argv = ["mine", str(example_corpus), "--inventory", str(path), "--output-dir", out]
+    else:
+        path.write_text(f"# note{sep}more\noutput-dir={out}\n", encoding="utf-8")
+        argv = ["mine", str(example_corpus), "--config", str(path)]
+    assert main(argv) == 0
+    assert (tmp_path / "out" / "cases.tsv").exists()
 
 
 def test_mine_loads_only_lines_a_connective_reaches(

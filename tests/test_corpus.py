@@ -21,7 +21,7 @@ from altlex_miner.corpus import (
 from altlex_miner.mining import CaseKind, ChangeCase, categorize
 from altlex_miner.text import tokenize
 
-from conftest import WOODCUTS_COMPLEX, WOODCUTS_SIMPLE
+from conftest import UNICODE_LINE_BREAKS, WOODCUTS_COMPLEX, WOODCUTS_SIMPLE
 
 
 def test_load_aligned_tsv_two_lines(tmp_path):
@@ -241,6 +241,21 @@ def test_load_article_dir(tmp_path):
     assert set(articles) == {"story"}
     assert set(articles["story"]) == {0, 1}
     assert len(articles["story"][0].sentences) == 2
+
+
+@pytest.mark.parametrize("sep", UNICODE_LINE_BREAKS, ids=lambda sep: f"U+{ord(sep):04X}")
+def test_article_lines_end_only_at_newline(tmp_path, sep):
+    # One line holding the separator is one sentence, so the source ids of
+    # the lines after it do not shift.
+    (tmp_path / "s.0.txt").write_text(f"one{sep}two.\nthree four.\n", encoding="utf-8")
+    (tmp_path / "s.1.txt").write_text(f"one{sep}two.\r\nthree four.\n", encoding="utf-8")
+    levels = load_article_dir(tmp_path)["s"]
+    assert [s.raw for s in levels[1].sentences] == [f"one{sep}two.", "three four."]
+    pairs = align_articles(levels[0], [levels[1]], threshold=0.5)
+    assert [(p.source_id, p.complex.raw) for p in pairs] == [
+        ("s:1:0", f"one{sep}two."),
+        ("s:1:1", "three four."),
+    ]
 
 
 def test_load_article_dir_not_a_dir(tmp_path):

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from altlex_miner.lexres import ParaphraseStore, Resource, expand, load_ppdb, load_synonyms
+from altlex_miner.lexres import ParaphraseStore, Resource, _feature_score, expand, load_ppdb, load_synonyms
 
 
 def test_load_ppdb_basic(tmp_path):
@@ -141,13 +143,17 @@ def test_load_ppdb_cr_and_crlf_line_ends(tmp_path):
 # Lines whose source or target is a connective's first part ("though",
 # "in short", "nevertheless" only as a target, "but"/"however" both), lines
 # no connective reaches, malformed and identity lines of both kinds, and a
-# duplicate pair whose second copy scores better.
+# duplicate pair whose second copy scores better. The score key's name holds
+# the digits "2.0", which are no score: of the two "because" lines the
+# first scores 0.75 and the second has no score.
 KEEP_PPDB_RELEVANT = [
     "[X] ||| though ||| despite ||| PPDB2.0Score=3.0 ||| 0 ||| x",
     "[X] ||| In Short ||| briefly ||| PPDB2.0Score=1.5",
     "[X] ||| in spite of this ||| nevertheless ||| PPDB2.0Score=2.0 ||| 0 ||| x",
     "[X] ||| though ||| despite ||| PPDB2.0Score=4.0 ||| 0 ||| x",
     "[X] ||| but ||| however ||| PPDB2.0Score=0.5",
+    "[X] ||| because ||| given that ||| PPDB2.0Score=abc 0.75",
+    "[X] ||| because ||| seeing that ||| PPDB2.0Score= x",
 ]
 KEEP_PPDB_OTHER = [
     "[X] ||| rock ||| stone ||| PPDB2.0Score=5.0 ||| 0 ||| x",
@@ -160,10 +166,11 @@ KEEP_PPDB_OTHER = [
     "[X] ||| pebble ||| gravel ||| no score here",
     "[X] |||  ||| though ||| PPDB2.0Score=1.0",
     # Unreachable lines are not parsed for a score, only tested for one: the
-    # first has a number, though not as its score key's value; the second
-    # has none.
+    # first has a number, though not as its score key's value; the other
+    # two have none, the last only the digits of the key's name.
     "[X] ||| pebble ||| gravel ||| PPDB2.0Score=abc 0.75",
     "[X] ||| pebble ||| cobble ||| Score= none",
+    "[X] ||| pebble ||| shale ||| PPDB2.0Score= x",
     "  \t ",
 ]
 KEEP_SYNONYM_RELEVANT = ["because\tsince", "after all\tbecause", "because\towing to", "so\ttherefore"]
@@ -188,11 +195,32 @@ def test_load_ppdb_keep_is_exact(tmp_path, inventory, min_score):
     kept = load_ppdb(mixed, min_score=min_score, keep=keep)
     for form in sorted(keep):
         assert kept.lookup(form) == full.lookup(form)
-    assert kept.skipped == full.skipped == 8
+    assert kept.skipped == full.skipped == 10
     assert len(kept) == len(load_ppdb(relevant, min_score=min_score)) < len(full)
     assert kept.lookup(("though",))[0].score == 4.0
+    because = {e.target: e.score for e in kept.lookup(("because",))}
+    assert because == ({("given", "that"): 0.75} if min_score <= 0.75 else {})
     assert kept.lookup(("nevertheless",))[0].target == ("in", "spite", "of", "this")
     assert kept.lookup(("rock",)) == []
+
+
+_FEATURE_PIECES = ["PPDB2.0Score", "PPDB1.0Score", "=", "p(e|f)", "0.75", "-1", "2e3", "3.", "abc", "x1"]
+
+
+@settings(max_examples=60)
+@given(st.lists(st.sampled_from(_FEATURE_PIECES + [" "]), min_size=1, max_size=8).map("".join))
+def test_stored_and_unstored_lines_agree_on_a_score(tmp_path_factory, features):
+    # The stored line's score is parsed; the unstored one is only tested
+    # for having one. Both are skipped, or neither.
+    path = tmp_path_factory.mktemp("ppdb") / "ppdb"
+    path.write_text(
+        f"[X] ||| because ||| given that ||| {features}\n[X] ||| pebble ||| gravel ||| {features}\n",
+        encoding="utf-8",
+    )
+    store = load_ppdb(path, min_score=float("-inf"), keep={("because",)})
+    assert store.skipped in (0, 2)
+    assert (store.skipped == 0) == (_feature_score(features) is not None)
+    assert len(store) == (2 if store.skipped == 0 else 0)
 
 
 def test_load_synonyms_keep_is_exact(tmp_path, inventory):
