@@ -46,7 +46,7 @@ from .corpus import (
 from .discourse import ConnectiveInventory, InventoryError, Sense, load_inventory
 from .lexres import ParaphraseStore, ResourceError, load_ppdb, load_synonyms
 from .mining import AltLexInventory, CaseKind, OtherKind, mine_corpus
-from .text import read_text
+from .text import read_lines
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
@@ -91,23 +91,22 @@ def load_config_file(path: str) -> dict:
     """Flat key=value config; '#' comments; keys match the long flag names."""
     values: dict = {}
     try:
-        text = read_text(path, ConfigError)
+        for lineno, line in read_lines(path, ConfigError):
+            line = line.strip()
+            if line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            key = key.strip().replace("-", "_")
+            if key not in _CONFIG_TYPES:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = _CONFIG_TYPES[key](value.strip())
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = _CONFIG_TYPES[key](value.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -293,7 +292,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            with ProcessPoolExecutor(max_workers=len(shards)) as pool:
                 results = list(pool.map(work, shards))
         except BrokenProcessPool:
             print("error: mining worker process exited unexpectedly", file=sys.stderr)

@@ -6,6 +6,10 @@ Two corpus forms are supported: pre-aligned TSV files (one
 level is aligned against level 0 independently). Alignment pairs every
 simple-side sentence with its highest TF-IDF-cosine complex-side sentence
 and drops pairs below a threshold.
+
+Every file is streamed through ``text.read_lines``, so the TSV, article
+and agreement readers share its line ends, blank-line skip and
+``PATH: line N: invalid UTF-8`` error.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import similarity
-from .text import Sentence, read_text, tokenize
+from .text import Sentence, read_lines, tokenize
 
 
 class CorpusFormatError(Exception):
@@ -71,13 +75,12 @@ def read_aligned_rows(path: str | Path) -> list[tuple[str, str, str]]:
     simple_raw)`` rows without tokenizing; the source id is the line number.
 
     Raises CorpusFormatError naming the line for an undecodable byte or any
-    line that does not have exactly two tab-separated fields. Empty lines
-    are skipped.
+    line that does not have exactly two tab-separated fields. Blank lines
+    are skipped. The rows are kept in a list, because the ``--workers``
+    pool splits them into shards.
     """
     rows: list[tuple[str, str, str]] = []
-    for lineno, line in enumerate(read_text(path, CorpusFormatError).split("\n"), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path, CorpusFormatError):
         fields = line.split("\t")
         if len(fields) != 2:
             raise CorpusFormatError(
@@ -133,19 +136,14 @@ def list_article_dir(path: str | Path) -> dict[str, dict[int, str]]:
 
 def read_article(art_id: str, files: Iterable[tuple[int, str]]) -> dict[int, Article]:
     """Read and tokenize one article's ``(level, file path)`` files, one
-    sentence per non-blank line, into {level: Article}. Lines end at ``\n``
-    only (after ``read_text``'s CR/CRLF folding), as in every other reader,
-    so a Unicode line or paragraph separator inside a line stays in its
-    sentence."""
+    sentence per non-blank line as ``text.read_lines`` reads them, into
+    {level: Article}. A Unicode line or paragraph separator inside a line
+    stays in its sentence."""
     return {
         level: Article(
             id=art_id,
             level=level,
-            sentences=tuple(
-                tokenize(line)
-                for line in read_text(path, CorpusFormatError).split("\n")
-                if line.strip()
-            ),
+            sentences=tuple(tokenize(line) for _, line in read_lines(path, CorpusFormatError)),
         )
         for level, path in files
     }
@@ -251,9 +249,7 @@ def cohen_kappa(table: AgreementTable) -> float:
 def load_agreement_tsv(path: str | Path) -> AgreementTable:
     """Read ``pair_id<TAB>a(0|1)<TAB>b(0|1)`` rows into an AgreementTable."""
     yy = nn = yn = ny = 0
-    for lineno, line in enumerate(read_text(path, CorpusFormatError).split("\n"), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path, CorpusFormatError):
         fields = line.split("\t")
         if len(fields) != 3 or fields[1] not in ("0", "1") or fields[2] not in ("0", "1"):
             raise CorpusFormatError(

@@ -18,10 +18,9 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
-from .text import Sentence, TokenSpan, read_text
+from .text import Sentence, TokenSpan, read_lines
 
 
 class Sense(enum.Enum):
@@ -116,25 +115,21 @@ def _entry_id(parts: tuple[tuple[str, ...], ...]) -> str:
     return "..".join(" ".join(p) for p in parts)
 
 
+_SHIPPED_INVENTORY = Path(__file__).parent / "data" / "pdtb_connectives.tsv"
+
+
 def load_inventory(path: str | Path | None = None) -> ConnectiveInventory:
     """Load a connective inventory TSV; defaults to the shipped PDTB table.
 
     Format: ``form<TAB>second_part_or_empty<TAB>sense:weight[,sense:weight…]``
     with ``#`` comment lines. Weights per entry must sum to 1.
     """
-    if path is None:
-        ref = resources.files("altlex_miner").joinpath("data/pdtb_connectives.tsv")
-        text = ref.read_text(encoding="utf-8")
-        name = "pdtb_connectives.tsv"
-    else:
-        text = read_text(path, InventoryError)
-        name = str(path)
-
+    name = str(_SHIPPED_INVENTORY if path is None else path)
     entries: list[ConnectiveEntry] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in read_lines(name, InventoryError):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != 3:

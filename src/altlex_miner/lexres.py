@@ -10,6 +10,8 @@ alternative lexicalization.
 Mining only ever looks up a connective's first part, so both loaders take a
 ``keep`` set of phrases and store only the lines whose source or target is
 in it: resident memory then scales with the inventory, not with the file.
+Both stream the file through ``text.read_lines``, one line at a time, so a
+multi-GB PPDB file is never held whole.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from __future__ import annotations
 import enum
 import logging
 import re
-from collections.abc import Collection, Iterator
-from contextlib import contextmanager
+from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
 
 from .discourse import ConnectiveEntry, ConnectiveInventory
+from .text import read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -103,34 +104,6 @@ def _feature_score(features: str) -> float | None:
     return float(m.group(1)) if m else None
 
 
-@contextmanager
-def _open_utf8(path: str | Path) -> Iterator[TextIO]:
-    """Open a resource file as text: a leading BOM dropped, ``\r\n`` and
-    ``\r`` read as ``\n``. An undecodable byte read inside the ``with``
-    block raises ResourceError naming the file and line."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            yield fh
-    except UnicodeDecodeError:
-        raise ResourceError(f"{path}: line {_invalid_utf8_line(path)}: invalid UTF-8") from None
-
-
-def _invalid_utf8_line(path: str | Path) -> int:
-    """Number of the first line that is not valid UTF-8, counting line ends
-    as text mode does. ``\r`` and ``\n`` never occur inside a multi-byte
-    sequence, so the line that fails alone is the one the stream failed in."""
-    lineno = 0
-    with open(path, "rb") as fh:
-        for chunk in fh:
-            for raw in chunk.splitlines():
-                lineno += 1
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    return lineno
-    return lineno
-
-
 def load_ppdb(
     path: str | Path,
     min_score: float = 0.0,
@@ -142,38 +115,34 @@ def load_ppdb(
     The score is the value of ``PPDB2.0Score`` in the feature column, falling
     back to the first number there that begins a feature's value or a bare
     item (the digits of a name such as ``PPDB2.0Score`` are no score).
-    Malformed lines are skipped and counted on the returned store. With
-    ``keep``, only lines whose source or target is in it are stored; every
-    line is still validated and counted.
+    Malformed lines are skipped and counted on the returned store; blank
+    lines are neither. With ``keep``, only lines whose source or target is
+    in it are stored; every line is still validated and counted.
     """
     store = ParaphraseStore(Resource.PPDB)
-    with _open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            # The "\n" stays: a line of 4 fields or more can end only its
-            # features with it, where it is whitespace; a shorter one is skipped.
-            fields = line.split(_PPDB_SEP)
-            if len(fields) < 4:
-                if line.strip():
-                    store.skipped += 1
-                    logger.warning("%s:%d: skipping line with %d fields", path, lineno, len(fields))
-                continue
-            source = tuple(fields[1].lower().split())
-            target = tuple(fields[2].lower().split())
-            if not source or not target or source == target:
-                store.skipped += 1
-                logger.warning("%s:%d: skipping empty or identity paraphrase", path, lineno)
-                continue
-            stored = keep is None or source in keep or target in keep
-            if stored:
-                score = _feature_score(fields[3])
-            else:  # only whether the line has a score
-                score = _EQ_NUMBER_RE.search(fields[3]) or _VALUE_NUMBER_RE.search(" " + fields[3])
-            if score is None:
-                store.skipped += 1
-                logger.warning("%s:%d: no score found in feature column", path, lineno)
-                continue
-            if stored and score >= min_score:
-                store.add(source, target, score)
+    for lineno, line in read_lines(path, ResourceError):
+        fields = line.split(_PPDB_SEP)
+        if len(fields) < 4:
+            store.skipped += 1
+            logger.warning("%s:%d: skipping line with %d fields", path, lineno, len(fields))
+            continue
+        source = tuple(fields[1].lower().split())
+        target = tuple(fields[2].lower().split())
+        if not source or not target or source == target:
+            store.skipped += 1
+            logger.warning("%s:%d: skipping empty or identity paraphrase", path, lineno)
+            continue
+        stored = keep is None or source in keep or target in keep
+        if stored:
+            score = _feature_score(fields[3])
+        else:  # only whether the line has a score
+            score = _EQ_NUMBER_RE.search(fields[3]) or _VALUE_NUMBER_RE.search(" " + fields[3])
+        if score is None:
+            store.skipped += 1
+            logger.warning("%s:%d: no score found in feature column", path, lineno)
+            continue
+        if stored and score >= min_score:
+            store.add(source, target, score)
     return store
 
 
@@ -185,24 +154,20 @@ def load_synonyms(
     ``keep`` filters lines as in ``load_ppdb``.
     """
     store = ParaphraseStore(Resource.SYNONYM_LEXICON)
-    with _open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                store.skipped += 1
-                logger.warning("%s:%d: skipping line with %d fields", path, lineno, len(fields))
-                continue
-            source = tuple(fields[0].lower().split())
-            target = tuple(fields[1].lower().split())
-            if not source or not target or source == target:
-                store.skipped += 1
-                logger.warning("%s:%d: skipping empty or identity synonym pair", path, lineno)
-                continue
-            if keep is None or source in keep or target in keep:
-                store.add(source, target, 1.0)
+    for lineno, line in read_lines(path, ResourceError):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            store.skipped += 1
+            logger.warning("%s:%d: skipping line with %d fields", path, lineno, len(fields))
+            continue
+        source = tuple(fields[0].lower().split())
+        target = tuple(fields[1].lower().split())
+        if not source or not target or source == target:
+            store.skipped += 1
+            logger.warning("%s:%d: skipping empty or identity synonym pair", path, lineno)
+            continue
+        if keep is None or source in keep or target in keep:
+            store.add(source, target, 1.0)
     return store
 
 

@@ -128,23 +128,27 @@ class AltLexInventory:
     def _add_alignment(self, sense: Sense) -> None:
         self.per_sense_alignment_counts[sense] = self.per_sense_alignment_counts.get(sense, 0) + 1
 
-    def _add_candidate(self, candidate: AltLexCandidate) -> None:
-        key = (candidate.paraphrase.target, candidate.sense)
-        record = self.records.get(key)
+    def _add_record(
+        self, text: tuple[str, ...], sense: Sense, resource: Resource, count: int, pair_ids: Iterable[str]
+    ) -> None:
+        """Add ``count`` occurrences and their example ids to the (text,
+        sense) record, creating it with its own id list if it is new."""
+        record = self.records.get((text, sense))
         if record is None:
-            record = AltLexRecord(
-                text=candidate.paraphrase.target,
-                sense=candidate.sense,
-                resource=candidate.paraphrase.resource,
-            )
-            self.records[key] = record
-        record.token_count += 1
-        record.example_pair_ids.append(candidate.pair.source_id)
-        record.resource = _merge_resource(record.resource, candidate.paraphrase.resource)
+            self.records[(text, sense)] = AltLexRecord(text, sense, resource, count, list(pair_ids))
+        else:
+            record.token_count += count
+            record.example_pair_ids.extend(pair_ids)
+            record.resource = _merge_resource(record.resource, resource)
+
+    def _add_candidate(self, candidate: AltLexCandidate) -> None:
+        target, resource = candidate.paraphrase.target, candidate.paraphrase.resource
+        self._add_record(target, candidate.sense, resource, 1, (candidate.pair.source_id,))
 
     def merge(self, other: "AltLexInventory") -> "AltLexInventory":
-        """Combine two inventories; associative, and commutative on key sets
-        and count sums (example id order follows argument order)."""
+        """Combine two inventories into a new one, leaving both unchanged;
+        associative, and commutative on key sets and count sums (example id
+        order follows argument order)."""
         out = AltLexInventory()
         for inv in (self, other):
             for case, count in inv.per_case_counts.items():
@@ -153,20 +157,8 @@ class AltLexInventory:
                 out.per_sense_alignment_counts[sense] = (
                     out.per_sense_alignment_counts.get(sense, 0) + count
                 )
-            for key, record in inv.records.items():
-                existing = out.records.get(key)
-                if existing is None:
-                    out.records[key] = AltLexRecord(
-                        text=record.text,
-                        sense=record.sense,
-                        resource=record.resource,
-                        token_count=record.token_count,
-                        example_pair_ids=list(record.example_pair_ids),
-                    )
-                else:
-                    existing.token_count += record.token_count
-                    existing.example_pair_ids.extend(record.example_pair_ids)
-                    existing.resource = _merge_resource(existing.resource, record.resource)
+            for r in inv.records.values():
+                out._add_record(r.text, r.sense, r.resource, r.token_count, r.example_pair_ids)
         return out
 
 

@@ -5,14 +5,14 @@ internal hyphens and apostrophes kept intact, so "don't" and
 "African-Americans" stay single tokens) and standalone punctuation marks.
 All matching downstream is case-insensitive, so a Sentence stores each
 token's lowercased form alongside its surface. Character offsets are only
-computed on request, through ``Sentence.tokens``. ``read_text`` decodes
-every input file that is read whole.
+computed on request, through ``Sentence.tokens``. ``read_lines`` is the
+one reader of every input file: it streams a file's non-blank lines.
 """
 
 from __future__ import annotations
 
-import codecs
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,22 +81,44 @@ class Sentence:
         return self.lower_forms if span is None else self.lower_forms[span.start : span.end]
 
 
-def read_text(path: str | Path, error: type[Exception]) -> str:
-    """The file decoded as UTF-8 without a leading BOM, with ``\r\n`` and
-    ``\r`` line ends turned into ``\n`` as text-mode ``open`` does.
+def read_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """Stream the file's non-blank lines as ``(line number, line)``, without
+    their line ends, counting from 1.
 
-    Raises ``error`` naming the file and line of an undecodable byte.
+    The file is read as UTF-8 text: a leading BOM is dropped, and ``\r\n``
+    and ``\r`` end a line as ``\n`` does. No other character ends one, so
+    U+2028, U+0085, ``\f`` and the like stay inside their line. A blank
+    line is one that is empty or all whitespace. An undecodable byte raises
+    ``error`` naming the file and its line; lines read before it may
+    already have been yielded.
     """
-    data = Path(path).read_bytes()
-    if data.startswith(codecs.BOM_UTF8):
-        data = data[len(codecs.BOM_UTF8) :]
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = data[: exc.start].decode("utf-8")
-        lineno = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
-        raise error(f"{path}: line {lineno}: invalid UTF-8") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    # Not "utf-8-sig": its decoder reads a file of only a BOM's first one or
+    # two bytes as empty text instead of failing.
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if lineno == 1:
+                    line = line.removeprefix("\ufeff")
+                if line and not line.isspace():
+                    yield lineno, line.rstrip("\n")
+        except UnicodeDecodeError:
+            raise error(f"{path}: line {_invalid_utf8_line(path)}: invalid UTF-8") from None
+
+
+def _invalid_utf8_line(path: str | Path) -> int:
+    """Number of the first line that is not valid UTF-8, counting line ends
+    as text mode does. ``\r`` and ``\n`` never occur inside a multi-byte
+    sequence, so the line that fails alone is the one the stream failed in."""
+    lineno = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            for raw in chunk.splitlines():
+                lineno += 1
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    return lineno
+    return lineno
 
 
 def split_tokens(raw: str) -> tuple[str, ...]:

@@ -407,6 +407,35 @@ def test_mine_pool_ships_text_rows(
         assert not _pickled_types((fn, shard)) & {Sentence, SentencePair, Token}
 
 
+def test_mine_pool_starts_one_process_per_shard(tmp_path, ppdb_file, synonym_file, monkeypatch):
+    # The fork start method launches every ``max_workers`` process up front,
+    # so a pool larger than the shard list forks processes that never work.
+    pools = []
+
+    class RecordingPool:
+        """Records ``max_workers`` and runs the shards in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shards):
+            shards = list(shards)
+            pools.append(len(shards))
+            return [fn(shard) for shard in shards]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    corpus = tmp_path / "pairs.tsv"
+    corpus.write_text("".join(f"{c}\t{s}\n" for c, s in EXAMPLE_ROWS[:2]), encoding="utf-8")
+    assert main(_mine_args(corpus, tmp_path / "out", ppdb_file, synonym_file, ("--workers", "6"))) == 0
+    assert pools == [2, 2]
+
+
 @pytest.mark.parametrize("input_kind", ["aligned-tsv", "article-dir"])
 def test_mine_invalid_utf8_names_file_and_line(tmp_path, ppdb_file, synonym_file, capsys, input_kind):
     data = b"\xef\xbb\xbfa\tb\r\nc\td\nbad \xff byte\tx\n"

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -228,7 +229,9 @@ def test_accepted_altlex_not_in_inventory(worked_example_pairs, drones_pair, inv
 def test_merge_counts_and_records(worked_example_pairs, drones_pair, inventory, fixture_stores):
     a = mine_corpus(worked_example_pairs, inventory, fixture_stores)
     b = mine_corpus([drones_pair], inventory, fixture_stores)
+    a_before, b_before = copy.deepcopy(a), copy.deepcopy(b)
     merged = a.merge(b)
+    assert (a, b) == (a_before, b_before)
     assert merged.total_pairs == a.total_pairs + b.total_pairs
     assert set(merged.records) == set(a.records) | set(b.records)
     direct = mine_corpus(worked_example_pairs + [drones_pair], inventory, fixture_stores)
@@ -236,6 +239,12 @@ def test_merge_counts_and_records(worked_example_pairs, drones_pair, inventory, 
         k: r.token_count for k, r in direct.records.items()
     }
     assert merged.per_case_counts == direct.per_case_counts
+    # The merged records own their id lists: growing them leaves the inputs.
+    assert merged.records
+    for record in merged.records.values():
+        record.token_count += 1
+        record.example_pair_ids.append("extra")
+    assert (a, b) == (a_before, b_before)
 
 
 def test_overlap_resolution_prefers_higher_score(inventory):

@@ -25,6 +25,62 @@ def _imported_top_levels(path):
     return names
 
 
+# Calls that read a file. ``text.read_lines`` is the one reader of input
+# files; the rescan that finds an undecodable byte's line is the other call.
+_FILE_READS = {"open", "read_text", "read_bytes"}
+_FILE_READERS = {"text.read_lines", "text._invalid_utf8_line"}
+_LINE_READERS = {
+    "corpus.read_aligned_rows",
+    "corpus.read_article",
+    "corpus.load_agreement_tsv",
+    "discourse.load_inventory",
+    "cli.load_config_file",
+    "lexres.load_ppdb",
+    "lexres.load_synonyms",
+}
+
+
+def _calls_by_function(path):
+    """{"module.function": [Call nodes]}, by the innermost enclosing def;
+    module-level calls fall under "module.<module>"."""
+    calls: dict[str, list[ast.Call]] = {}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{path.stem}.{node.name}"
+        if isinstance(node, ast.Call):
+            calls.setdefault(owner, []).append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.<module>")
+    return calls
+
+
+def _called_name(call):
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", "")
+
+
+def _reads_a_file(call):
+    name = _called_name(call)
+    # ``resources.files(...)...read_*()`` reads a package file.
+    return name in _FILE_READS or (
+        name.startswith("read_")
+        and any(isinstance(node, ast.Call) and _called_name(node) == "files" for node in ast.walk(call.func))
+    )
+
+
+def test_every_input_file_is_read_by_read_lines():
+    # One reader means one rule for BOMs, line ends, blank lines and
+    # undecodable bytes; a second open() would be a second rule.
+    calls = {}
+    for path in PACKAGE.rglob("*.py"):
+        calls.update(_calls_by_function(path))
+    assert {owner for owner, found in calls.items() if any(map(_reads_a_file, found))} == _FILE_READERS
+    line_readers = {owner for owner, found in calls.items() if "read_lines" in map(_called_name, found)}
+    assert line_readers == _LINE_READERS
+
+
 def test_declared_dependencies_are_the_imported_ones():
     # A declared dependency the code never imports still has to be
     # installed; an undeclared one breaks a clean install.

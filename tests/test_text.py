@@ -1,8 +1,10 @@
+import codecs
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from altlex_miner.text import TokenSpan, match_phrase, tokenize
+from altlex_miner.text import TokenSpan, match_phrase, read_lines, tokenize
 
 
 def surfaces(sentence):
@@ -133,3 +135,60 @@ def test_match_phrase_equals_brute_force(letters, phrase):
     ]
     assert match_phrase(s, phrase) == expected
     assert match_phrase(s, tuple(phrase)) == expected
+
+
+class _BadInput(Exception):
+    pass
+
+
+def _spec_lines(data):
+    """What ``read_lines`` must give for ``data``, written from its
+    contract: ([(line number, line), ...] of the non-blank lines, number of
+    the line holding the first undecodable byte or None)."""
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8) :]
+    try:
+        text, bad_line = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text = data[: exc.start].decode("utf-8")
+        bad_line = text.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    kept = [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
+    if bad_line is not None:
+        kept = [(n, line) for n, line in kept if n < bad_line]
+    return kept, bad_line
+
+
+# BOMs, every line end, characters that end a line for str.splitlines but
+# not in a file, whitespace, invalid and truncated UTF-8, and lines long
+# enough to cross the 8 KiB chunks text mode decodes in; 8191 bytes put a
+# following "\r\n" across the first chunk boundary.
+_PIECES = [
+    b"a", b"b c", b" ", b"\t", b"\n", b"\r", b"\r\n", codecs.BOM_UTF8,
+    "\u2028".encode(), "\x85".encode(), b"\f", b"\v", b"\x1c", "\xe9".encode(), "\u20ac".encode(),
+    b"\xff", b"\xe2\x82", b"\xc3", b"x" * 8191, b"y" * 9000,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=24).map(b"".join))
+@example(b"x" * 8191 + b"\r\nb\rc")
+@example(b"x" * 8191 + b"\r" + b"\xff")
+@example(codecs.BOM_UTF8 + codecs.BOM_UTF8 + b"a\n \n")
+@example(b"\xef\xbb")
+def test_read_lines_matches_its_spec(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("read_lines") / "input.txt"
+    path.write_bytes(data)
+    expected, bad_line = _spec_lines(data)
+    got = []
+    try:
+        for item in read_lines(path, _BadInput):
+            got.append(item)
+    except _BadInput as exc:
+        assert bad_line is not None
+        assert str(exc) == f"{path}: line {bad_line}: invalid UTF-8"
+        # Lines before the bad one may already have been yielded, as read.
+        assert got == expected[: len(got)]
+    else:
+        assert bad_line is None
+        assert got == expected
