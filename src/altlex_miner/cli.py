@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -71,6 +72,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
+        if not math.isfinite(self.min_score):  # nan would keep no PPDB line, inf none or all
+            raise ConfigError(f"min_score must be finite, got {self.min_score}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 

@@ -1,12 +1,14 @@
 """Pairwise TF-IDF cosine similarity for article alignment.
 
-Aligning an article level against the original needs an (n_simple x
-n_complex) cosine matrix over sparse TF-IDF vectors. ``best_matches``
-aligns all levels of one article: ``csr_counts`` builds each level's term
-counts as CSR arrays once, ``csr_weights`` weights them by each level
-pair's IDF, and ``cosine_matrix`` multiplies them with numpy alone; the
-result equals the pure-Python reference ``corpus.tfidf_cosine`` bit for
-bit.
+Aligning an article level against the original needs, for each simple
+sentence, its best complex sentence over sparse TF-IDF vectors.
+``best_matches`` aligns all levels of one article: ``csr_counts`` builds
+each level's term counts as CSR arrays once, ``csr_weights`` weights them
+by each level pair's IDF, ``cosine_blocks`` computes the cosines a block of
+simple rows at a time with numpy alone, and ``cosine_matrix`` reduces each
+block to its rows' first maxima before the next is built. No n x m array
+is ever held. Every cosine equals the pure-Python reference
+``corpus.tfidf_cosine`` bit for bit.
 
 numpy is imported inside the functions that need it: TSV runs never align,
 and importing it costs about 15 MiB and 0.15 s.
@@ -15,6 +17,7 @@ and importing it costs about 15 MiB and 0.15 s.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from .text import Sentence
@@ -22,9 +25,9 @@ from .text import Sentence
 if TYPE_CHECKING:
     import numpy as np
 
-# Most products ``cosine_matrix`` expands for one block of rows. It bounds
-# the temporaries; on article-sized inputs 1 << 16 ran faster than larger
-# blocks or one unblocked product.
+# Most products, and most cells, ``cosine_blocks`` holds for one block of
+# rows. It bounds the temporaries; on article-sized inputs 1 << 16 ran faster
+# than larger blocks or one unblocked product.
 _BLOCK_PRODUCTS = 1 << 16
 
 
@@ -90,7 +93,8 @@ def best_matches(
     documents. One vocabulary serves every level: its ids are in
     lexicographic order, so each level's sums run in the same term order,
     and give the same bits, as with a vocabulary of that level alone. The
-    complex side's counts and document frequencies are built once.
+    complex side's counts and document frequencies are built once. Memory
+    holds one block of ``cosine_blocks`` rows, not a level's matrix.
     """
     import numpy as np
 
@@ -103,11 +107,10 @@ def best_matches(
         simple_counts = csr_counts(simple, vocab)
         df = complex_df + np.bincount(simple_counts[1], minlength=size)
         n_docs = len(complex_sentences) + len(simple)
-        sims = cosine_matrix(
+        best, score = cosine_matrix(
             csr_weights(simple_counts, df, n_docs), csr_weights(complex_counts, df, n_docs), size
         )
-        matches.append((sims.argmax(axis=1).tolist(), sims.max(axis=1).tolist()))
-        del sims  # one level's matrix at a time bounds peak memory
+        matches.append((best.tolist(), score.tolist()))
     return matches
 
 
@@ -125,20 +128,26 @@ def _squared_norms(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
     return norms
 
 
-def cosine_matrix(a, b, vocab_size: int) -> np.ndarray:
-    """Pairwise cosine matrix between two ``(indptr, indices, data)`` CSR
-    weight sets; rows or columns with an all-zero vector give 0.0.
+def cosine_blocks(a, b, vocab_size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(r0, block)`` over consecutive blocks of A's rows, where
+    ``block[i, j]`` is the cosine of A row ``r0 + i`` and B row ``j`` for
+    two ``(indptr, indices, data)`` CSR weight sets; rows or columns with
+    an all-zero vector give 0.0.
 
-    Each dot product and each squared norm is summed in ascending term
-    order, and a cell is ``dot / sqrt(na2 * nb2)``, all as
-    ``corpus.tfidf_cosine`` computes it. The bits matter: alignment ties
-    are broken by exact comparison.
+    A block holds at most ``_BLOCK_PRODUCTS`` products and at most
+    ``_BLOCK_PRODUCTS`` cells, but always at least one row. Each dot
+    product and each squared norm is summed in ascending term order, and a
+    cell is ``dot / sqrt(na2 * nb2)``, all as ``corpus.tfidf_cosine``
+    computes it. The bits matter: alignment ties are broken by exact
+    comparison.
     """
     import numpy as np
 
     a_ptr, a_idx, a_dat = a
     b_ptr, b_idx, b_dat = b
     n, m = len(a_ptr) - 1, len(b_ptr) - 1
+    a_norms = _squared_norms(a_ptr, a_dat)
+    b_norms = _squared_norms(b_ptr, b_dat)
     # B transposed into postings: the B rows holding each term, ascending.
     order = np.argsort(b_idx, kind="stable")
     post_row = np.repeat(np.arange(m), np.diff(b_ptr))[order]
@@ -155,11 +164,12 @@ def cosine_matrix(a, b, vocab_size: int) -> np.ndarray:
     products_before_row = products_before[a_ptr]
 
     # Blocks of whole rows, so that no cell's sum is split between blocks.
-    dot = np.zeros(n * m)
+    max_rows = max(_BLOCK_PRODUCTS // max(m, 1), 1)
     r0 = 0
     while r0 < n:
         limit = products_before_row[r0] + _BLOCK_PRODUCTS
-        r1 = max(int(np.searchsorted(products_before_row, limit, side="right")) - 1, r0 + 1)
+        r1 = int(np.searchsorted(products_before_row, limit, side="right")) - 1
+        r1 = max(min(r1, r0 + max_rows), r0 + 1)
         lo, hi = a_ptr[r0], a_ptr[r1]
         fans = fan[lo:hi]
         starts = np.cumsum(fans) - fans
@@ -168,9 +178,28 @@ def cosine_matrix(a, b, vocab_size: int) -> np.ndarray:
         pos = np.arange(int(fans.sum())) + np.repeat(first[lo:hi] - starts, fans)
         keys = np.repeat(a_row[lo:hi] - r0, fans) * m + post_row[pos]
         products = np.repeat(a_dat[lo:hi], fans) * post_dat[pos]
-        dot[r0 * m : r1 * m] = np.bincount(keys, products, minlength=(r1 - r0) * m)
+        dot = np.bincount(keys, products, minlength=(r1 - r0) * m).reshape(r1 - r0, m)
+        cells = np.outer(a_norms[r0:r1], b_norms)
+        np.sqrt(cells, out=cells)
+        # Into the float denominators: with no products at all, bincount
+        # returns integer zeros.
+        yield r0, np.divide(dot, cells, out=cells)
         r0 = r1
-    dot = dot.reshape(n, m)
-    denom = np.outer(_squared_norms(a_ptr, a_dat), _squared_norms(b_ptr, b_dat))
-    np.sqrt(denom, out=denom)
-    return np.divide(dot, denom, out=dot)
+
+
+def cosine_matrix(a, b, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of CSR weight set ``a``, the first row of ``b`` with the
+    highest cosine and that cosine, as ``(best, score)`` arrays: the
+    ``cosine_blocks`` matrix reduced by ``argmax`` and ``max`` along its
+    rows, one block at a time. ``b`` must have at least one row.
+    """
+    import numpy as np
+
+    n = len(a[0]) - 1
+    best = np.zeros(n, dtype=np.int64)
+    score = np.zeros(n)
+    for r0, block in cosine_blocks(a, b, vocab_size):
+        r1 = r0 + len(block)
+        best[r0:r1] = block.argmax(axis=1)
+        score[r0:r1] = block[np.arange(len(block)), best[r0:r1]]
+    return best, score

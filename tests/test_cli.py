@@ -25,6 +25,8 @@ from conftest import (
     LANDMARK_SIMPLE,
     COMICS_COMPLEX,
     COMICS_SIMPLE,
+    PPDB_FIXTURE_LINES,
+    SYNONYM_FIXTURE_LINES,
     UNICODE_LINE_BREAKS,
 )
 
@@ -703,6 +705,74 @@ def test_config_file_bad_key(tmp_path, example_corpus, capsys):
         assert main(["mine", str(example_corpus), "--config", str(config)]) == 2
         key = line.partition("=")[0]
         assert f"error: {config}:1: unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_min_score_is_input_error(
+    tmp_path, example_corpus, ppdb_file, synonym_file, capsys, value
+):
+    # nan keeps no PPDB line, inf none and -inf all: the run would exit 0
+    # with results that no score cutoff gives.
+    out = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"min_score = {value}\n", encoding="utf-8")
+    for extra in ([f"--min-score={value}"], ["--config", str(config)]):
+        assert main(_mine_args(example_corpus, out, ppdb_file, synonym_file, extra)) == 2
+        assert f"error: min_score must be finite, got {float(value)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Pieces of every input format, so that random input gets past the first
+# check of each reader: separators, line ends, a BOM, bytes that are not
+# UTF-8, a character whose lowercase is longer, config keys, numbers,
+# senses and connectives.
+_FRAGMENTS = [
+    b"\t", b"\n", b"\r", b"\r\n", b" ", b",", b":", b"=", b"#", b"|||", b"[X]",
+    b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xc4\xb0", b"\xe2\x80\xa8",
+    b"0", b"1", b"-1", b"0.5", b"1e999", b"nan", b"PPDB2.0Score=", b"Cause:1.0", b"Contrast:0.5",
+    b"threshold", b"min_score", b"workers", b"ppdb", b"inventory",
+    b"although", b"because", b"since", b"it rained", b"we left", b".",
+]
+_INPUT_BYTES = st.binary(max_size=48) | st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map(b"".join)
+_VALID_INPUTS = {
+    "pairs.tsv": "".join(f"{c}\t{s}\n" for c, s in EXAMPLE_ROWS[:2]),
+    "articles/a.0.txt": "Although it rained, we left.\nThe sun rose.\n",
+    "articles/a.1.txt": "It rained. We left.\nThe sun rose.\n",
+    "ppdb.txt": "\n".join(PPDB_FIXTURE_LINES) + "\n",
+    "synonyms.tsv": "\n".join(SYNONYM_FIXTURE_LINES) + "\n",
+    "inventory.tsv": "although\t\tContrast:0.55,Concession:0.45\nbecause\t\tCause:1.0\n",
+    "run.cfg": "threshold=0.4\nmin_score=0.5\n",
+    "agreement.tsv": "p\t1\t1\nq\t0\t1\n",
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_VALID_INPUTS)), _INPUT_BYTES)
+def test_no_input_gives_a_traceback(name, data):
+    # Random bytes in one input file, the others valid: every command ends
+    # with an exit code, never with an exception. Outputs go to explicit
+    # paths and --workers is 1, so no config value can write elsewhere or
+    # start a pool.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "articles").mkdir()
+        for file_name, text in _VALID_INPUTS.items():
+            (root / file_name).write_bytes(text.encode("utf-8"))
+        (root / name).write_bytes(data)
+        config = ["--config", str(root / "run.cfg")]
+        resources = [
+            "--ppdb", str(root / "ppdb.txt"), "--synonyms", str(root / "synonyms.tsv"),
+            "--inventory", str(root / "inventory.tsv"), "--workers", "1",
+            "--output-dir", str(root / "out"), *config,
+        ]
+        runs = [
+            ["align", str(root / "articles"), "--output", str(root / "aligned.tsv"), *config],
+            ["mine", str(root / "pairs.tsv"), *resources],
+            ["mine", str(root / "articles"), *resources],
+            ["kappa", str(root / "agreement.tsv"), *config],
+        ]
+        for argv in runs:
+            assert main(argv) in (0, 1, 2), argv
 
 
 def test_percent_rows_sum_exact():

@@ -2,7 +2,9 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,11 +44,50 @@ def _matrices(rng):
     return csr_a, csr_b, len(vocab), reference
 
 
+# One product per block, a few, and the default: the block bounds must not
+# change a bit of any cell, nor which column is a row's first maximum.
+BLOCK_SIZES = (1, 7, similarity._BLOCK_PRODUCTS)
+
+
+def _assembled(a, b, vocab_size):
+    """The cosine matrix assembled from ``cosine_blocks``, whose blocks must
+    cover A's rows in order, hold float64 and keep to the cell bound."""
+    m = len(b[0]) - 1
+    blocks = []
+    for r0, block in similarity.cosine_blocks(a, b, vocab_size):
+        assert r0 == sum(len(x) for x in blocks)
+        assert block.dtype == np.float64 and block.shape[1] == m
+        assert len(block) == 1 or block.size <= similarity._BLOCK_PRODUCTS
+        blocks.append(block)
+    assert sum(len(x) for x in blocks) == len(a[0]) - 1
+    return np.concatenate(blocks) if blocks else np.zeros((0, m))
+
+
+def _kernel(a, b, vocab_size):
+    """The assembled matrix and ``cosine_matrix``'s ``(best, score)``, which
+    must be its rows' first maxima and be the same bits at every block size
+    in BLOCK_SIZES."""
+    results = []
+    for size in BLOCK_SIZES:
+        with mock.patch.object(similarity, "_BLOCK_PRODUCTS", size):
+            sims = _assembled(a, b, vocab_size)
+            best, score = similarity.cosine_matrix(a, b, vocab_size)
+        assert best.tolist() == sims.argmax(axis=1).tolist()
+        assert np.array_equal(score.view(np.int64), sims.max(axis=1).view(np.int64))
+        results.append((sims, best, score))
+    sims, best, score = results[-1]
+    for other_sims, other_best, other_score in results[:-1]:
+        assert np.array_equal(other_sims.view(np.int64), sims.view(np.int64))
+        assert other_best.tolist() == best.tolist()
+        assert np.array_equal(other_score.view(np.int64), score.view(np.int64))
+    return sims, best, score
+
+
 def test_numpy_fallback_matches_reference():
     rng = random.Random(12)
     for _ in range(30):
         csr_a, csr_b, nv, reference = _matrices(rng)
-        got = similarity.cosine_matrix(csr_a, csr_b, nv)
+        got, _, _ = _kernel(csr_a, csr_b, nv)
         assert got.tolist() == reference.tolist()
 
 
@@ -55,9 +96,7 @@ def test_zero_rows_give_zero_similarity():
     b = [tokenize("sun moon")]
     idf = compute_idf(a + b)
     vocab = similarity.build_vocab([a, b])
-    sims = similarity.cosine_matrix(
-        _weights(a, vocab, idf), _weights(b, vocab, idf), len(vocab)
-    )
+    sims, _, _ = _kernel(_weights(a, vocab, idf), _weights(b, vocab, idf), len(vocab))
     assert sims[0, 0] == 0.0
     assert sims[1, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -76,24 +115,24 @@ _SIDE = st.lists(
 @example(["sun moon", "sun moon", "tide"], ["tide", "sun moon", "sun moon", "moon sun"])
 @example(["sun", "sun sun", ""], ["sun sun sun", "", "sun"])
 @example([""], ["", ""])
+# No term is shared, so every block, at every size, has no products at all.
+@example(["sun moon", "sun", "moon moon"], ["tide", "tide tide"])
 def test_kernel_matches_brute_force_reference(simple_raws, complex_raws):
     sx = [tokenize(r) for r in simple_raws]
     cx = [tokenize(r) for r in complex_raws]
     idf = compute_idf(sx + cx)
     vocab = similarity.build_vocab([cx, sx])
-    sims = similarity.cosine_matrix(
-        _weights(sx, vocab, idf), _weights(cx, vocab, idf), len(vocab)
-    )
+    sims, best, _ = _kernel(_weights(sx, vocab, idf), _weights(cx, vocab, idf), len(vocab))
     reference = [[tfidf_cosine(s, c, idf) for c in cx] for s in sx]
     assert sims.shape == (len(sx), len(cx))
     assert sims.tolist() == reference
     # Alignment picks each row's first maximum, as a scan of the reference
     # would; "sun" against "sun sun sun" and "sun" must tie or not tie alike.
-    for ref_row, best in zip(reference, sims.argmax(axis=1).tolist()):
-        assert best == ref_row.index(max(ref_row))
+    for ref_row, got in zip(reference, best.tolist()):
+        assert got == ref_row.index(max(ref_row))
 
 
-def test_kernel_blocks_do_not_change_bits(monkeypatch):
+def test_kernel_blocks_do_not_change_bits():
     rng = random.Random(5)
     sx = _random_sentences(rng, 40) + [tokenize("")]
     cx = [tokenize("")] + _random_sentences(rng, 30)
@@ -101,10 +140,31 @@ def test_kernel_blocks_do_not_change_bits(monkeypatch):
     vocab = similarity.build_vocab([cx, sx])
     a = _weights(sx, vocab, idf)
     b = _weights(cx, vocab, idf)
-    default = similarity.cosine_matrix(a, b, len(vocab))
-    monkeypatch.setattr(similarity, "_BLOCK_PRODUCTS", 1)
-    one_row_blocks = similarity.cosine_matrix(a, b, len(vocab))
-    assert np.array_equal(one_row_blocks.view(np.int64), default.view(np.int64))
+    # _kernel compares every block size's cells, best columns and scores
+    # bit for bit with the default's.
+    _kernel(a, b, len(vocab))
+    with mock.patch.object(similarity, "_BLOCK_PRODUCTS", 1):
+        one_row_blocks = [len(block) for _, block in similarity.cosine_blocks(a, b, len(vocab))]
+    assert one_row_blocks == [1] * len(sx)
+
+
+def test_best_matches_holds_no_full_matrix():
+    # 2,000 x 2,000 float64 cells take 30.5 MiB, and a matrix of them with
+    # its denominators twice that; alignment may hold one block of rows.
+    rng = random.Random(3)
+    words = [f"w{i}" for i in range(3000)]
+    complex_side, simple_side = (
+        [tokenize(" ".join(rng.choices(words, k=4))) for _ in range(2000)] for _ in range(2)
+    )
+    similarity.best_matches(complex_side[:1], [simple_side[:1]])  # numpy imported untraced
+    tracemalloc.start()
+    try:
+        [(best, scores)] = similarity.best_matches(complex_side, [simple_side])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(best) == len(scores) == 2000
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("raws", [[], [""]], ids=["no-sentences", "empty-sentence"])
