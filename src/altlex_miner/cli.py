@@ -2,19 +2,26 @@
 
 Outputs are deterministic: fixed row orders, fixed float formats, and
 largest-remainder percentage rounding so report percentages always sum to
-100.00. With ``--workers N`` the parent splits the input into N contiguous
-shards without tokenizing it: an aligned TSV into raw text rows, an
-article directory into article ids and their file names. Each worker
-reads, tokenizes, aligns and mines its shard and returns an
-AltLexInventory. Shard results merge in index order, so the emitted files
-are byte-identical for any worker count. One shard runs the same shard
-function in this process, without a pool.
+100.00.
 
-A shard streams through mining: a TSV row is tokenized into its pair only
-when mining reaches it, and an article is read and aligned only when the
-pairs of the one before it are mined. Beyond the raw rows, memory holds
-one pair or one article's levels and pairs at a time, plus the mined
-inventory; it does not grow with the number of tokenized pairs.
+``mine`` streams its input. An aligned TSV is read one raw text row at a
+time; an article directory is listed as article ids and their file names,
+and each article is read only when mining reaches it. With ``--workers 1``
+that stream is mined in this process: a row is tokenized into its pair
+only when mining reaches it, and an article is read and aligned only when
+the pairs of the one before it are mined.
+
+With ``--workers N`` the parent cuts the stream into tasks without
+tokenizing it: 1,000 rows, or one article, per task. It hands the tasks to
+the process pool in windows of 2N, handing out the next window before it
+folds the results of the one before. Each worker reads, tokenizes, aligns
+and mines its task and returns an AltLexInventory, and the parent folds
+the results in task order, so the emitted files are byte-identical for
+any worker count. An input that ends inside the first window is split
+into at most N contiguous shards instead, and a single shard is mined in
+this process, without a pool. The parent holds at most two windows of
+raw rows or article names, and each worker one pair or one article at a
+time; beyond the mined inventory, memory does not grow with the corpus.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse error or a crashed
 worker process.
@@ -29,6 +36,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 from .corpus import (
@@ -247,6 +255,12 @@ def _align(articles: Iterable[tuple], threshold: float) -> Iterator[SentencePair
         yield from align_articles(original, simplified, threshold)
 
 
+# Mining 1,000 of the benchmark's TSV rows takes about 20 ms on a 2-vCPU
+# VM, so the inventory and stores pickled with each task (about 8 KB, 0.3 ms
+# each way) cost little.
+_ROWS_PER_TASK = 1000
+
+
 def _shards(items: list, n: int) -> list[list]:
     n = max(1, min(n, len(items)) if items else 1)
     size, extra = divmod(len(items), n)
@@ -258,14 +272,21 @@ def _shards(items: list, n: int) -> list[list]:
     return shards
 
 
+def _tasks(items: Iterable, size: int) -> Iterator[list]:
+    """``items`` in consecutive lists of ``size``; the last may be shorter."""
+    items = iter(items)
+    while task := list(islice(items, size)):
+        yield task
+
+
 def _mine_rows(rows, inventory, stores):
-    """Tokenize and mine one shard of raw TSV rows, one pair at a time."""
+    """Tokenize and mine raw TSV rows, one pair at a time."""
     return mine_corpus(pairs_from_rows(rows), inventory, stores)
 
 
 def _mine_articles(articles, threshold, inventory, stores):
-    """Read, align and mine one shard of ``_list_articles`` entries, one
-    article at a time."""
+    """Read, align and mine ``_list_articles`` entries, one article at a
+    time."""
     return mine_corpus(_align(articles, threshold), inventory, stores)
 
 
@@ -277,32 +298,62 @@ def ProcessPoolExecutor(*args, **kwargs):  # noqa: N802 - perfbench and tests re
     return pool_class(*args, **kwargs)
 
 
+def _mine_in_pool(work, tasks: Iterator[list], workers: int) -> AltLexInventory | None:
+    """Mine ``tasks`` with ``work`` in ``workers`` processes and fold the
+    results in task order; None if a worker process died.
+
+    Tasks go to the pool in windows of ``2 * workers``, at most two
+    windows at a time: the one being folded and the next. The pool is
+    never handed the task stream itself, because ``Executor.map`` submits
+    all it is given at once. If the input ends inside the first window, it
+    is split into at most ``workers`` contiguous shards instead, and a
+    single shard is mined here.
+    """
+    ahead = 2 * workers
+    window = list(islice(tasks, ahead))
+    if len(window) < ahead:
+        window = _shards([item for task in window for item in task], workers)
+        if len(window) == 1:
+            return work(window[0])
+    from concurrent.futures.process import BrokenProcessPool
+
+    inv = AltLexInventory()
+    try:
+        with ProcessPoolExecutor(max_workers=min(workers, len(window))) as pool:
+            results = pool.map(work, window)
+            while window:
+                # Hand out the next window before folding this one, so the
+                # workers do not wait for the parent between windows.
+                window = list(islice(tasks, ahead))
+                following = pool.map(work, window) if window else ()
+                for result in results:
+                    inv.update(result)
+                results = following
+    except BrokenProcessPool:
+        print("error: mining worker process exited unexpectedly", file=sys.stderr)
+        return None
+    return inv
+
+
 def cmd_mine(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     inventory = load_inventory(config.inventory)
     stores = _load_stores(config, inventory)
     if Path(config.input_path).is_dir():
         items = _list_articles(config.input_path)
+        per_task = 1  # large articles balance across workers
         work = partial(_mine_articles, threshold=config.threshold, inventory=inventory, stores=stores)
     else:
         items = read_aligned_rows(config.input_path)
+        per_task = _ROWS_PER_TASK
         work = partial(_mine_rows, inventory=inventory, stores=stores)
 
-    shards = _shards(items, config.workers)
-    if len(shards) == 1:  # one worker, or at most one item: no pool
-        inv = work(shards[0])
+    if config.workers == 1:
+        inv = work(items)
     else:
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-                results = list(pool.map(work, shards))
-        except BrokenProcessPool:
-            print("error: mining worker process exited unexpectedly", file=sys.stderr)
+        inv = _mine_in_pool(work, _tasks(items, per_task), config.workers)
+        if inv is None:
             return INPUT_ERROR
-        inv = AltLexInventory()
-        for shard_inv in results:
-            inv = inv.merge(shard_inv)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -70,24 +70,22 @@ class AgreementTable:
         return self.both_yes + self.both_no + self.a_yes_b_no + self.a_no_b_yes
 
 
-def read_aligned_rows(path: str | Path) -> list[tuple[str, str, str]]:
-    """Split a pre-aligned 2-column TSV into ``(source_id, complex_raw,
+def read_aligned_rows(path: str | Path) -> Iterator[tuple[str, str, str]]:
+    """Stream a pre-aligned 2-column TSV as ``(source_id, complex_raw,
     simple_raw)`` rows without tokenizing; the source id is the line number.
 
     Raises CorpusFormatError naming the line for an undecodable byte or any
-    line that does not have exactly two tab-separated fields. Blank lines
-    are skipped. The rows are kept in a list, because the ``--workers``
-    pool splits them into shards.
+    line that does not have exactly two tab-separated fields, once reading
+    reaches it; the rows before it have been yielded. Blank lines are
+    skipped.
     """
-    rows: list[tuple[str, str, str]] = []
     for lineno, line in read_lines(path, CorpusFormatError):
         fields = line.split("\t")
         if len(fields) != 2:
             raise CorpusFormatError(
                 f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(fields)}"
             )
-        rows.append((str(lineno), fields[0], fields[1]))
-    return rows
+        yield str(lineno), fields[0], fields[1]
 
 
 def pairs_from_rows(rows: Iterable[tuple[str, str, str]]) -> Iterator[SentencePair]:

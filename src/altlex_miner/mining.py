@@ -145,20 +145,25 @@ class AltLexInventory:
         target, resource = candidate.paraphrase.target, candidate.paraphrase.resource
         self._add_record(target, candidate.sense, resource, 1, (candidate.pair.source_id,))
 
+    def update(self, other: "AltLexInventory") -> None:
+        """Fold ``other`` into this inventory in place, leaving ``other``
+        unchanged: its example ids follow the ones already here. Folding a
+        sequence of inventories copies each id once, where a ``merge``
+        chain copies every id merged before it again."""
+        for case, count in other.per_case_counts.items():
+            self.per_case_counts[case] = self.per_case_counts.get(case, 0) + count
+        for sense, count in other.per_sense_alignment_counts.items():
+            self.per_sense_alignment_counts[sense] = self.per_sense_alignment_counts.get(sense, 0) + count
+        for r in other.records.values():
+            self._add_record(r.text, r.sense, r.resource, r.token_count, r.example_pair_ids)
+
     def merge(self, other: "AltLexInventory") -> "AltLexInventory":
         """Combine two inventories into a new one, leaving both unchanged;
         associative, and commutative on key sets and count sums (example id
         order follows argument order)."""
         out = AltLexInventory()
-        for inv in (self, other):
-            for case, count in inv.per_case_counts.items():
-                out.per_case_counts[case] = out.per_case_counts.get(case, 0) + count
-            for sense, count in inv.per_sense_alignment_counts.items():
-                out.per_sense_alignment_counts[sense] = (
-                    out.per_sense_alignment_counts.get(sense, 0) + count
-                )
-            for r in inv.records.values():
-                out._add_record(r.text, r.sense, r.resource, r.token_count, r.example_pair_ids)
+        out.update(self)
+        out.update(other)
         return out
 
 

@@ -4,6 +4,7 @@ PASS line (failures surface as normal pytest failures).
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import functools
 import random
 import resource
 import time
@@ -207,6 +208,23 @@ def test_c4_merge_algebra():
         assert _count_view(ab) == _count_view(ba)
         assert _full_view(a.merge(b).merge(c)) == _full_view(a.merge(b.merge(c)))
     _report("4 inventory-merge algebra (1,000 trials)")
+
+
+def test_update_folds_as_a_merge_chain():
+    # ``mine`` folds each task's result into one inventory in place; that
+    # must equal merging them left to right, and leave each folded one as
+    # it was.
+    rng = random.Random(4321)
+    for _ in range(300):
+        parts = [_random_inventory(rng) for _ in range(rng.randint(1, 5))]
+        before = [_full_view(inv) for inv in parts]
+        chained = functools.reduce(AltLexInventory.merge, parts)
+        folded = AltLexInventory()
+        for inv in parts:
+            folded.update(inv)
+        assert _full_view(folded) == _full_view(chained)
+        assert [_full_view(inv) for inv in parts] == before
+    _report("4 in-place fold equals the merge chain (300 trials)")
 
 
 def test_c5_alignment_oracle_equivalence():

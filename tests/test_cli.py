@@ -409,16 +409,15 @@ def test_mine_pool_ships_text_rows(
         assert not _pickled_types((fn, shard)) & {Sentence, SentencePair, Token}
 
 
-def test_mine_pool_starts_one_process_per_shard(tmp_path, ppdb_file, synonym_file, monkeypatch):
-    # The fork start method launches every ``max_workers`` process up front,
-    # so a pool larger than the shard list forks processes that never work.
-    pools = []
+def _map_only_pool(log):
+    """A stand-in for the process pool that offers only ``map``, as
+    perfbench's traced pool does, and runs each task in this process when
+    its result is read. ``log`` gets ``("start", max_workers)`` and
+    ``("map", number of tasks)`` entries."""
 
-    class RecordingPool:
-        """Records ``max_workers`` and runs the shards in this process."""
-
+    class MapOnlyPool:
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            log.append(("start", max_workers))
 
         def __enter__(self):
             return self
@@ -426,16 +425,139 @@ def test_mine_pool_starts_one_process_per_shard(tmp_path, ppdb_file, synonym_fil
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, shards):
-            shards = list(shards)
-            pools.append(len(shards))
-            return [fn(shard) for shard in shards]
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            log.append(("map", len(tasks)))
+            return (fn(task) for task in tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    corpus = tmp_path / "pairs.tsv"
-    corpus.write_text("".join(f"{c}\t{s}\n" for c, s in EXAMPLE_ROWS[:2]), encoding="utf-8")
-    assert main(_mine_args(corpus, tmp_path / "out", ppdb_file, synonym_file, ("--workers", "6"))) == 0
-    assert pools == [2, 2]
+    return MapOnlyPool
+
+
+def _write_rows(path, count):
+    """``count`` example rows, cycling through EXAMPLE_ROWS, as a TSV."""
+    rows = (EXAMPLE_ROWS[i % len(EXAMPLE_ROWS)] for i in range(count))
+    path.write_text("".join(f"{c}\t{s}\n" for c, s in rows), encoding="utf-8")
+    return path
+
+
+def test_mine_pool_never_starts_more_processes_than_tasks(tmp_path, ppdb_file, synonym_file, monkeypatch):
+    # The fork start method launches every ``max_workers`` process up front,
+    # so a pool larger than its task list forks processes that never work.
+    # An input that ends inside the first window of 2 x workers tasks goes
+    # out as at most ``workers`` shards; a longer one streams out in such
+    # windows.
+    cases = [
+        # (input, workers, rows per task, expected log)
+        (_write_rows(tmp_path / "two.tsv", 2), 6, 1000, [("start", 2), ("map", 2)]),
+        (_write_rows(tmp_path / "small.tsv", 23), 6, 5, [("start", 6), ("map", 6)]),
+        (_write_rows(tmp_path / "chunked.tsv", 23), 2, 2, [("start", 2), ("map", 4), ("map", 4), ("map", 4)]),
+        (tmp_path / "chunked.tsv", 3, 4, [("start", 3), ("map", 6)]),
+        (_sharded_article_dir(tmp_path), 2, 1000, [("start", 2), ("map", 4)]),  # four with level 0
+        (tmp_path / "articles", 3, 1000, [("start", 3), ("map", 3)]),
+    ]
+    for corpus, workers, per_task, expected in cases:
+        log = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _map_only_pool(log))
+        monkeypatch.setattr(cli, "_ROWS_PER_TASK", per_task)
+        extra = ("--workers", str(workers), "--threshold", "0.4")
+        assert main(_mine_args(corpus, tmp_path / "out", ppdb_file, synonym_file, extra)) == 0
+        assert log == expected
+
+
+_ARTICLE_LEVELS = {0: 0, 1: 1, 2: 1}  # level: EXAMPLE_ROWS column
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["tsv", "articles"]),
+    # Row indexes into EXAMPLE_ROWS: the TSV's rows, or each article's lines.
+    groups=st.lists(st.lists(st.integers(0, len(EXAMPLE_ROWS) - 1), min_size=1, max_size=4), max_size=8),
+    per_task=st.integers(1, 7),
+    workers=st.integers(1, 3),
+)
+@example(kind="tsv", groups=[[0, 1, 2, 3]] * 6, per_task=1, workers=2)
+@example(kind="articles", groups=[[3], [0, 3], [1], [2, 3], [3, 1], [0], [1, 3]], per_task=1, workers=3)
+def test_task_size_and_worker_count_do_not_change_outputs(
+    ppdb_file, synonym_file, kind, groups, per_task, workers
+):
+    # Whether the input is split into shards or streamed in windows of
+    # tasks, and however it is cut into tasks, the files equal those of one
+    # worker mining the whole stream.
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        tmp = Path(tmp)
+        if kind == "tsv":
+            corpus = tmp / "pairs.tsv"
+            rows = [EXAMPLE_ROWS[i] for group in groups for i in group]
+            corpus.write_text("".join(f"{c}\t{s}\n" for c, s in rows), encoding="utf-8")
+        else:
+            corpus = tmp / "articles"
+            corpus.mkdir()
+            for n, group in enumerate(groups):
+                for level, column in _ARTICLE_LEVELS.items():
+                    lines = "".join(f"{EXAMPLE_ROWS[i][column]}\n" for i in group)
+                    (corpus / f"a{n}.{level}.txt").write_text(lines, encoding="utf-8")
+        expected = _mined_outputs(corpus, tmp / "serial", ppdb_file, synonym_file, "1")
+        log = []
+        patch.setattr(cli, "ProcessPoolExecutor", _map_only_pool(log))
+        patch.setattr(cli, "_ROWS_PER_TASK", per_task)
+        assert _mined_outputs(corpus, tmp / "pooled", ppdb_file, synonym_file, str(workers)) == expected
+        if log:  # never more processes than tasks
+            (_, processes), (_, tasks) = log[:2]
+            assert processes <= tasks
+
+
+def test_mine_pool_parent_memory_does_not_grow_with_rows(tmp_path, ppdb_file, synonym_file, monkeypatch, capsys):
+    # The parent holds at most two windows of raw rows, never the whole
+    # input: four times the rows, streamed through a real pool in tasks of
+    # 100, need about the same peak in this process.
+    monkeypatch.setattr(cli, "_ROWS_PER_TASK", 100)
+    peaks = []
+    for count in (1000, 4000):
+        corpus = _write_rows(tmp_path / f"pairs{count}.tsv", count)
+        args = _mine_args(corpus, tmp_path / "out", ppdb_file, synonym_file, ("--workers", "2"))
+        assert main(args) == 0  # warm: imports, caches and the pool's modules
+        _fill_tuple_free_lists()
+        peaks.append(_traced_peak(main, args))
+    small, large = peaks
+    assert large < 1.5 * small
+
+
+def test_mine_pool_malformed_last_row_is_input_error(tmp_path, ppdb_file, synonym_file, monkeypatch, capsys):
+    # The parent reads the bad row after handing the pool three windows of
+    # one-row tasks; the run still writes nothing.
+    monkeypatch.setattr(cli, "_ROWS_PER_TASK", 1)
+    corpus = _write_rows(tmp_path / "pairs.tsv", 12)
+    with corpus.open("a", encoding="utf-8") as fh:
+        fh.write("one field only\n")
+    out = tmp_path / "out"
+    assert main(_mine_args(corpus, out, ppdb_file, synonym_file, ("--workers", "2"))) == 2
+    assert f"error: {corpus}: line 13: expected 2 tab-separated fields, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers must inherit the patched mine_corpus",
+)
+def test_mine_worker_crash_after_the_first_window_is_input_error(
+    tmp_path, ppdb_file, synonym_file, monkeypatch, capsys
+):
+    # One-row tasks in windows of four: row 9 is mined in the third window.
+    mine_corpus = cli.mine_corpus
+
+    def crash_on_row_9(pairs, *args):
+        pairs = list(pairs)
+        if any(pair.source_id == "9" for pair in pairs):
+            os._exit(3)
+        return mine_corpus(pairs, *args)
+
+    monkeypatch.setattr(cli, "_ROWS_PER_TASK", 1)
+    monkeypatch.setattr(cli, "mine_corpus", crash_on_row_9)
+    corpus = _write_rows(tmp_path / "pairs.tsv", 12)
+    out = tmp_path / "out"
+    assert main(_mine_args(corpus, out, ppdb_file, synonym_file, ("--workers", "2"))) == 2
+    assert "error: mining worker process exited unexpectedly" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("input_kind", ["aligned-tsv", "article-dir"])

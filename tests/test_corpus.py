@@ -60,14 +60,14 @@ def test_read_aligned_rows_keeps_line_numbers_across_line_ends(tmp_path):
     # the line number is the row's source id.
     path = tmp_path / "pairs.tsv"
     path.write_bytes(b"\xef\xbb\xbfa\tb\r\nc\td\re\tf\n\ng\th")
-    assert read_aligned_rows(path) == [("1", "a", "b"), ("2", "c", "d"), ("3", "e", "f"), ("5", "g", "h")]
+    assert list(read_aligned_rows(path)) == [("1", "a", "b"), ("2", "c", "d"), ("3", "e", "f"), ("5", "g", "h")]
 
 
 def test_read_aligned_rows_invalid_utf8_names_file_and_line(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_bytes(b"\xef\xbb\xbfa\tb\r\nc\td\re\tf\nbad \xff\tg\n")
     with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line 4: invalid UTF-8$"):
-        read_aligned_rows(path)
+        list(read_aligned_rows(path))
 
 
 def test_load_aligned_tsv_woodcuts_pair(tmp_path):

@@ -26,9 +26,9 @@ def _imported_top_levels(path):
 
 
 # Calls that read a file. ``text.read_lines`` is the one reader of input
-# files; the rescan that finds an undecodable byte's line is the other call.
+# files, and the only function that calls one.
 _FILE_READS = {"open", "read_text", "read_bytes"}
-_FILE_READERS = {"text.read_lines", "text._invalid_utf8_line"}
+_FILE_READERS = {"text.read_lines"}
 _LINE_READERS = {
     "corpus.read_aligned_rows",
     "corpus.read_article",

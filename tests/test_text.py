@@ -1,4 +1,7 @@
 import codecs
+import os
+import threading
+from contextlib import contextmanager, nullcontext
 
 import pytest
 from hypothesis import example, given, settings
@@ -170,25 +173,56 @@ _PIECES = [
 ]
 
 
+@contextmanager
+def _pipe_of(data):
+    """A ``/dev/fd`` path to the read end of a pipe that a thread writes
+    ``data`` into, as a shell's ``<(...)`` gives: the bytes can be read
+    once, in chunks as the pipe passes them on."""
+    read_end, write_end = os.pipe()
+
+    def write():
+        try:
+            with open(write_end, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped at an undecodable byte
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)  # the last read end: a blocked write fails
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_PIECES), max_size=24).map(b"".join))
 @example(b"x" * 8191 + b"\r\nb\rc")
 @example(b"x" * 8191 + b"\r" + b"\xff")
+@example(b"x" * 8191 + b"\r\n" + b"\xff")
+@example(b"x" * 8190 + "\u20ac".encode() + b"\n\xff")
 @example(codecs.BOM_UTF8 + codecs.BOM_UTF8 + b"a\n \n")
 @example(b"\xef\xbb")
 def test_read_lines_matches_its_spec(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("read_lines") / "input.txt"
-    path.write_bytes(data)
-    expected, bad_line = _spec_lines(data)
-    got = []
-    try:
-        for item in read_lines(path, _BadInput):
-            got.append(item)
-    except _BadInput as exc:
-        assert bad_line is not None
-        assert str(exc) == f"{path}: line {bad_line}: invalid UTF-8"
-        # Lines before the bad one may already have been yielded, as read.
-        assert got == expected[: len(got)]
-    else:
-        assert bad_line is None
-        assert got == expected
+    # Over a file and over a pipe, whose bytes cannot be read again to find
+    # an undecodable byte's line.
+    root = tmp_path_factory.mktemp("read_lines")
+    file = root / "input.txt"
+    file.write_bytes(data)
+    for source in (nullcontext(file), _pipe_of(data)):
+        with source as path:
+            expected, bad_line = _spec_lines(data)
+            got = []
+            try:
+                for item in read_lines(path, _BadInput):
+                    got.append(item)
+            except _BadInput as exc:
+                assert bad_line is not None
+                assert str(exc) == f"{path}: line {bad_line}: invalid UTF-8"
+                # Lines before the bad one may already have been yielded, as read.
+                assert got == expected[: len(got)]
+            else:
+                assert bad_line is None
+                assert got == expected
