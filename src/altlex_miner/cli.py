@@ -4,12 +4,16 @@ Outputs are deterministic: fixed row orders, fixed float formats, and
 largest-remainder percentage rounding so report percentages always sum to
 100.00.
 
-``mine`` streams its input. An aligned TSV is read one raw text row at a
-time; an article directory is listed as article ids and their file names,
-and each article is read only when mining reaches it. With ``--workers 1``
-that stream is mined in this process: a row is tokenized into its pair
-only when mining reaches it, and an article is read and aligned only when
-the pairs of the one before it are mined.
+``mine`` and ``align`` stream their input. An aligned TSV is read one raw
+text row at a time; an article directory is listed as article ids and
+their file names, and each file is read only when alignment reaches it.
+An article's level 0 is read once; each simplified level is then read,
+aligned against level 0 and its pairs consumed before the next level is
+read, and the article is released before the next one's level 0 is read.
+With ``--workers 1`` that stream is mined in this process, a row
+tokenized into its pair only when mining reaches it. ``align`` writes each
+pair as it is aligned, into a temporary file that replaces its output
+after the last article.
 
 With ``--workers N`` the parent cuts the stream into tasks without
 tokenizing it: 1,000 rows, or one article, per task. It hands the tasks to
@@ -20,8 +24,9 @@ the results in task order, so the emitted files are byte-identical for
 any worker count. An input that ends inside the first window is split
 into at most N contiguous shards instead, and a single shard is mined in
 this process, without a pool. The parent holds at most two windows of
-raw rows or article names, and each worker one pair or one article at a
-time; beyond the mined inventory, memory does not grow with the corpus.
+raw rows or article names, and each worker one pair, or level 0 and one
+simplified level of an article, at a time; beyond the mined inventory,
+memory does not grow with the corpus.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse error or a crashed
 worker process.
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -247,12 +253,19 @@ def _list_articles(path: str | Path) -> list[tuple[str, tuple[tuple[int, str], .
 
 
 def _align(articles: Iterable[tuple], threshold: float) -> Iterator[SentencePair]:
-    """Read and align ``_list_articles`` entries: every level of an article
-    against its level 0, in article then level order. Each article is read
-    only once the pairs of the one before it have been consumed."""
-    for art_id, files in articles:
-        original, *simplified = read_article(art_id, files).values()  # level 0 first
-        yield from align_articles(original, simplified, threshold)
+    """Read and align ``_list_articles`` entries: each simplified level of
+    an article against its level 0, in article then level order.
+
+    Level 0 is read once per article. Each simplified level is read only
+    once the pairs of the level before it have been consumed, and no level
+    before it, nor the article before, is still held when the next file is
+    read.
+    """
+    for art_id, ((_, original_file), *simplified) in articles:
+        original = read_article(art_id, 0, original_file)
+        for level, file in simplified:
+            yield from align_articles(original, read_article(art_id, level, file), threshold)
+        del original  # before the next article's level 0 is read
 
 
 # Mining 1,000 of the benchmark's TSV rows takes about 20 ms on a 2-vCPU
@@ -369,11 +382,23 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_align(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    # All pairs before the first byte, so a failed run writes no partial file.
-    pairs = list(_align(_list_articles(config.input_path), config.threshold))
-    lines = "".join(f"{p.complex.raw}\t{p.simple.raw}\t{p.similarity:.6f}\n" for p in pairs)
-    Path(config.output).write_text(lines, encoding="utf-8")
-    print(f"{len(pairs)} pairs written to {config.output}")
+    articles = _list_articles(config.input_path)
+    # Rows go to a file beside the output as each level is aligned, and it
+    # replaces the output only after the last article: a failed run leaves
+    # neither a partial output nor this file.
+    output = Path(config.output)
+    partial_output = output.with_name(f".{output.name}.{os.getpid()}.tmp")
+    count = 0
+    try:
+        with open(partial_output, "x", encoding="utf-8") as fh:
+            for p in _align(articles, config.threshold):
+                fh.write(f"{p.complex.raw}\t{p.simple.raw}\t{p.similarity:.6f}\n")
+                count += 1
+        os.replace(partial_output, output)
+    except BaseException:
+        partial_output.unlink(missing_ok=True)
+        raise
+    print(f"{count} pairs written to {config.output}")
     return 0
 
 

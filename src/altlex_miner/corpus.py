@@ -132,26 +132,19 @@ def list_article_dir(path: str | Path) -> dict[str, dict[int, str]]:
     return files
 
 
-def read_article(art_id: str, files: Iterable[tuple[int, str]]) -> dict[int, Article]:
-    """Read and tokenize one article's ``(level, file path)`` files, one
-    sentence per non-blank line as ``text.read_lines`` reads them, into
-    {level: Article}. A Unicode line or paragraph separator inside a line
-    stays in its sentence."""
-    return {
-        level: Article(
-            id=art_id,
-            level=level,
-            sentences=tuple(tokenize(line) for _, line in read_lines(path, CorpusFormatError)),
-        )
-        for level, path in files
-    }
+def read_article(art_id: str, level: int, path: str | Path) -> Article:
+    """Read and tokenize one article level's file, one sentence per
+    non-blank line as ``text.read_lines`` reads them. A Unicode line or
+    paragraph separator inside a line stays in its sentence."""
+    sentences = tuple(tokenize(line) for _, line in read_lines(path, CorpusFormatError))
+    return Article(id=art_id, level=level, sentences=sentences)
 
 
 def load_article_dir(path: str | Path) -> dict[str, dict[int, Article]]:
     """Load ``<articleid>.<level>.txt`` files, one sentence per line, as
     {article_id: {level: Article}}; see ``list_article_dir``."""
     return {
-        art_id: read_article(art_id, files.items())
+        art_id: {level: read_article(art_id, level, file) for level, file in files.items()}
         for art_id, files in list_article_dir(path).items()
     }
 
@@ -190,38 +183,31 @@ def compute_idf(sentences: list[Sentence]) -> dict[str, float]:
 
 
 def align_articles(
-    complex_article: Article, simple_articles: list[Article], threshold: float = 0.5
+    complex_article: Article, simple_article: Article, threshold: float = 0.5
 ) -> list[SentencePair]:
-    """Pair each sentence of each simple article with its best complex
-    sentence, in the order of ``simple_articles`` and then of the sentences.
+    """Pair each sentence of ``simple_article`` with its best sentence of
+    ``complex_article``, in simple sentence order.
 
     Simple-side-driven argmax (first maximum wins ties); pairs with
-    similarity below ``threshold`` are dropped. For each simple article, IDF
-    is computed over the union of its and the complex article's sentences,
-    as ``compute_idf`` computes it.
+    similarity below ``threshold`` are dropped. IDF is computed over the
+    union of both articles' sentences, as ``compute_idf`` computes it.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
-    cx = complex_article.sentences
-    levels = [a for a in simple_articles if a.sentences] if cx else []
-    if not levels:
+    cx, sx = complex_article.sentences, simple_article.sentences
+    if not (cx and sx):
         return []
-    matches = similarity.best_matches(list(cx), [list(a.sentences) for a in levels])
-    pairs: list[SentencePair] = []
-    for simple_article, (best, scores) in zip(levels, matches):
-        sx = simple_article.sentences
-        for si, (ci, score) in enumerate(zip(best, scores)):
-            if score < threshold:
-                continue
-            pairs.append(
-                SentencePair(
-                    complex=cx[ci],
-                    simple=sx[si],
-                    source_id=f"{simple_article.id}:{simple_article.level}:{si}",
-                    similarity=min(score, 1.0),
-                )
-            )
-    return pairs
+    best, scores = similarity.best_matches(cx, sx)
+    return [
+        SentencePair(
+            complex=cx[ci],
+            simple=sx[si],
+            source_id=f"{simple_article.id}:{simple_article.level}:{si}",
+            similarity=min(score, 1.0),
+        )
+        for si, (ci, score) in enumerate(zip(best, scores))
+        if score >= threshold
+    ]
 
 
 def cohen_kappa(table: AgreementTable) -> float:

@@ -2,13 +2,13 @@
 
 Aligning an article level against the original needs, for each simple
 sentence, its best complex sentence over sparse TF-IDF vectors.
-``best_matches`` aligns all levels of one article: ``csr_counts`` builds
-each level's term counts as CSR arrays once, ``csr_weights`` weights them
-by each level pair's IDF, ``cosine_blocks`` computes the cosines a block of
-simple rows at a time with numpy alone, and ``cosine_matrix`` reduces each
-block to its rows' first maxima before the next is built. No n x m array
-is ever held. Every cosine equals the pure-Python reference
-``corpus.tfidf_cosine`` bit for bit.
+``best_matches`` aligns one simplified level against level 0:
+``csr_counts`` builds each side's term counts as CSR arrays,
+``csr_weights`` weights them by the level pair's IDF, ``cosine_blocks``
+computes the cosines a block of simple rows at a time with numpy alone,
+and ``cosine_matrix`` reduces each block to its rows' first maxima before
+the next is built. No n x m array is ever held. Every cosine equals the
+pure-Python reference ``corpus.tfidf_cosine`` bit for bit.
 
 numpy is imported inside the functions that need it: TSV runs never align,
 and importing it costs about 15 MiB and 0.15 s.
@@ -17,7 +17,8 @@ and importing it costs about 15 MiB and 0.15 s.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .text import Sentence
@@ -26,23 +27,22 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Most products, and most cells, ``cosine_blocks`` holds for one block of
-# rows. It bounds the temporaries; on article-sized inputs 1 << 16 ran faster
-# than larger blocks or one unblocked product.
-_BLOCK_PRODUCTS = 1 << 16
+# rows. It bounds the temporaries. On the benchmark's article-align input
+# (2-vCPU VM), a run with 1 << 15 peaks at 39.5 MiB of RSS against 42.2 MiB
+# with 1 << 16, and aligns in the same time; both ran faster than larger
+# blocks or one unblocked product.
+_BLOCK_PRODUCTS = 1 << 15
 
 
-def build_vocab(sentence_groups: list[list[Sentence]]) -> dict[str, int]:
+def build_vocab(sentence_groups: Sequence[Sequence[Sentence]]) -> dict[str, int]:
     """Assign vocabulary ids in lexicographic term order, so ids and the
     CSR rows built from them do not depend on sentence order."""
-    terms: set[str] = set()
-    for group in sentence_groups:
-        for s in group:
-            terms.update(s.lower_forms)
+    terms = set(chain.from_iterable(s.lower_forms for group in sentence_groups for s in group))
     return {term: i for i, term in enumerate(sorted(terms))}
 
 
 def csr_counts(
-    sentences: list[Sentence], vocab: dict[str, int]
+    sentences: Sequence[Sentence], vocab: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build CSR arrays of term counts, indices ascending per row: the
     skeleton ``csr_weights`` weights. Each row holds a term at most once.
@@ -52,11 +52,12 @@ def csr_counts(
     """
     import numpy as np
 
-    n_rows = len(sentences)
-    lengths = np.fromiter((len(s.lower_forms) for s in sentences), np.int64, n_rows)
-    ids = np.fromiter(
-        (vocab[t] for s in sentences for t in s.lower_forms), np.int64, int(lengths.sum())
-    )
+    forms = [s.lower_forms for s in sentences]
+    n_rows = len(forms)
+    lengths = np.fromiter(map(len, forms), np.int64, n_rows)
+    # ``map`` over the chained tokens runs in C: level 0 is counted again
+    # for every level aligned against it.
+    ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(forms)), np.int64, int(lengths.sum()))
     # One key per (row, term); sorting the keys sorts rows, then ids within a row.
     width = max(len(vocab), 1)
     keys, counts = np.unique(np.repeat(np.arange(n_rows), lengths) * width + ids, return_counts=True)
@@ -83,35 +84,29 @@ def csr_weights(counts, df: np.ndarray, n_docs: int) -> tuple[np.ndarray, np.nda
 
 
 def best_matches(
-    complex_sentences: list[Sentence], simple_levels: list[list[Sentence]]
-) -> list[tuple[list[int], list[float]]]:
-    """For each simple level, each sentence's most similar complex sentence
-    (the first one on ties) and that cosine. ``complex_sentences`` must
-    not be empty.
+    complex_sentences: Sequence[Sentence], simple_sentences: Sequence[Sentence]
+) -> tuple[list[int], list[float]]:
+    """Each simple sentence's most similar complex sentence (the first one
+    on ties) and that cosine, as ``(best, scores)`` lists.
+    ``complex_sentences`` must not be empty.
 
-    Each level's IDF treats the complex and that level's sentences as the
-    documents. One vocabulary serves every level: its ids are in
-    lexicographic order, so each level's sums run in the same term order,
-    and give the same bits, as with a vocabulary of that level alone. The
-    complex side's counts and document frequencies are built once. Memory
-    holds one block of ``cosine_blocks`` rows, not a level's matrix.
+    The IDF treats the complex and the simple sentences as the documents.
+    Vocabulary ids are in lexicographic order, so each dot product and
+    norm is summed in ascending term order, as the reference sums it.
+    Memory holds one block of ``cosine_blocks`` rows, not the matrix.
     """
     import numpy as np
 
-    vocab = build_vocab([complex_sentences, *simple_levels])
+    vocab = build_vocab([complex_sentences, simple_sentences])
     size = len(vocab)
     complex_counts = csr_counts(complex_sentences, vocab)
-    complex_df = np.bincount(complex_counts[1], minlength=size)
-    matches = []
-    for simple in simple_levels:
-        simple_counts = csr_counts(simple, vocab)
-        df = complex_df + np.bincount(simple_counts[1], minlength=size)
-        n_docs = len(complex_sentences) + len(simple)
-        best, score = cosine_matrix(
-            csr_weights(simple_counts, df, n_docs), csr_weights(complex_counts, df, n_docs), size
-        )
-        matches.append((best.tolist(), score.tolist()))
-    return matches
+    simple_counts = csr_counts(simple_sentences, vocab)
+    df = np.bincount(complex_counts[1], minlength=size) + np.bincount(simple_counts[1], minlength=size)
+    n_docs = len(complex_sentences) + len(simple_sentences)
+    best, score = cosine_matrix(
+        csr_weights(simple_counts, df, n_docs), csr_weights(complex_counts, df, n_docs), size
+    )
+    return best.tolist(), score.tolist()
 
 
 def _squared_norms(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:

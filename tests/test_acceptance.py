@@ -238,7 +238,7 @@ def test_c5_alignment_oracle_equivalence():
         threshold = rng.choice([0.0, 0.2, 0.5, 0.8])
         ca = Article(id="c", level=0, sentences=tuple(cx))
         sa = Article(id="c", level=1, sentences=tuple(sx))
-        got = align_articles(ca, [sa], threshold=threshold)
+        got = align_articles(ca, sa, threshold=threshold)
 
         idf = compute_idf(cx + sx)
         expected = []

@@ -1,3 +1,5 @@
+import collections
+import gc
 import io
 import json
 import multiprocessing
@@ -258,7 +260,7 @@ def test_mine_article_dir_deterministic_across_worker_counts(tmp_path, ppdb_file
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-@pytest.mark.parametrize("bad_file", ["utf-8", "level", "duplicate-level"])
+@pytest.mark.parametrize("bad_file", ["utf-8", "level", "duplicate-level", "utf-8-last-level"])
 def test_mine_article_shard_errors_are_input_errors(tmp_path, ppdb_file, synonym_file, capsys, bad_file):
     art = _sharded_article_dir(tmp_path)
     if bad_file == "utf-8":
@@ -269,13 +271,29 @@ def test_mine_article_shard_errors_are_input_errors(tmp_path, ppdb_file, synonym
         bad = art / "e.7.txt"
         bad.write_text("A sentence.\n", encoding="utf-8")
         message = f"error: {bad}: article level 7 outside 0..5"
-    else:
+    elif bad_file == "duplicate-level":
         bad = art / "e.01.txt"
         bad.write_text("A sentence.\n", encoding="utf-8")
         message = f"error: {bad} and {art / 'e.1.txt'}: both are article level 1"
-    args = _mine_args(art, tmp_path / "out", ppdb_file, synonym_file, ("--workers", "2"))
-    assert main(args) == 2
-    assert message in capsys.readouterr().err
+    else:
+        # The last level of the last article: every level before it has
+        # been aligned, and in one process mined, when the bad byte is read.
+        bad = art / "e.2.txt"
+        bad.write_bytes(COMICS_SIMPLE.encode() + b"\n\nbad \xff byte\n")
+        message = f"error: {bad}: line 3: invalid UTF-8"
+    out = tmp_path / "out"
+    aligned = tmp_path / "aligned" / "pairs.tsv"
+    aligned.parent.mkdir()
+    for argv in (
+        _mine_args(art, out, ppdb_file, synonym_file, ("--workers", "1")),
+        _mine_args(art, out, ppdb_file, synonym_file, ("--workers", "2")),
+        ["align", str(art), "-o", str(aligned)],
+    ):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+        # No output directory, no partial -o file and no temporary file.
+        assert not out.exists()
+        assert list(aligned.parent.iterdir()) == []
 
 
 def _fill_tuple_free_lists():
@@ -309,15 +327,22 @@ def test_mine_rows_memory_does_not_grow_with_rows(inventory, ppdb_file, synonym_
     assert large < 1.5 * small
 
 
+def _write_memory_article(art, art_id, levels):
+    """Level 0 holds the example rows' complex sides and every other level
+    their simple sides, 40 times each with a numbered word."""
+    for level in levels:
+        column = min(level, 1)
+        text = "".join(f"{row[column]} w{i}\n" for i in range(40) for row in EXAMPLE_ROWS)
+        (art / f"{art_id}.{level}.txt").write_text(text, encoding="utf-8")
+
+
 def test_mine_articles_memory_does_not_grow_with_articles(tmp_path, inventory, ppdb_file, synonym_file):
     # Each article is read, aligned and mined before the next is read, so
     # four equal articles need about the peak of one.
     art = tmp_path / "articles"
     art.mkdir()
     for art_id in "abcd":
-        for level, column in ((0, 0), (1, 1), (2, 1)):
-            text = "".join(f"{row[column]} w{i}\n" for i in range(40) for row in EXAMPLE_ROWS)
-            (art / f"{art_id}.{level}.txt").write_text(text, encoding="utf-8")
+        _write_memory_article(art, art_id, range(3))
     stores = [load_ppdb(ppdb_file), load_synonyms(synonym_file)]
     articles = cli._list_articles(art)
     _fill_tuple_free_lists()
@@ -325,6 +350,65 @@ def test_mine_articles_memory_does_not_grow_with_articles(tmp_path, inventory, p
     small = _traced_peak(cli._mine_articles, articles[:1], 0.4, inventory, stores)
     large = _traced_peak(cli._mine_articles, articles, 0.4, inventory, stores)
     assert large < 1.5 * small
+
+
+def test_mine_article_memory_does_not_grow_with_levels(tmp_path, inventory, ppdb_file, synonym_file):
+    # Each simplified level is read, aligned and mined before the next is
+    # read, so an article with levels 0-5 needs about the peak of the same
+    # article with levels 0-2.
+    stores = [load_ppdb(ppdb_file), load_synonyms(synonym_file)]
+    peaks = []
+    for levels in (range(3), range(6)):
+        art = tmp_path / f"levels-{len(levels)}"
+        art.mkdir()
+        _write_memory_article(art, "a", levels)
+        articles = cli._list_articles(art)
+        _fill_tuple_free_lists()
+        cli._mine_articles(articles, 0.4, inventory, stores)
+        peaks.append(_traced_peak(cli._mine_articles, articles, 0.4, inventory, stores))
+    assert peaks[1] < 1.1 * peaks[0]
+
+
+def test_align_reads_each_file_with_no_earlier_level_alive(tmp_path, monkeypatch):
+    # While an article's levels are read its level 0 is alive, and no
+    # sentence of an earlier level or article is. The consumer keeps no
+    # pair, so every sentence alive is one the aligner holds.
+    art = tmp_path / "articles"
+    art.mkdir()
+    for art_id in "ab":
+        for level in range(4):
+            text = "".join(f"{row[min(level, 1)]} tag{art_id}{level}\n" for row in EXAMPLE_ROWS)
+            (art / f"{art_id}.{level}.txt").write_text(text, encoding="utf-8")
+    alive_at_reads = []
+    read_article = cli.read_article
+
+    def counting_read_article(*args):
+        gc.collect()
+        tags = (o.raw.rpartition(" ")[2] for o in gc.get_objects() if isinstance(o, Sentence))
+        alive_at_reads.append(sorted({tag for tag in tags if tag.startswith("tag")}))
+        return read_article(*args)
+
+    monkeypatch.setattr(cli, "read_article", counting_read_article)
+    collections.deque(cli._align(cli._list_articles(art), 0.4), maxlen=0)
+    assert alive_at_reads == [[], ["taga0"], ["taga0"], ["taga0"], [], ["tagb0"], ["tagb0"], ["tagb0"]]
+
+
+def test_align_memory_does_not_grow_with_articles(tmp_path, capsys):
+    # Rows are written as each level is aligned, so aligning four equal
+    # articles needs about the peak of one.
+    dirs = []
+    for count in (1, 4):
+        art = tmp_path / f"articles-{count}"
+        art.mkdir()
+        for art_id in "abcd"[:count]:
+            _write_memory_article(art, art_id, range(3))
+        dirs.append(art)
+    argv = lambda art: ["align", str(art), "--threshold", "0.4", "-o", str(art.with_suffix(".tsv"))]
+    _fill_tuple_free_lists()
+    assert main(argv(dirs[1])) == 0
+    small, large = (_traced_peak(main, argv(art)) for art in dirs)
+    assert "1280 pairs written" in capsys.readouterr().out
+    assert large < 1.1 * small
 
 
 _MODULES_AFTER_RUN = """

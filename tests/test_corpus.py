@@ -1,10 +1,13 @@
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from altlex_miner import cli
 from altlex_miner.corpus import (
     AgreementTable,
     Article,
@@ -122,7 +125,7 @@ def _article(art_id, level, raws):
 
 def test_align_identical_articles():
     raws = ["the red fox ran.", "a cold night fell.", "we watched the stars."]
-    pairs = align_articles(_article("a", 0, raws), [_article("a", 1, raws)], threshold=0.5)
+    pairs = align_articles(_article("a", 0, raws), _article("a", 1, raws), threshold=0.5)
     assert len(pairs) == 3
     for i, pair in enumerate(pairs):
         assert pair.similarity == pytest.approx(1.0, abs=1e-9)
@@ -133,7 +136,7 @@ def test_align_identical_articles():
 def test_align_drops_dissimilar():
     complex_a = _article("a", 0, ["the red fox ran fast."])
     simple_a = _article("a", 1, ["nothing shared here whatsoever."])
-    assert align_articles(complex_a, [simple_a], threshold=0.5) == []
+    assert align_articles(complex_a, simple_a, threshold=0.5) == []
 
 
 def test_align_three_by_three_matches_bruteforce():
@@ -149,7 +152,7 @@ def test_align_three_by_three_matches_bruteforce():
     ]
     ca = _article("t", 0, complex_raws)
     sa = _article("t", 1, simple_raws)
-    pairs = align_articles(ca, [sa], threshold=0.5)
+    pairs = align_articles(ca, sa, threshold=0.5)
 
     # Exhaustive 9-pair oracle: argmax per simple sentence with threshold.
     idf = compute_idf(list(ca.sentences) + list(sa.sentences))
@@ -173,12 +176,12 @@ def test_align_threshold_monotonic():
     make = lambda: " ".join(rng.choice(vocab) for _ in range(rng.randint(2, 6)))
     ca = _article("m", 0, [make() for _ in range(5)])
     sa = _article("m", 1, [make() for _ in range(5)])
-    counts = [len(align_articles(ca, [sa], threshold=t)) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    counts = [len(align_articles(ca, sa, threshold=t)) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
     assert counts == sorted(counts, reverse=True)
 
 
 def test_align_empty_article():
-    assert align_articles(_article("e", 0, []), [_article("e", 1, ["a b."])], 0.5) == []
+    assert align_articles(_article("e", 0, []), _article("e", 1, ["a b."]), 0.5) == []
 
 
 def test_align_output_similarities_above_threshold():
@@ -187,7 +190,7 @@ def test_align_output_similarities_above_threshold():
     make = lambda: " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 5)))
     ca = _article("x", 0, [make() for _ in range(4)])
     sa = _article("x", 2, [make() for _ in range(4)])
-    for pair in align_articles(ca, [sa], threshold=0.4):
+    for pair in align_articles(ca, sa, threshold=0.4):
         assert pair.similarity >= 0.4 - 1e-12
 
 
@@ -202,29 +205,86 @@ _SIMPLE_LEVEL = st.lists(
 )
 
 
+def _reference_pairs(art_id, complex_raws, simple_levels, threshold):
+    """What the brute-force reference aligns for one article, given its
+    level-0 lines and ``(level, lines)`` simplified levels in order: each
+    pair's ``(source id, level-0 line index, similarity)``."""
+    cx = [tokenize(r) for r in complex_raws]
+    expected = []
+    for level, raws in simple_levels:
+        sx = [tokenize(r) for r in raws]
+        idf = compute_idf(cx + sx)
+        for si, s in enumerate(sx if cx else ()):
+            row = [tfidf_cosine(s, c, idf) for c in cx]
+            best = max(row)
+            if best >= threshold:
+                expected.append((f"{art_id}:{level}:{si}", row.index(best), min(best, 1.0)))
+    return expected
+
+
 @given(_COMPLEX_LEVEL, st.lists(_SIMPLE_LEVEL, min_size=1, max_size=4), st.sampled_from([0.0, 1.0]))
 @example(["sun moon", "tide"], [[], ["rock fern", "rock"], ["sun", "", "moon tide"]], 0.0)
 @example(["sun", "sun sun", "sun moon"], [["sun sun sun", "sun"], ["fern"]], 1.0)
 @example([], [["sun"]], 0.0)
 def test_align_articles_equals_per_level_reference(complex_raws, simple_levels, threshold):
-    # One index for all levels must give, bit for bit, what aligning each
-    # level alone against the brute-force reference gives.
+    # Each level aligned against level 0 must give, bit for bit, what the
+    # brute-force reference gives.
     complex_article = _article("p", 0, complex_raws)
     cx = complex_article.sentences
-    simple_articles = [_article("p", k, raws) for k, raws in enumerate(simple_levels, start=1)]
-    expected = []
-    for simple_article in simple_articles:
-        sx = simple_article.sentences
-        idf = compute_idf(list(cx) + list(sx))
-        for si, s in enumerate(sx if cx else ()):
-            row = [tfidf_cosine(s, c, idf) for c in cx]
-            best = max(row)
-            if best >= threshold:
-                expected.append((f"p:{simple_article.level}:{si}", row.index(best), min(best, 1.0)))
     got = [
         (p.source_id, next(i for i, c in enumerate(cx) if c is p.complex), p.similarity)
-        for p in align_articles(complex_article, simple_articles, threshold)
+        for level, raws in enumerate(simple_levels, start=1)
+        for p in align_articles(complex_article, _article("p", level, raws), threshold)
     ]
+    assert got == _reference_pairs("p", complex_raws, enumerate(simple_levels, start=1), threshold)
+
+
+# A file's lines: sentences, and blank lines the reader skips, so that a
+# level can be empty, all blank or mixed.
+_FILE_LINES = st.lists(
+    st.one_of(
+        st.sampled_from(["", " \t"]),
+        st.lists(st.sampled_from(["sun", "moon", "tide", "rock", "fern"]), min_size=1, max_size=4).map(" ".join),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_FILE_LINES, st.dictionaries(st.integers(1, 5), _FILE_LINES, max_size=5)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+@example(
+    [
+        (["sun moon", "", "tide"], {1: ["sun", "moon tide"], 2: [], 3: ["", " \t"], 4: ["rock"], 5: ["tide", "sun"]}),
+        ([" \t"], {1: ["sun"], 5: ["moon"]}),
+        (["sun sun", "sun", "moon"], {2: ["sun", "fern", "sun moon"], 3: []}),
+    ],
+    0.0,
+)
+def test_cli_align_over_article_files_equals_per_level_reference(articles, threshold):
+    # Reading level by level from written files must give the reference's
+    # pairs, in article then level order, with the same similarity bits.
+    sentences = lambda lines: [line for line in lines if line.strip()]
+    expected, originals = [], {}
+    with tempfile.TemporaryDirectory() as root:
+        for i, (original, simplified) in enumerate(articles):
+            art_id = f"a{i}"
+            for level, lines in {0: original, **simplified}.items():
+                text = "".join(f"{line}\n" for line in lines)
+                Path(root, f"{art_id}.{level}.txt").write_text(text, encoding="utf-8")
+            originals[art_id] = sentences(original)
+            levels = [(level, sentences(simplified[level])) for level in sorted(simplified)]
+            expected += _reference_pairs(art_id, originals[art_id], levels, threshold)
+        got = [
+            (p.source_id, originals[p.source_id.split(":")[0]].index(p.complex.raw), p.similarity)
+            for p in cli._align(cli._list_articles(root), threshold)
+        ]
     assert got == expected
 
 
@@ -251,7 +311,7 @@ def test_article_lines_end_only_at_newline(tmp_path, sep):
     (tmp_path / "s.1.txt").write_text(f"one{sep}two.\r\nthree four.\n", encoding="utf-8")
     levels = load_article_dir(tmp_path)["s"]
     assert [s.raw for s in levels[1].sentences] == [f"one{sep}two.", "three four."]
-    pairs = align_articles(levels[0], [levels[1]], threshold=0.5)
+    pairs = align_articles(levels[0], levels[1], threshold=0.5)
     assert [(p.source_id, p.complex.raw) for p in pairs] == [
         ("s:1:0", f"one{sep}two."),
         ("s:1:1", "three four."),

@@ -61,8 +61,20 @@ def _called_name(call):
     return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", "")
 
 
+def _writes_only(call):
+    """Whether an ``open`` call's mode is a literal that cannot read: "w",
+    "x" or "a" without "+". An absent mode is "r"."""
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+    return any(
+        isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set("r+") & set(mode.value)
+        for mode in modes
+    )
+
+
 def _reads_a_file(call):
     name = _called_name(call)
+    if name == "open" and _writes_only(call):
+        return False
     # ``resources.files(...)...read_*()`` reads a package file.
     return name in _FILE_READS or (
         name.startswith("read_")

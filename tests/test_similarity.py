@@ -156,10 +156,10 @@ def test_best_matches_holds_no_full_matrix():
     complex_side, simple_side = (
         [tokenize(" ".join(rng.choices(words, k=4))) for _ in range(2000)] for _ in range(2)
     )
-    similarity.best_matches(complex_side[:1], [simple_side[:1]])  # numpy imported untraced
+    similarity.best_matches(complex_side[:1], simple_side[:1])  # numpy imported untraced
     tracemalloc.start()
     try:
-        [(best, scores)] = similarity.best_matches(complex_side, [simple_side])
+        best, scores = similarity.best_matches(complex_side, simple_side)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
