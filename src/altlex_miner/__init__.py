@@ -27,13 +27,11 @@ from .mining import (
     CaseKind,
     ChangeCase,
     OtherKind,
-    categorize,
     mine_corpus,
-    mine_pair,
     substitute,
     verify_candidate,
 )
-from .text import Sentence, Token, TokenSpan, match_phrase, tokenize
+from .text import Sentence, TokenSpan, match_phrase, tokenize
 
 __version__ = "0.1.0"
 
@@ -55,10 +53,8 @@ __all__ = [
     "Sense",
     "Sentence",
     "SentencePair",
-    "Token",
     "TokenSpan",
     "align_articles",
-    "categorize",
     "cohen_kappa",
     "detect_explicit",
     "expand",
@@ -69,7 +65,6 @@ __all__ = [
     "load_synonyms",
     "match_phrase",
     "mine_corpus",
-    "mine_pair",
     "substitute",
     "tfidf_cosine",
     "tokenize",

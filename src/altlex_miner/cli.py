@@ -320,7 +320,8 @@ def _mine_in_pool(work, tasks: Iterator[list], workers: int) -> AltLexInventory 
     never handed the task stream itself, because ``Executor.map`` submits
     all it is given at once. If the input ends inside the first window, it
     is split into at most ``workers`` contiguous shards instead, and a
-    single shard is mined here.
+    single shard is mined here. The pool starts no more processes than the
+    machine has CPUs; the tasks, and so the results, stay the same.
     """
     ahead = 2 * workers
     window = list(islice(tasks, ahead))
@@ -332,7 +333,7 @@ def _mine_in_pool(work, tasks: Iterator[list], workers: int) -> AltLexInventory 
 
     inv = AltLexInventory()
     try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(window))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(window), os.cpu_count() or 1)) as pool:
             results = pool.map(work, window)
             while window:
                 # Hand out the next window before folding this one, so the

@@ -1,4 +1,4 @@
-"""The discovery procedure: categorize aligned pairs, substitute, verify.
+"""The discovery procedure: classify aligned pairs, substitute, verify.
 
 Each pair is classified by what the detector finds on the two sides. Only
 pairs where exactly one side carries exactly one explicit connective are
@@ -8,14 +8,14 @@ span, and the candidate is kept only if re-detection finds the same
 connective. A candidate's sense is its connective's prior top sense, the
 one the detector assigns. Verified candidates aggregate into an
 AltLexInventory keyed by (text, sense); inventories merge associatively so
-corpora can be sharded. Pairs are folded one at a time, from any iterable,
-so a corpus streams through mining.
+corpora can be sharded. ``mine_corpus``, the one entry point, folds pairs
+one at a time from any iterable, so a corpus streams through mining.
 
-Each mining call expands a connective through each paraphrase store once,
-on first use, into one index keyed by the expansions' first tokens; a
-non-explicit side is then scanned once for all of them. A substitution
-splices token tuples, so only the replacement is split into tokens, never
-the whole sentence.
+Each ``mine_corpus`` call expands a connective through each paraphrase
+store once, on first use, into one index keyed by the expansions' first
+tokens; a non-explicit side is then scanned once for all of them. A
+substitution splices token tuples, so only the replacement is split into
+tokens, never the whole sentence.
 """
 
 from __future__ import annotations
@@ -199,15 +199,6 @@ def classify_annotations(
     return _DIFF_REL_DIFF_CONN
 
 
-def _detections(pair: SentencePair, inventory: ConnectiveInventory):
-    return detect_explicit(pair.complex, inventory), detect_explicit(pair.simple, inventory)
-
-
-def categorize(pair: SentencePair, inventory: ConnectiveInventory) -> ChangeCase:
-    """Detect both sides and classify the pair."""
-    return classify_annotations(*_detections(pair, inventory))
-
-
 def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...] | list[str]) -> Sentence:
     """Replace the span's tokens with the replacement token sequence.
 
@@ -254,8 +245,8 @@ class _Expansions:
     """Each connective's expansions from all stores, indexed by first token.
 
     A connective's index is built on its first use and kept for the life of
-    this object, which is one ``mine_corpus`` or ``mine_pair`` call: each
-    (store, connective) pair is expanded once.
+    this object, which is one ``mine_corpus`` call: each (store,
+    connective) pair is expanded once.
     """
 
     def __init__(self, inventory: ConnectiveInventory, stores: list[ParaphraseStore]):
@@ -335,36 +326,10 @@ def _resolve_overlaps(candidates: list[AltLexCandidate]) -> list[AltLexCandidate
     return kept
 
 
-def _mine_dispatch(
-    pair: SentencePair,
-    inventory: ConnectiveInventory,
-    expansions: _Expansions,
-) -> tuple[ChangeCase, ExplicitAnnotation | None, list[AltLexCandidate]]:
-    """Classify the pair and, for a one-sided single-annotation case, mine
-    the explicit side's connective: (case, annotation or None, candidates)."""
-    complex_anns, simple_anns = _detections(pair, inventory)
-    case = classify_annotations(complex_anns, simple_anns)
-    if case.kind is CaseKind.EXP_NON_EXP:
-        annotation = complex_anns[0]
-    elif case.kind is CaseKind.NON_EXP_EXP:
-        annotation = simple_anns[0]
-    else:
-        return case, None, []
-    return case, annotation, _mine_single(pair, case.kind, annotation, inventory, expansions)
-
-
-def mine_pair(
-    pair: SentencePair, inventory: ConnectiveInventory, stores: list[ParaphraseStore]
-) -> list[AltLexCandidate]:
-    """Verified AltLex candidates for one pair (empty unless the pair is a
-    one-sided single-annotation case)."""
-    return _mine_dispatch(pair, inventory, _Expansions(inventory, stores))[2]
-
-
 def mine_corpus(
     pairs: Iterable[SentencePair], inventory: ConnectiveInventory, stores: list[ParaphraseStore]
 ) -> AltLexInventory:
-    """Fold categorization counts and verified candidates over a corpus.
+    """Fold case counts and verified candidates over a corpus.
 
     ``pairs`` is iterated once, in order, and may be a generator. No pair is
     kept after its turn: the result holds only the source ids of verified
@@ -374,10 +339,19 @@ def mine_corpus(
     result = AltLexInventory()
     expansions = _Expansions(inventory, stores)
     for pair in pairs:
-        case, annotation, candidates = _mine_dispatch(pair, inventory, expansions)
+        complex_anns = detect_explicit(pair.complex, inventory)
+        simple_anns = detect_explicit(pair.simple, inventory)
+        case = classify_annotations(complex_anns, simple_anns)
         result._add_case(case)
-        if annotation is not None:
-            result._add_alignment(annotation.sense)
-        for candidate in candidates:
+        # Only a one-sided single-annotation pair is mined, for the
+        # connective of its explicit side.
+        if case.kind is CaseKind.EXP_NON_EXP:
+            annotation = complex_anns[0]
+        elif case.kind is CaseKind.NON_EXP_EXP:
+            annotation = simple_anns[0]
+        else:
+            continue
+        result._add_alignment(annotation.sense)
+        for candidate in _mine_single(pair, case.kind, annotation, inventory, expansions):
             result._add_candidate(candidate)
     return result

@@ -4,14 +4,12 @@ The tokenizer is deliberately rule-based and dependency-free: words (with
 internal hyphens and apostrophes kept intact, so "don't" and
 "African-Americans" stay single tokens) and standalone punctuation marks.
 All matching downstream is case-insensitive, so a Sentence stores each
-token's lowercased form alongside its surface. Character offsets are only
-computed on request, through ``Sentence.tokens``. ``read_lines`` is the
-one reader of every input file: it streams a file's non-blank lines.
+token's lowercased form alongside its surface. ``read_lines`` is the one
+reader of every input file: it streams a file's non-blank lines.
 """
 
 from __future__ import annotations
 
-import io
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -20,20 +18,8 @@ from pathlib import Path
 # A word is a run of word characters, optionally joined by internal hyphens
 # or apostrophes; anything else that is not whitespace is a one-char token.
 _TOKEN_RE = re.compile(r"\w+(?:[-'’]\w+)*|\S")
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    """A single token with character offsets into the owning sentence."""
-
-    surface: str
-    lowercased: str
-    char_start: int
-    char_end: int
-
-    def __post_init__(self) -> None:
-        if not self.char_start < self.char_end:
-            raise ValueError(f"empty token span [{self.char_start}, {self.char_end})")
+# What the "surrogateescape" error handler decodes an undecodable byte to.
+_UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,16 +54,6 @@ class Sentence:
     def __len__(self) -> int:
         return len(self.surface_forms)
 
-    @property
-    def tokens(self) -> tuple[Token, ...]:
-        """The tokens with character offsets into ``raw``, rebuilt on each call."""
-        return tuple(
-            Token(m.group(), m.group().lower(), m.start(), m.end()) for m in _TOKEN_RE.finditer(self.raw)
-        )
-
-    def surfaces(self, span: TokenSpan | None = None) -> tuple[str, ...]:
-        return self.surface_forms if span is None else self.surface_forms[span.start : span.end]
-
     def lowers(self, span: TokenSpan | None = None) -> tuple[str, ...]:
         return self.lower_forms if span is None else self.lower_forms[span.start : span.end]
 
@@ -90,50 +66,20 @@ def read_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, 
     and ``\r`` end a line as ``\n`` does. No other character ends one, so
     U+2028, U+0085, ``\f`` and the like stay inside their line. A blank
     line is one that is empty or all whitespace. An undecodable byte raises
-    ``error`` naming the file and its line, also for a pipe; lines read
-    before it may already have been yielded.
+    ``error`` naming the file and its line, also for a pipe, once every
+    line before it has been yielded.
     """
     # Not "utf-8-sig": its decoder reads a file of only a BOM's first one or
-    # two bytes as empty text instead of failing.
-    binary = _LineEndCounter(open(path, "rb", buffering=0))
-    with io.TextIOWrapper(binary, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if lineno == 1:
-                    line = line.removeprefix("\ufeff")
-                if line and not line.isspace():
-                    yield lineno, line.rstrip("\n")
-        except UnicodeDecodeError as exc:
-            # The decoder fails on the bytes it holds from the latest chunk,
-            # after at most three of the chunk before, which end no line.
-            lineno = binary.line_ends(exc.object[: exc.start]) + 1
-            raise error(f"{path}: line {lineno}: invalid UTF-8") from None
-
-
-class _LineEndCounter(io.BufferedReader):
-    """A binary reader that counts the line ends (``\n``, ``\r\n`` and
-    ``\r``) in the bytes it returned before its latest ``read1`` chunk,
-    the chunk text mode decodes next."""
-
-    def __init__(self, raw: io.RawIOBase) -> None:
-        super().__init__(raw)
-        self.latest = b""
-        self.ends_before = 0  # line ends before ``latest``
-        self.cr_before = False  # whether the bytes before ``latest`` end in "\r"
-
-    def read1(self, size: int = -1) -> bytes:
-        self.ends_before = self.line_ends(self.latest)
-        self.cr_before = self.latest.endswith(b"\r") if self.latest else self.cr_before
-        self.latest = super().read1(size)
-        return self.latest
-
-    def line_ends(self, data: bytes) -> int:
-        """The line ends up to the end of ``data``, which follows the bytes
-        before the latest chunk."""
-        ends = self.ends_before + data.count(b"\n") - (self.cr_before and data.startswith(b"\n"))
-        if b"\r" in data:  # one fast scan spares two counts in files without CR
-            ends += data.count(b"\r") - data.count(b"\r\n")
-        return ends
+    # two bytes as empty text instead of failing. An undecodable byte
+    # decodes to a lone surrogate, which valid UTF-8 never yields.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno == 1:
+                line = line.removeprefix("\ufeff")
+            if line and not line.isspace():
+                if not line.isascii() and _UNDECODED_BYTE.search(line):
+                    raise error(f"{path}: line {lineno}: invalid UTF-8")
+                yield lineno, line.rstrip("\n")
 
 
 def split_tokens(raw: str) -> tuple[str, ...]:

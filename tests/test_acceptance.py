@@ -30,16 +30,14 @@ from altlex_miner.mining import (
     CaseKind,
     ChangeCase,
     OtherKind,
-    categorize,
     classify_annotations,
     mine_corpus,
-    mine_pair,
     substitute,
     verify_candidate,
 )
 from altlex_miner.text import match_phrase, tokenize
 
-from test_mining import _ann
+from test_mining import _ann, _categorize, _mine_one
 
 
 def _report(name):
@@ -52,15 +50,15 @@ def test_c1_worked_example_suite(
     start = time.perf_counter()
 
     # "whilst" pair: NonExp-Exp, simple side Contrast on "but".
-    assert categorize(woodcuts_pair, inventory) == ChangeCase(CaseKind.NON_EXP_EXP)
+    assert _categorize(woodcuts_pair, inventory) == ChangeCase(CaseKind.NON_EXP_EXP)
     anns = detect_explicit(woodcuts_pair.simple, inventory)
     assert [(a.connective_id, a.sense) for a in anns] == [("but", Sense.CONTRAST)]
 
     # argument-removal pair: Exp-NonExp with Synchrony on "when"; mining yields nothing.
-    assert categorize(broadcast_pair, inventory) == ChangeCase(CaseKind.EXP_NON_EXP)
+    assert _categorize(broadcast_pair, inventory) == ChangeCase(CaseKind.EXP_NON_EXP)
     anns = detect_explicit(broadcast_pair.complex, inventory)
     assert [(a.connective_id, a.sense) for a in anns] == [("when", Sense.SYNCHRONY)]
-    assert mine_pair(broadcast_pair, inventory, fixture_stores) == []
+    assert _mine_one(broadcast_pair, inventory, fixture_stores)[0] == []
 
     # "despite" -> Contrast verifies true after substitution.
     despite_cand = AltLexCandidate(
@@ -85,9 +83,9 @@ def test_c1_worked_example_suite(
     assert verify_candidate(since_cand, inventory) is False
 
     # drones pair: Exp-NonExp "before" Asynchronous mines AltLex "used to".
-    assert categorize(drones_pair, inventory) == ChangeCase(CaseKind.EXP_NON_EXP)
-    mined = mine_pair(drones_pair, inventory, fixture_stores)
-    assert [(c.paraphrase.target, c.sense) for c in mined] == [(("used", "to"), Sense.ASYNCHRONOUS)]
+    assert _categorize(drones_pair, inventory) == ChangeCase(CaseKind.EXP_NON_EXP)
+    mined, _ = _mine_one(drones_pair, inventory, fixture_stores)
+    assert [(text, sense) for text, sense, *_ in mined] == [(("used", "to"), Sense.ASYNCHRONOUS)]
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"worked-example suite took {elapsed:.3f}s"

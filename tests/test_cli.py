@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from altlex_miner import SentencePair, Sentence, Token, cli, load_ppdb, load_synonyms
+from altlex_miner import SentencePair, Sentence, cli, load_ppdb, load_synonyms
 from altlex_miner.cli import main, percent_rows
 
 from conftest import (
@@ -490,7 +490,7 @@ def test_mine_pool_ships_text_rows(
         for item in shard:
             assert isinstance(item, tuple) and len(item) == shape[0] and type(item[-1]) is shape[1]
         assert _pickled_types(shard) <= {list, tuple, str, int}
-        assert not _pickled_types((fn, shard)) & {Sentence, SentencePair, Token}
+        assert not _pickled_types((fn, shard)) & {Sentence, SentencePair}
 
 
 def _map_only_pool(log):
@@ -539,6 +539,7 @@ def test_mine_pool_never_starts_more_processes_than_tasks(tmp_path, ppdb_file, s
         (_sharded_article_dir(tmp_path), 2, 1000, [("start", 2), ("map", 4)]),  # four with level 0
         (tmp_path / "articles", 3, 1000, [("start", 3), ("map", 3)]),
     ]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)  # more CPUs than workers
     for corpus, workers, per_task, expected in cases:
         log = []
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _map_only_pool(log))
@@ -546,6 +547,21 @@ def test_mine_pool_never_starts_more_processes_than_tasks(tmp_path, ppdb_file, s
         extra = ("--workers", str(workers), "--threshold", "0.4")
         assert main(_mine_args(corpus, tmp_path / "out", ppdb_file, synonym_file, extra)) == 0
         assert log == expected
+
+
+@pytest.mark.parametrize("cpus, processes", [(2, 2), (None, 1)])
+def test_mine_pool_never_starts_more_processes_than_cpus(
+    tmp_path, ppdb_file, synonym_file, monkeypatch, cpus, processes
+):
+    # Twelve rows with --workers 6 go out as six shards whatever the
+    # machine, so the outputs do not depend on it; only as many processes
+    # as it has CPUs (one if that is unknown) start to mine them.
+    log = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _map_only_pool(log))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    corpus = _write_rows(tmp_path / "pairs.tsv", 12)
+    assert main(_mine_args(corpus, tmp_path / "out", ppdb_file, synonym_file, ("--workers", "6"))) == 0
+    assert log == [("start", processes), ("map", 6)]
 
 
 _ARTICLE_LEVELS = {0: 0, 1: 1, 2: 1}  # level: EXAMPLE_ROWS column
@@ -656,6 +672,20 @@ def test_mine_invalid_utf8_names_file_and_line(tmp_path, ppdb_file, synonym_file
     bad.write_bytes(data)
     assert main(_mine_args(corpus, tmp_path / "out", ppdb_file, synonym_file)) == 2
     assert f"error: {bad}: line 3: invalid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_mine_reports_the_first_faulty_line(tmp_path, ppdb_file, synonym_file, capsys, workers):
+    # A malformed row and an undecodable byte in the same 8 KiB chunk: the
+    # malformed row comes first, so its line is the one reported.
+    corpus = tmp_path / "pairs.tsv"
+    corpus.write_bytes(b"onlyone\nb\xff\tc\n")
+    out = tmp_path / "out"
+    assert main(_mine_args(corpus, out, ppdb_file, synonym_file, ("--workers", workers))) == 2
+    err = capsys.readouterr().err
+    assert f"error: {corpus}: line 1: expected 2 tab-separated fields, got 1" in err
+    assert "invalid UTF-8" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -820,9 +850,9 @@ def test_mine_article_dir_input(tmp_path, ppdb_file, synonym_file):
 def test_altlex_rows_replayable_through_mine_pair(
     tmp_path, example_corpus, ppdb_file, synonym_file, inventory, fixture_stores
 ):
-    # Every emitted AltLex row must be reproducible by replaying one of its
-    # example pairs through mine_pair alone.
-    from altlex_miner import load_aligned_tsv, mine_pair
+    # Every emitted AltLex row must be reproducible by mining one of its
+    # example pairs alone.
+    from altlex_miner import load_aligned_tsv, mine_corpus
     from altlex_miner.discourse import Sense
 
     out = tmp_path / "out"
@@ -832,8 +862,8 @@ def test_altlex_rows_replayable_through_mine_pair(
     assert rows
     for row in rows:
         text, sense_name, _, _, _, ids = row.split("\t")
-        replayed = mine_pair(pairs_by_id[ids.split(";")[0]], inventory, fixture_stores)
-        found = {(" ".join(c.paraphrase.target), c.sense) for c in replayed}
+        replayed = mine_corpus([pairs_by_id[ids.split(";")[0]]], inventory, fixture_stores)
+        found = {(" ".join(r.text), r.sense) for r in replayed.records.values()}
         assert (text, Sense(sense_name)) in found
 
 

@@ -21,10 +21,11 @@ from altlex_miner.corpus import (
     read_aligned_rows,
     tfidf_cosine,
 )
-from altlex_miner.mining import CaseKind, ChangeCase, categorize
+from altlex_miner.mining import CaseKind, ChangeCase
 from altlex_miner.text import tokenize
 
 from conftest import UNICODE_LINE_BREAKS, WOODCUTS_COMPLEX, WOODCUTS_SIMPLE
+from test_mining import _categorize
 
 
 def test_load_aligned_tsv_two_lines(tmp_path):
@@ -34,7 +35,7 @@ def test_load_aligned_tsv_two_lines(tmp_path):
     assert len(pairs) == 2
     assert pairs[0].similarity == 1.0
     assert pairs[0].source_id == "1"
-    assert [t.surface for t in pairs[1].complex.tokens] == ["e", "f"]
+    assert pairs[1].complex.surface_forms == ("e", "f")
 
 
 def test_load_aligned_tsv_strips_utf8_bom(tmp_path, inventory):
@@ -47,8 +48,8 @@ def test_load_aligned_tsv_strips_utf8_bom(tmp_path, inventory):
         encoding="utf-8",
     )
     (pair,) = load_aligned_tsv(path)
-    assert pair.complex.tokens[0].surface == "Although"
-    assert categorize(pair, inventory) == ChangeCase(CaseKind.EXP_NON_EXP)
+    assert pair.complex.surface_forms[0] == "Although"
+    assert _categorize(pair, inventory) == ChangeCase(CaseKind.EXP_NON_EXP)
 
 
 def test_load_aligned_tsv_malformed_line(tmp_path):
@@ -77,7 +78,7 @@ def test_load_aligned_tsv_woodcuts_pair(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text(f"{WOODCUTS_COMPLEX}\t{WOODCUTS_SIMPLE}\n", encoding="utf-8")
     (pair,) = load_aligned_tsv(path)
-    assert "whilst" in [t.lowercased for t in pair.complex.tokens]
+    assert "whilst" in pair.complex.lower_forms
 
 
 def test_load_aligned_tsv_missing_file(tmp_path):

@@ -11,10 +11,8 @@ from altlex_miner.mining import (
     CaseKind,
     ChangeCase,
     OtherKind,
-    categorize,
     classify_annotations,
     mine_corpus,
-    mine_pair,
     substitute,
     verify_candidate,
 )
@@ -27,18 +25,30 @@ def _ann(conn_id, sense, start=0):
     return ExplicitAnnotation(connective_id=conn_id, span=TokenSpan(start, start + 1), sense=sense)
 
 
+def _categorize(pair, inventory):
+    return classify_annotations(detect_explicit(pair.complex, inventory), detect_explicit(pair.simple, inventory))
+
+
+def _mine_one(pair, inventory, stores):
+    """``mine_corpus`` over one pair: its records as (text, sense, resource,
+    token count), and the case kinds it was counted under."""
+    inv = mine_corpus([pair], inventory, stores)
+    records = [(r.text, r.sense, r.resource, r.token_count) for r in inv.records.values()]
+    return records, [case.kind for case in inv.per_case_counts]
+
+
 def test_categorize_broadcast_exp_nonexp(broadcast_pair, inventory):
-    assert categorize(broadcast_pair, inventory) == ChangeCase(CaseKind.EXP_NON_EXP)
+    assert _categorize(broadcast_pair, inventory) == ChangeCase(CaseKind.EXP_NON_EXP)
 
 
 def test_categorize_woodcuts_nonexp_exp(woodcuts_pair, inventory):
-    assert categorize(woodcuts_pair, inventory) == ChangeCase(CaseKind.NON_EXP_EXP)
+    assert _categorize(woodcuts_pair, inventory) == ChangeCase(CaseKind.NON_EXP_EXP)
 
 
 def test_categorize_identical_explicit_sides(inventory):
     raw = "The team was ready, but the plan was rejected."
     pair = SentencePair(complex=tokenize(raw), simple=tokenize(raw), source_id="self")
-    assert categorize(pair, inventory) == ChangeCase(CaseKind.EXP_EXP)
+    assert _categorize(pair, inventory) == ChangeCase(CaseKind.EXP_EXP)
 
 
 def test_classify_same_sense_different_connective():
@@ -69,25 +79,25 @@ def test_change_case_invariant():
 def test_substitute_comics(comics_pair):
     span = match_phrase(comics_pair.complex, ("despite",))[0]
     result = substitute(comics_pair.complex, span, ("though",))
-    assert result.surfaces() == tokenize(COMICS_COMPLEX_SUBSTITUTED).surfaces()
+    assert result.surface_forms == tokenize(COMICS_COMPLEX_SUBSTITUTED).surface_forms
 
 
 def test_substitute_landmark(landmark_pair):
     span = match_phrase(landmark_pair.simple, ("since",))[0]
     result = substitute(landmark_pair.simple, span, ("because",))
-    assert result.surfaces() == tokenize(LANDMARK_SIMPLE_SUBSTITUTED).surfaces()
+    assert result.surface_forms == tokenize(LANDMARK_SIMPLE_SUBSTITUTED).surface_forms
 
 
 def test_substitute_identity(comics_pair):
     span = match_phrase(comics_pair.complex, ("despite",))[0]
     result = substitute(comics_pair.complex, span, ("despite",))
-    assert result.surfaces() == comics_pair.complex.surfaces()
+    assert result.surface_forms == comics_pair.complex.surface_forms
 
 
 def test_substitute_capitalizes_sentence_initial():
     s = tokenize("Despite the rain, we went on.")
     result = substitute(s, TokenSpan(0, 1), ("though",))
-    assert result.tokens[0].surface == "Though"
+    assert result.surface_forms[0] == "Though"
 
 
 def test_substitute_invalid_span():
@@ -165,28 +175,26 @@ def test_verify_filter_rejection_path(inventory):
 
 
 def test_mine_pair_comics(comics_pair, inventory, fixture_stores):
-    (cand,) = mine_pair(comics_pair, inventory, fixture_stores)
-    assert cand.paraphrase.target == ("despite",)
-    assert cand.sense is Sense.CONTRAST
-    assert cand.direction is CaseKind.NON_EXP_EXP
+    records, cases = _mine_one(comics_pair, inventory, fixture_stores)
+    assert records == [(("despite",), Sense.CONTRAST, Resource.PPDB, 1)]
+    assert cases == [CaseKind.NON_EXP_EXP]
 
 
 def test_mine_pair_drones(drones_pair, inventory, fixture_stores):
-    (cand,) = mine_pair(drones_pair, inventory, fixture_stores)
-    assert cand.paraphrase.target == ("used", "to")
-    assert cand.sense is Sense.ASYNCHRONOUS
-    assert cand.direction is CaseKind.EXP_NON_EXP
+    records, cases = _mine_one(drones_pair, inventory, fixture_stores)
+    assert records == [(("used", "to"), Sense.ASYNCHRONOUS, Resource.PPDB, 1)]
+    assert cases == [CaseKind.EXP_NON_EXP]
 
 
 def test_mine_pair_broadcast_no_candidates(broadcast_pair, inventory, fixture_stores):
-    assert mine_pair(broadcast_pair, inventory, fixture_stores) == []
+    assert _mine_one(broadcast_pair, inventory, fixture_stores)[0] == []
 
 
 def test_mine_pair_nonexp_nonexp_skipped(inventory, fixture_stores):
     pair = SentencePair(
         complex=tokenize("The sky was clear."), simple=tokenize("The sky was blue."), source_id="x"
     )
-    assert mine_pair(pair, inventory, fixture_stores) == []
+    assert _mine_one(pair, inventory, fixture_stores) == ([], [CaseKind.NON_EXP_NON_EXP])
 
 
 def test_mine_corpus_worked_examples(worked_example_pairs, inventory, fixture_stores):
@@ -260,8 +268,8 @@ def test_overlap_resolution_prefers_higher_score(inventory):
     store = ParaphraseStore(Resource.PPDB)
     store.add(("though",), ("despite",), 3.0)
     store.add(("though",), ("despite", "the"), 1.0)
-    result = mine_pair(pair, inventory, [store])
-    assert [c.paraphrase.target for c in result] == [("despite",)]
+    records, _ = _mine_one(pair, inventory, [store])
+    assert [text for text, *_ in records] == [("despite",)]
 
 
 def test_self_substitution_soundness_samples(inventory):

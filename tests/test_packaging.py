@@ -128,3 +128,37 @@ def test_readme_lists_exactly_the_cli_options():
         for option in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)
     }
     assert readme_options == cli_options
+
+
+# Public names that neither code in the package nor the README's inline
+# code reaches, each with its reason.
+_UNREACHED_PUBLIC_NAMES = {
+    "compute_idf": "bound by perfbench's tracer",
+    "match_phrase": "bound by perfbench's tracer",
+    "load_article_dir": "bound by perfbench's tracer",
+    "load_aligned_tsv": "named in the README's Library example",
+}
+
+
+def test_public_names_are_used_or_documented():
+    # A public function or class that no code calls and the README does not
+    # name is surface no run reaches. A re-export in __init__ is no use.
+    readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    inline_code = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S))
+    documented = {name for code in inline_code for name in re.findall(r"[A-Za-z_]\w*", code)}
+    public, used = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        public.update(
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert public - used - documented == set(_UNREACHED_PUBLIC_NAMES)
