@@ -321,7 +321,8 @@ def _mine_in_pool(work, tasks: Iterator[list], workers: int) -> AltLexInventory 
     all it is given at once. If the input ends inside the first window, it
     is split into at most ``workers`` contiguous shards instead, and a
     single shard is mined here. The pool starts no more processes than the
-    machine has CPUs; the tasks, and so the results, stay the same.
+    machine has CPUs; the tasks, and so the results, stay the same. An
+    error reading the next window cancels the tasks not yet started.
     """
     ahead = 2 * workers
     window = list(islice(tasks, ahead))
@@ -338,7 +339,13 @@ def _mine_in_pool(work, tasks: Iterator[list], workers: int) -> AltLexInventory 
             while window:
                 # Hand out the next window before folding this one, so the
                 # workers do not wait for the parent between windows.
-                window = list(islice(tasks, ahead))
+                try:
+                    window = list(islice(tasks, ahead))
+                except BaseException:
+                    # A read error: leaving the block would wait for every
+                    # task handed out, so drop those not yet started.
+                    pool.shutdown(wait=True, cancel_futures=True)
+                    raise
                 following = pool.map(work, window) if window else ()
                 for result in results:
                     inv.update(result)
@@ -462,4 +469,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    """The console script and ``python -m altlex_miner``. Alignment calls
+    no BLAS routine, so OpenBLAS gets one thread instead of a pool that
+    spins on the other CPUs; set before numpy is imported or a worker
+    starts, so workers inherit it. A value already set wins."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())

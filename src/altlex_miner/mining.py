@@ -332,26 +332,35 @@ def mine_corpus(
     """Fold case counts and verified candidates over a corpus.
 
     ``pairs`` is iterated once, in order, and may be a generator. No pair is
-    kept after its turn: the result holds only the source ids of verified
-    candidates, so a lazy ``pairs`` is mined in memory that does not grow
-    with its length.
+    kept after its turn, not even while the next one is drawn: the result
+    holds only the source ids of verified candidates, so a lazy ``pairs``
+    is mined in memory that does not grow with its length.
     """
     result = AltLexInventory()
     expansions = _Expansions(inventory, stores)
     for pair in pairs:
-        complex_anns = detect_explicit(pair.complex, inventory)
-        simple_anns = detect_explicit(pair.simple, inventory)
-        case = classify_annotations(complex_anns, simple_anns)
-        result._add_case(case)
-        # Only a one-sided single-annotation pair is mined, for the
-        # connective of its explicit side.
-        if case.kind is CaseKind.EXP_NON_EXP:
-            annotation = complex_anns[0]
-        elif case.kind is CaseKind.NON_EXP_EXP:
-            annotation = simple_anns[0]
-        else:
-            continue
-        result._add_alignment(annotation.sense)
-        for candidate in _mine_single(pair, case.kind, annotation, inventory, expansions):
-            result._add_candidate(candidate)
+        _fold_pair(result, pair, inventory, expansions)
+        del pair  # a lazy ``pairs`` may read a file to make the next one
     return result
+
+
+def _fold_pair(
+    result: AltLexInventory, pair: SentencePair, inventory: ConnectiveInventory, expansions: _Expansions
+) -> None:
+    """Count one pair's case into ``result`` and, for a one-sided pair with
+    a single annotation, add its verified candidates."""
+    complex_anns = detect_explicit(pair.complex, inventory)
+    simple_anns = detect_explicit(pair.simple, inventory)
+    case = classify_annotations(complex_anns, simple_anns)
+    result._add_case(case)
+    # Only a one-sided single-annotation pair is mined, for the connective
+    # of its explicit side.
+    if case.kind is CaseKind.EXP_NON_EXP:
+        annotation = complex_anns[0]
+    elif case.kind is CaseKind.NON_EXP_EXP:
+        annotation = simple_anns[0]
+    else:
+        return
+    result._add_alignment(annotation.sense)
+    for candidate in _mine_single(pair, case.kind, annotation, inventory, expansions):
+        result._add_candidate(candidate)

@@ -369,10 +369,13 @@ def test_mine_article_memory_does_not_grow_with_levels(tmp_path, inventory, ppdb
     assert peaks[1] < 1.1 * peaks[0]
 
 
-def test_align_reads_each_file_with_no_earlier_level_alive(tmp_path, monkeypatch):
+def test_align_reads_each_file_with_no_earlier_level_alive(
+    tmp_path, monkeypatch, inventory, ppdb_file, synonym_file
+):
     # While an article's levels are read its level 0 is alive, and no
-    # sentence of an earlier level or article is. The consumer keeps no
-    # pair, so every sentence alive is one the aligner holds.
+    # sentence of an earlier level or article is. Draining the pairs keeps
+    # none, so every sentence alive is one the aligner holds; mining them
+    # must keep none either, not even the last pair it mined.
     art = tmp_path / "articles"
     art.mkdir()
     for art_id in "ab":
@@ -389,8 +392,14 @@ def test_align_reads_each_file_with_no_earlier_level_alive(tmp_path, monkeypatch
         return read_article(*args)
 
     monkeypatch.setattr(cli, "read_article", counting_read_article)
-    collections.deque(cli._align(cli._list_articles(art), 0.4), maxlen=0)
-    assert alive_at_reads == [[], ["taga0"], ["taga0"], ["taga0"], [], ["tagb0"], ["tagb0"], ["tagb0"]]
+    articles = cli._list_articles(art)
+    expected = [[], ["taga0"], ["taga0"], ["taga0"], [], ["tagb0"], ["tagb0"], ["tagb0"]]
+    collections.deque(cli._align(articles, 0.4), maxlen=0)
+    assert alive_at_reads == expected
+    alive_at_reads.clear()
+    stores = [load_ppdb(ppdb_file), load_synonyms(synonym_file)]
+    assert cli._mine_articles(articles, 0.4, inventory, stores).total_pairs == 2 * 3 * len(EXAMPLE_ROWS)
+    assert alive_at_reads == expected
 
 
 def test_align_memory_does_not_grow_with_articles(tmp_path, capsys):
@@ -440,6 +449,51 @@ def test_runs_import_numpy_and_the_pool_only_where_used(tmp_path, example_corpus
     assert _modules_after_run(sharded, modules) == "0 concurrent.futures.process"
     serial = _mine_args(example_corpus, tmp_path / "t", ppdb_file, synonym_file, ("--workers", "1"))
     assert _modules_after_run(serial, modules) == "0 "
+
+
+_THREADS_AFTER_ENTRYPOINT = """
+import os, sys
+from altlex_miner import cli
+sys.argv = ["altlex-miner", "align", *sys.argv[1:]]
+try:
+    cli.entrypoint()
+except SystemExit as exc:
+    code = exc.code
+print(code, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+@pytest.mark.skipif(os.cpu_count() == 1, reason="OpenBLAS starts no extra thread on one CPU")
+def test_cli_process_starts_numpy_with_one_thread(tmp_path, monkeypatch):
+    # Alignment calls no BLAS routine, so the console script keeps OpenBLAS
+    # from starting threads that would only spin; a caller's value wins,
+    # and ``main`` leaves the environment of in-process callers alone.
+    art = tmp_path / "articles"
+    art.mkdir()
+    (art / "a.0.txt").write_text("Although it rained, we left.\nThe sun rose.\n", encoding="utf-8")
+    (art / "a.1.txt").write_text("It rained. We left.\nThe sun rose.\n", encoding="utf-8")
+    argv = [str(art), "-o", str(tmp_path / "aligned.tsv")]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    # OpenBLAS also reads these two when its own variable is unset.
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+
+    def run(extra_env):
+        out = subprocess.run(
+            [sys.executable, "-c", _THREADS_AFTER_ENTRYPOINT, *argv],
+            env={**env, **extra_env}, capture_output=True, text=True, check=True, timeout=120,
+        )
+        return out.stdout.splitlines()[-1].split()
+
+    assert run({}) == ["0", "1", "1"]
+    code, _, kept = run({"OPENBLAS_NUM_THREADS": "2"})
+    assert (code, kept) == ("0", "2")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert main(["align", *argv]) == 0
+    assert dict(os.environ) == before
 
 
 def _pickled_types(obj) -> set[type]:
@@ -624,7 +678,19 @@ def test_mine_pool_parent_memory_does_not_grow_with_rows(tmp_path, ppdb_file, sy
 
 def test_mine_pool_malformed_last_row_is_input_error(tmp_path, ppdb_file, synonym_file, monkeypatch, capsys):
     # The parent reads the bad row after handing the pool three windows of
-    # one-row tasks; the run still writes nothing.
+    # one-row tasks; the run still writes nothing. Leaving the pool's block
+    # waits for every task handed out, so the parent first cancels those
+    # not yet started.
+    from concurrent.futures import ProcessPoolExecutor
+
+    shutdowns = []
+
+    class ShutdownRecordingPool(ProcessPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            shutdowns.append((wait, cancel_futures))
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", ShutdownRecordingPool)
     monkeypatch.setattr(cli, "_ROWS_PER_TASK", 1)
     corpus = _write_rows(tmp_path / "pairs.tsv", 12)
     with corpus.open("a", encoding="utf-8") as fh:
@@ -632,6 +698,7 @@ def test_mine_pool_malformed_last_row_is_input_error(tmp_path, ppdb_file, synony
     out = tmp_path / "out"
     assert main(_mine_args(corpus, out, ppdb_file, synonym_file, ("--workers", "2"))) == 2
     assert f"error: {corpus}: line 13: expected 2 tab-separated fields, got 1" in capsys.readouterr().err
+    assert shutdowns[0] == (True, True)
     assert not out.exists()
 
 

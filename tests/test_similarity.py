@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -199,6 +200,22 @@ def test_csr_weights_match_compute_idf_bits():
     df = np.bincount(counts[1], minlength=len(vocab))
     weights = similarity.csr_weights(counts, df, len(sentences))
     assert [w.tolist() for w in weights] == [w.tolist() for w in _weights(sentences, vocab, idf)]
+
+
+_BLAS_NAMES = {"dot", "matmul", "vdot", "inner", "tensordot", "einsum", "linalg"}
+
+
+def test_kernel_calls_no_blas_routine():
+    # The console script starts OpenBLAS with one thread; that costs
+    # alignment nothing only while the kernel makes no BLAS call.
+    tree = ast.parse(Path(similarity.__file__).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+    assert found == []
 
 
 def test_tsv_mine_does_not_import_scipy(tmp_path, ppdb_file, synonym_file):
