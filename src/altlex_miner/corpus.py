@@ -21,7 +21,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import similarity
 from .text import Sentence, read_lines, tokenize
 
 
@@ -197,7 +196,9 @@ def align_articles(
     cx, sx = complex_article.sentences, simple_article.sentences
     if not (cx and sx):
         return []
-    best, scores = similarity.best_matches(cx, sx)
+    from .similarity import best_matches  # numpy, which TSV runs never need
+
+    best, scores = best_matches(cx, sx)
     return [
         SentencePair(
             complex=cx[ci],

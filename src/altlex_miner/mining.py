@@ -16,12 +16,19 @@ store once, on first use, into one index keyed by the expansions' first
 tokens; a non-explicit side is then scanned once for all of them. A
 substitution splices token tuples, so only the replacement is split into
 tokens, never the whole sentence.
+
+A pair's candidates are put in order once: where verified candidates
+overlap, the best by paraphrase score, span, resource and target is kept.
+That ranking is total except between candidates that give identical
+records, and the writers sort their records, so no other order (of
+stores, expansions or matches) reaches an output.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .corpus import SentencePair
@@ -57,11 +64,6 @@ class ChangeCase:
     def __post_init__(self) -> None:
         if (self.kind is CaseKind.OTHER) != (self.other_kind is not None):
             raise ValueError("other_kind must be present exactly when kind is OTHER")
-
-    def __str__(self) -> str:
-        if self.other_kind is not None:
-            return f"{self.kind.value}:{self.other_kind.value}"
-        return self.kind.value
 
 
 # The seven cases ``classify_annotations`` returns, built once.
@@ -115,18 +117,12 @@ class AltLexInventory:
     """Aggregated mining result: records plus case and alignment tallies."""
 
     records: dict[tuple[tuple[str, ...], Sense], AltLexRecord] = field(default_factory=dict)
-    per_case_counts: dict[ChangeCase, int] = field(default_factory=dict)
-    per_sense_alignment_counts: dict[Sense, int] = field(default_factory=dict)
+    per_case_counts: Counter[ChangeCase] = field(default_factory=Counter)
+    per_sense_alignment_counts: Counter[Sense] = field(default_factory=Counter)
 
     @property
     def total_pairs(self) -> int:
-        return sum(self.per_case_counts.values())
-
-    def _add_case(self, case: ChangeCase) -> None:
-        self.per_case_counts[case] = self.per_case_counts.get(case, 0) + 1
-
-    def _add_alignment(self, sense: Sense) -> None:
-        self.per_sense_alignment_counts[sense] = self.per_sense_alignment_counts.get(sense, 0) + 1
+        return self.per_case_counts.total()
 
     def _add_record(
         self, text: tuple[str, ...], sense: Sense, resource: Resource, count: int, pair_ids: Iterable[str]
@@ -141,19 +137,13 @@ class AltLexInventory:
             record.example_pair_ids.extend(pair_ids)
             record.resource = _merge_resource(record.resource, resource)
 
-    def _add_candidate(self, candidate: AltLexCandidate) -> None:
-        target, resource = candidate.paraphrase.target, candidate.paraphrase.resource
-        self._add_record(target, candidate.sense, resource, 1, (candidate.pair.source_id,))
-
     def update(self, other: "AltLexInventory") -> None:
         """Fold ``other`` into this inventory in place, leaving ``other``
         unchanged: its example ids follow the ones already here. Folding a
         sequence of inventories copies each id once, where a ``merge``
         chain copies every id merged before it again."""
-        for case, count in other.per_case_counts.items():
-            self.per_case_counts[case] = self.per_case_counts.get(case, 0) + count
-        for sense, count in other.per_sense_alignment_counts.items():
-            self.per_sense_alignment_counts[sense] = self.per_sense_alignment_counts.get(sense, 0) + count
+        self.per_case_counts.update(other.per_case_counts)
+        self.per_sense_alignment_counts.update(other.per_sense_alignment_counts)
         for r in other.records.values():
             self._add_record(r.text, r.sense, r.resource, r.token_count, r.example_pair_ids)
 
@@ -236,48 +226,38 @@ def verify_candidate(candidate: AltLexCandidate, inventory: ConnectiveInventory)
     return any(ann.connective_id == connective_id for ann in detect_explicit(substituted, inventory))
 
 
-# One connective's expansions by first token: (store position, rank in that
-# store's ``expand`` result, entry).
-_FirstTokenIndex = dict[str, list[tuple[int, int, ParaphraseEntry]]]
-
-
 class _Expansions:
     """Each connective's expansions from all stores, indexed by first token.
 
     A connective's index is built on its first use and kept for the life of
     this object, which is one ``mine_corpus`` call: each (store,
-    connective) pair is expanded once.
+    connective) pair is expanded once. Matches keep no store or expansion
+    order: ``_mine_single``'s overlap ranking is the only candidate order.
     """
 
     def __init__(self, inventory: ConnectiveInventory, stores: list[ParaphraseStore]):
         self._inventory = inventory
         self._stores = stores
-        self._by_connective: dict[str, _FirstTokenIndex] = {}
-
-    def _index(self, connective: ConnectiveEntry) -> _FirstTokenIndex:
-        index = self._by_connective.get(connective.id)
-        if index is None:
-            index = self._by_connective[connective.id] = {}
-            for store_pos, store in enumerate(self._stores):
-                for rank, entry in enumerate(expand(connective, store, self._inventory)):
-                    index.setdefault(entry.target[0], []).append((store_pos, rank, entry))
-        return index
+        self._by_connective: dict[str, dict[str, list[ParaphraseEntry]]] = {}
 
     def matches(
         self, connective: ConnectiveEntry, sentence: Sentence
-    ) -> list[tuple[ParaphraseEntry, TokenSpan]]:
-        """Every expansion occurrence in the sentence, in store order, then
-        expansion rank, then start: the order of ``match_phrase`` run for
-        each entry of each store's ``expand`` result."""
+    ) -> Iterator[tuple[ParaphraseEntry, TokenSpan]]:
+        """Every expansion occurrence in the sentence, left to right: the
+        hits, each as often, that ``match_phrase`` gives for each entry of
+        each store's ``expand`` result."""
+        index = self._by_connective.get(connective.id)
+        if index is None:
+            index = self._by_connective[connective.id] = {}
+            for store in self._stores:
+                for entry in expand(connective, store, self._inventory):
+                    index.setdefault(entry.target[0], []).append(entry)
         lowers = sentence.lower_forms
-        index = self._index(connective)
-        hits = []
         for start, token in enumerate(lowers):
-            for store_pos, rank, entry in index.get(token, ()):
-                if lowers[start : start + len(entry.target)] == entry.target:
-                    hits.append((store_pos, rank, start, entry))
-        hits.sort(key=lambda hit: hit[:3])
-        return [(entry, TokenSpan(start, start + len(entry.target))) for _, _, start, entry in hits]
+            for entry in index.get(token, ()):
+                end = start + len(entry.target)
+                if lowers[start:end] == entry.target:
+                    yield entry, TokenSpan(start, end)
 
 
 def _mine_single(
@@ -287,42 +267,29 @@ def _mine_single(
     inventory: ConnectiveInventory,
     expansions: _Expansions,
 ) -> list[AltLexCandidate]:
+    """The pair's verified candidates, keeping the best of each overlapping
+    group: higher paraphrase score first, then leftmost span, then resource
+    and target for a total deterministic order."""
     connective = inventory.by_id[annotation.connective_id]
     nonexp = pair.simple if direction is CaseKind.EXP_NON_EXP else pair.complex
     verified: list[AltLexCandidate] = []
     for paraphrase, span in expansions.matches(connective, nonexp):
-        candidate = AltLexCandidate(
-            pair=pair,
-            direction=direction,
-            connective=connective,
-            paraphrase=paraphrase,
-            span=span,
-        )
+        candidate = AltLexCandidate(pair, direction, connective, paraphrase, span)
         if verify_candidate(candidate, inventory):
             verified.append(candidate)
-    return _resolve_overlaps(verified)
-
-
-def _resolve_overlaps(candidates: list[AltLexCandidate]) -> list[AltLexCandidate]:
-    """Keep the best candidate per overlapping region: higher paraphrase
-    score first, then leftmost span, then resource and target for a total
-    deterministic order."""
-    ranked = sorted(
-        candidates,
+    verified.sort(
         key=lambda c: (
             -c.paraphrase.score,
             c.span.start,
             c.span.end,
             _RESOURCE_RANK[c.paraphrase.resource],
             c.paraphrase.target,
-        ),
+        )
     )
     kept: list[AltLexCandidate] = []
-    for cand in ranked:
-        if any(cand.span.overlaps(k.span) for k in kept):
-            continue
-        kept.append(cand)
-    kept.sort(key=lambda c: (c.span.start, c.span.end))
+    for cand in verified:
+        if not any(cand.span.overlaps(k.span) for k in kept):
+            kept.append(cand)
     return kept
 
 
@@ -352,7 +319,7 @@ def _fold_pair(
     complex_anns = detect_explicit(pair.complex, inventory)
     simple_anns = detect_explicit(pair.simple, inventory)
     case = classify_annotations(complex_anns, simple_anns)
-    result._add_case(case)
+    result.per_case_counts[case] += 1
     # Only a one-sided single-annotation pair is mined, for the connective
     # of its explicit side.
     if case.kind is CaseKind.EXP_NON_EXP:
@@ -361,6 +328,6 @@ def _fold_pair(
         annotation = simple_anns[0]
     else:
         return
-    result._add_alignment(annotation.sense)
-    for candidate in _mine_single(pair, case.kind, annotation, inventory, expansions):
-        result._add_candidate(candidate)
+    result.per_sense_alignment_counts[annotation.sense] += 1
+    for c in _mine_single(pair, case.kind, annotation, inventory, expansions):
+        result._add_record(c.paraphrase.target, c.sense, c.paraphrase.resource, 1, (pair.source_id,))

@@ -10,12 +10,13 @@ and ``cosine_matrix`` reduces each block to its rows' first maxima before
 the next is built. No n x m array is ever held. Every cosine equals the
 pure-Python reference ``corpus.tfidf_cosine`` bit for bit.
 
-numpy is imported inside the functions that need it: TSV runs never align,
-and importing it costs 13.8 MiB of RSS and 0.08-0.11 s (2-vCPU VM). With
-OpenBLAS's default pool the import also starts a thread per further CPU,
-which spins (0.03-0.06 s of CPU in the next 0.5 s, with no BLAS call).
-This module calls no BLAS routine, so the CLI starts OpenBLAS with one
-thread.
+This is the package's only module that imports numpy, and
+``corpus.align_articles`` imports it only when it aligns: TSV runs never
+align, and importing numpy costs 13.8 MiB of RSS and 0.08-0.11 s (2-vCPU
+VM). With OpenBLAS's default pool the import also starts a thread per
+further CPU, which spins (0.03-0.06 s of CPU in the next 0.5 s, with no
+BLAS call). This module calls no BLAS routine, so the CLI starts OpenBLAS
+with one thread.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from itertools import chain
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .text import Sentence
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Most products, and most cells, ``cosine_blocks`` holds for one block of
 # rows. It bounds the temporaries. On the benchmark's article-align input
@@ -54,8 +53,6 @@ def csr_counts(
     ``vocab`` ids must be ``0 .. len(vocab) - 1``, as ``build_vocab`` makes
     them.
     """
-    import numpy as np
-
     forms = [s.lower_forms for s in sentences]
     n_rows = len(forms)
     lengths = np.fromiter(map(len, forms), np.int64, n_rows)
@@ -79,8 +76,6 @@ def csr_weights(counts, df: np.ndarray, n_docs: int) -> tuple[np.ndarray, np.nda
     with ``math.log`` on Python numbers as there, so that every weight has
     the reference's bits.
     """
-    import numpy as np
-
     indptr, indices, tf = counts
     values, inverse = np.unique(df[indices], return_inverse=True)
     idf = [math.log((n_docs + 1) / (d + 1)) + 1.0 for d in values.tolist()]
@@ -99,8 +94,6 @@ def best_matches(
     norm is summed in ascending term order, as the reference sums it.
     Memory holds one block of ``cosine_blocks`` rows, not the matrix.
     """
-    import numpy as np
-
     vocab = build_vocab([complex_sentences, simple_sentences])
     size = len(vocab)
     complex_counts = csr_counts(complex_sentences, vocab)
@@ -117,8 +110,6 @@ def _squared_norms(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Squared Euclidean norm of each CSR row, summed in ascending term
     order as the reference sums it; 1.0 for an empty row, whose dot
     products are all 0, so that its cells divide to 0.0."""
-    import numpy as np
-
     n = len(indptr) - 1
     norms = np.bincount(np.repeat(np.arange(n), np.diff(indptr)), data * data, minlength=n)
     # bincount returns integers when there are no terms at all.
@@ -140,8 +131,6 @@ def cosine_blocks(a, b, vocab_size: int) -> Iterator[tuple[int, np.ndarray]]:
     computes it. The bits matter: alignment ties are broken by exact
     comparison.
     """
-    import numpy as np
-
     a_ptr, a_idx, a_dat = a
     b_ptr, b_idx, b_dat = b
     n, m = len(a_ptr) - 1, len(b_ptr) - 1
@@ -199,8 +188,6 @@ def cosine_matrix(a, b, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     ``cosine_blocks`` matrix reduced by ``argmax`` and ``max`` along its
     rows, one block at a time. ``b`` must have at least one row.
     """
-    import numpy as np
-
     n = len(a[0]) - 1
     best = np.zeros(n, dtype=np.int64)
     score = np.zeros(n)

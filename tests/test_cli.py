@@ -441,10 +441,10 @@ def _modules_after_run(argv, modules):
 
 
 def test_runs_import_numpy_and_the_pool_only_where_used(tmp_path, example_corpus, ppdb_file, synonym_file):
-    # Workers align article shards, so the parent never needs numpy; a run
-    # with one worker never starts a pool.
+    # Workers align article shards, so the parent never needs numpy or the
+    # module that imports it; a run with one worker never starts a pool.
     art = _sharded_article_dir(tmp_path)
-    modules = ("numpy", "concurrent.futures.process")
+    modules = ("numpy", "altlex_miner.similarity", "concurrent.futures.process")
     sharded = _mine_args(art, tmp_path / "a", ppdb_file, synonym_file, ("--workers", "2"))
     assert _modules_after_run(sharded, modules) == "0 concurrent.futures.process"
     serial = _mine_args(example_corpus, tmp_path / "t", ppdb_file, synonym_file, ("--workers", "1"))
@@ -1088,8 +1088,11 @@ def test_percent_rows_sum_exact():
 def test_module_entrypoint_smoke(tmp_path):
     path = tmp_path / "agree.tsv"
     path.write_text("p\t1\t1\nq\t0\t0\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-m", "altlex_miner", "kappa", str(path)],
+        env=env,
         capture_output=True,
         text=True,
     )

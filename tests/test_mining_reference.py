@@ -9,10 +9,12 @@ inventory, example ids in order included.
 """
 
 from collections import Counter
+from unittest.mock import patch
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from altlex_miner import mining
 from altlex_miner.corpus import SentencePair
 from altlex_miner.discourse import ConnectiveEntry, ConnectiveInventory, Sense, detect_explicit
 from altlex_miner.lexres import ParaphraseStore, Resource, expand
@@ -176,6 +178,19 @@ def test_mine_corpus_equals_reference_miner(raw_pairs, synonyms_first):
     assert _mined(pairs, INVENTORY, stores) == reference_mine(pairs, INVENTORY, stores)
 
 
+@given(st.lists(st.tuples(_SIDE, _SIDE), min_size=1, max_size=6))
+@example(PLANTED)
+def test_outputs_do_not_depend_on_expansion_order(raw_pairs):
+    # The overlap ranking is the only candidate order: neither the store
+    # order nor the order of an ``expand`` result may change what is mined.
+    pairs = _pairs(raw_pairs)
+    expected = _mined(pairs, INVENTORY, STORES)
+    assert _mined(pairs, INVENTORY, STORES[::-1]) == expected
+    real_expand = mining.expand
+    with patch.object(mining, "expand", lambda *args: real_expand(*args)[::-1]):
+        assert _mined(pairs, INVENTORY, STORES) == expected
+
+
 def test_planted_corpus_exercises_the_miner():
     # The property's explicit example mines from both stores, at a
     # capitalized sentence start ("Due to" in p0) and among overlapping
@@ -233,16 +248,16 @@ def test_substitute_equals_tokenizing_the_joined_text(raw, replacement, data):
 
 @given(_SIDE)
 @example("Due to the fact as a due to")
-def test_expansion_index_matches_in_nested_loop_order(raw):
-    # The index must give what match_phrase gives for each expansion of
-    # each store, in that order.
+def test_expansion_index_matches_the_nested_loop(raw):
+    # The index must give every match that match_phrase gives for each
+    # expansion of each store, each as often; their order is not kept.
     sentence = tokenize(raw)
     expansions = _Expansions(INVENTORY, STORES)
     for connective in INVENTORY:
-        nested = [
+        nested = Counter(
             (para, span)
             for store in STORES
             for para in expand(connective, store, INVENTORY)
             for span in match_phrase(sentence, para.target)
-        ]
-        assert expansions.matches(connective, sentence) == nested
+        )
+        assert Counter(expansions.matches(connective, sentence)) == nested

@@ -136,7 +136,8 @@ _UNREACHED_PUBLIC_NAMES = {
     "compute_idf": "bound by perfbench's tracer",
     "match_phrase": "bound by perfbench's tracer",
     "load_article_dir": "bound by perfbench's tracer",
-    "load_aligned_tsv": "named in the README's Library example",
+    # The README's Library example does not count: the check strips fenced code.
+    "load_aligned_tsv": "bound by perfbench's tracer as cli.load_aligned_tsv",
 }
 
 
