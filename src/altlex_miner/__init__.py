@@ -21,7 +21,6 @@ from .discourse import (
 )
 from .lexres import ParaphraseEntry, ParaphraseStore, Resource, expand, load_ppdb, load_synonyms
 from .mining import (
-    AltLexCandidate,
     AltLexInventory,
     AltLexRecord,
     CaseKind,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgreementTable",
-    "AltLexCandidate",
     "AltLexInventory",
     "AltLexRecord",
     "Article",

@@ -109,9 +109,10 @@ _ARTICLE_FILE_RE = re.compile(r"^(?P<id>.+)\.(?P<level>\d+)\.txt$")
 def list_article_dir(path: str | Path) -> dict[str, dict[int, str]]:
     """List ``<articleid>.<level>.txt`` files as {article_id: {level: file
     path}}, without reading them. Files not matching the naming pattern are
-    ignored. A level outside 0..5, or two files for one article level (such
-    as ``s.0.txt`` and ``s.00.txt``), raises CorpusFormatError naming the
-    files.
+    ignored. A level outside 0..5, two files for one article level (such
+    as ``s.0.txt`` and ``s.00.txt``), or an id holding ``;``, a tab or a
+    carriage return, which would split an example id list, a column or a
+    line of ``altlexes.tsv``, raises CorpusFormatError naming the files.
     """
     root = Path(path)
     if not root.is_dir():
@@ -121,10 +122,12 @@ def list_article_dir(path: str | Path) -> dict[str, dict[int, str]]:
         m = _ARTICLE_FILE_RE.match(file.name)
         if m is None or not file.is_file():
             continue
-        level = int(m.group("level"))
+        art_id, level = m.group("id"), int(m.group("level"))
         if not 0 <= level <= 5:
             raise CorpusFormatError(f"{file}: article level {level} outside 0..5")
-        levels = files.setdefault(m.group("id"), {})
+        if any(c in art_id for c in ";\t\r"):
+            raise CorpusFormatError(f"{file}: article id {art_id!r} holds ';', a tab or a carriage return")
+        levels = files.setdefault(art_id, {})
         if level in levels:
             raise CorpusFormatError(f"{levels[level]} and {file}: both are article level {level}")
         levels[level] = str(file)

@@ -187,7 +187,6 @@ _VERB_LIST = frozenset(
 )
 
 _CLITIC_RE = re.compile(r"\w+['’](s|re|ve|ll|d|m)$")
-_SUFFIX_RE = re.compile(r".*(ed|s|ing)$")
 
 
 def _is_verbish(lower: str, position: int) -> bool:
@@ -197,7 +196,7 @@ def _is_verbish(lower: str, position: int) -> bool:
         return True
     if _CLITIC_RE.fullmatch(lower):
         return True
-    if position > 0 and lower.isalpha() and _SUFFIX_RE.fullmatch(lower):
+    if position > 0 and lower.isalpha() and lower.endswith(("ed", "s", "ing")):
         return True
     return False
 

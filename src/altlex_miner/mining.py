@@ -2,14 +2,14 @@
 
 Each pair is classified by what the detector finds on the two sides. Only
 pairs where exactly one side carries exactly one explicit connective are
-mined: every expansion of the connective found in the non-explicit side
-becomes a candidate, the connective is substituted into the candidate's
-span, and the candidate is kept only if re-detection finds the same
-connective. A candidate's sense is its connective's prior top sense, the
-one the detector assigns. Verified candidates aggregate into an
-AltLexInventory keyed by (text, sense); inventories merge associatively so
-corpora can be sharded. ``mine_corpus``, the one entry point, folds pairs
-one at a time from any iterable, so a corpus streams through mining.
+mined: every expansion of the connective found in the non-explicit side is
+a match, the connective is substituted into the match's span, and the
+match is kept only if re-detection finds the same connective. A kept
+match's sense is its connective's prior top sense, the one the detector
+assigns. Kept matches aggregate into an AltLexInventory keyed by (text,
+sense); inventories merge associatively so corpora can be sharded.
+``mine_corpus``, the one entry point, folds pairs one at a time from any
+iterable, so a corpus streams through mining.
 
 Each ``mine_corpus`` call expands a connective through each paraphrase
 store once, on first use, into one index keyed by the expansions' first
@@ -17,11 +17,11 @@ tokens; a non-explicit side is then scanned once for all of them. A
 substitution splices token tuples, so only the replacement is split into
 tokens, never the whole sentence.
 
-A pair's candidates are put in order once: where verified candidates
-overlap, the best by paraphrase score, span, resource and target is kept.
-That ranking is total except between candidates that give identical
-records, and the writers sort their records, so no other order (of
-stores, expansions or matches) reaches an output.
+A pair's matches are put in order once: where verified matches overlap,
+the best by paraphrase score, span, resource and target is kept. That
+ranking is total except between matches that give identical records, and
+the writers sort their records, so no other order (of stores, expansions
+or matches) reaches an output.
 """
 
 from __future__ import annotations
@@ -74,33 +74,6 @@ _EXP_NON_EXP = ChangeCase(CaseKind.EXP_NON_EXP)
 _MULTIPLE = ChangeCase(CaseKind.OTHER, OtherKind.MULTIPLE)
 _SAME_REL_DIFF_CONN = ChangeCase(CaseKind.OTHER, OtherKind.SAME_REL_DIFF_CONN)
 _DIFF_REL_DIFF_CONN = ChangeCase(CaseKind.OTHER, OtherKind.DIFF_REL_DIFF_CONN)
-
-
-@dataclass(frozen=True, slots=True)
-class AltLexCandidate:
-    """A paraphrase occurrence in the non-explicit side, awaiting verification."""
-
-    pair: SentencePair
-    direction: CaseKind  # NON_EXP_EXP or EXP_NON_EXP
-    connective: ConnectiveEntry
-    paraphrase: ParaphraseEntry
-    span: TokenSpan
-
-    def __post_init__(self) -> None:
-        if self.direction not in (CaseKind.EXP_NON_EXP, CaseKind.NON_EXP_EXP):
-            raise ValueError(f"direction must be one-sided, got {self.direction}")
-        if self.nonexplicit_sentence.lowers(self.span) != self.paraphrase.target:
-            raise ValueError("candidate span does not match the paraphrase target")
-
-    @property
-    def sense(self) -> Sense:
-        return self.connective.top_sense
-
-    @property
-    def nonexplicit_sentence(self) -> Sentence:
-        if self.direction is CaseKind.EXP_NON_EXP:
-            return self.pair.simple
-        return self.pair.complex
 
 
 @dataclass(slots=True)
@@ -213,17 +186,17 @@ def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...]
     )
 
 
-def verify_candidate(candidate: AltLexCandidate, inventory: ConnectiveInventory) -> bool:
-    """Substitute the connective into the candidate span and re-detect.
+def verify_candidate(
+    sentence: Sentence, span: TokenSpan, connective: ConnectiveEntry, inventory: ConnectiveInventory
+) -> bool:
+    """Substitute the connective into the match's span and re-detect.
 
-    True iff some resulting annotation carries the candidate's connective.
-    The detector gives a connective its prior top sense, so the same
-    connective always comes back with the candidate's sense. Any other
-    outcome discards the candidate.
+    True iff some resulting annotation carries the connective. The detector
+    gives a connective its prior top sense, so a kept match always comes
+    back with ``connective.top_sense``. Any other outcome discards the match.
     """
-    substituted = substitute(candidate.nonexplicit_sentence, candidate.span, candidate.connective.parts[0])
-    connective_id = candidate.connective.id
-    return any(ann.connective_id == connective_id for ann in detect_explicit(substituted, inventory))
+    substituted = substitute(sentence, span, connective.parts[0])
+    return any(ann.connective_id == connective.id for ann in detect_explicit(substituted, inventory))
 
 
 class _Expansions:
@@ -232,7 +205,7 @@ class _Expansions:
     A connective's index is built on its first use and kept for the life of
     this object, which is one ``mine_corpus`` call: each (store,
     connective) pair is expanded once. Matches keep no store or expansion
-    order: ``_mine_single``'s overlap ranking is the only candidate order.
+    order: ``_mine_single``'s overlap ranking is the only match order.
     """
 
     def __init__(self, inventory: ConnectiveInventory, stores: list[ParaphraseStore]):
@@ -261,46 +234,34 @@ class _Expansions:
 
 
 def _mine_single(
-    pair: SentencePair,
-    direction: CaseKind,
-    annotation: ExplicitAnnotation,
-    inventory: ConnectiveInventory,
-    expansions: _Expansions,
-) -> list[AltLexCandidate]:
-    """The pair's verified candidates, keeping the best of each overlapping
-    group: higher paraphrase score first, then leftmost span, then resource
-    and target for a total deterministic order."""
-    connective = inventory.by_id[annotation.connective_id]
-    nonexp = pair.simple if direction is CaseKind.EXP_NON_EXP else pair.complex
-    verified: list[AltLexCandidate] = []
-    for paraphrase, span in expansions.matches(connective, nonexp):
-        candidate = AltLexCandidate(pair, direction, connective, paraphrase, span)
-        if verify_candidate(candidate, inventory):
-            verified.append(candidate)
+    nonexp: Sentence, connective: ConnectiveEntry, inventory: ConnectiveInventory, expansions: _Expansions
+) -> list[tuple[ParaphraseEntry, TokenSpan]]:
+    """The verified matches in the non-explicit side, keeping the best of
+    each overlapping group: higher paraphrase score first, then leftmost
+    span, then resource and target for a total deterministic order."""
+    verified = [
+        (paraphrase, span)
+        for paraphrase, span in expansions.matches(connective, nonexp)
+        if verify_candidate(nonexp, span, connective, inventory)
+    ]
     verified.sort(
-        key=lambda c: (
-            -c.paraphrase.score,
-            c.span.start,
-            c.span.end,
-            _RESOURCE_RANK[c.paraphrase.resource],
-            c.paraphrase.target,
-        )
+        key=lambda m: (-m[0].score, m[1].start, m[1].end, _RESOURCE_RANK[m[0].resource], m[0].target)
     )
-    kept: list[AltLexCandidate] = []
-    for cand in verified:
-        if not any(cand.span.overlaps(k.span) for k in kept):
-            kept.append(cand)
+    kept: list[tuple[ParaphraseEntry, TokenSpan]] = []
+    for paraphrase, span in verified:
+        if not any(span.overlaps(k) for _, k in kept):
+            kept.append((paraphrase, span))
     return kept
 
 
 def mine_corpus(
     pairs: Iterable[SentencePair], inventory: ConnectiveInventory, stores: list[ParaphraseStore]
 ) -> AltLexInventory:
-    """Fold case counts and verified candidates over a corpus.
+    """Fold case counts and verified matches over a corpus.
 
     ``pairs`` is iterated once, in order, and may be a generator. No pair is
     kept after its turn, not even while the next one is drawn: the result
-    holds only the source ids of verified candidates, so a lazy ``pairs``
+    holds only the source ids of verified matches, so a lazy ``pairs``
     is mined in memory that does not grow with its length.
     """
     result = AltLexInventory()
@@ -315,7 +276,7 @@ def _fold_pair(
     result: AltLexInventory, pair: SentencePair, inventory: ConnectiveInventory, expansions: _Expansions
 ) -> None:
     """Count one pair's case into ``result`` and, for a one-sided pair with
-    a single annotation, add its verified candidates."""
+    a single annotation, add its verified matches."""
     complex_anns = detect_explicit(pair.complex, inventory)
     simple_anns = detect_explicit(pair.simple, inventory)
     case = classify_annotations(complex_anns, simple_anns)
@@ -323,11 +284,14 @@ def _fold_pair(
     # Only a one-sided single-annotation pair is mined, for the connective
     # of its explicit side.
     if case.kind is CaseKind.EXP_NON_EXP:
-        annotation = complex_anns[0]
+        annotation, nonexp = complex_anns[0], pair.simple
     elif case.kind is CaseKind.NON_EXP_EXP:
-        annotation = simple_anns[0]
+        annotation, nonexp = simple_anns[0], pair.complex
     else:
         return
     result.per_sense_alignment_counts[annotation.sense] += 1
-    for c in _mine_single(pair, case.kind, annotation, inventory, expansions):
-        result._add_record(c.paraphrase.target, c.sense, c.paraphrase.resource, 1, (pair.source_id,))
+    connective = inventory.by_id[annotation.connective_id]
+    for paraphrase, _ in _mine_single(nonexp, connective, inventory, expansions):
+        result._add_record(
+            paraphrase.target, connective.top_sense, paraphrase.resource, 1, (pair.source_id,)
+        )

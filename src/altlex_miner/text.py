@@ -54,9 +54,6 @@ class Sentence:
     def __len__(self) -> int:
         return len(self.surface_forms)
 
-    def lowers(self, span: TokenSpan | None = None) -> tuple[str, ...]:
-        return self.lower_forms if span is None else self.lower_forms[span.start : span.end]
-
 
 def read_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, str]]:
     """Stream the file's non-blank lines as ``(line number, line)``, without

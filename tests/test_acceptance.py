@@ -22,9 +22,8 @@ from altlex_miner.corpus import (
     tfidf_cosine,
 )
 from altlex_miner.discourse import Sense, detect_explicit
-from altlex_miner.lexres import ParaphraseEntry, ParaphraseStore, Resource
+from altlex_miner.lexres import ParaphraseStore, Resource
 from altlex_miner.mining import (
-    AltLexCandidate,
     AltLexInventory,
     AltLexRecord,
     CaseKind,
@@ -61,26 +60,16 @@ def test_c1_worked_example_suite(
     assert _mine_one(broadcast_pair, inventory, fixture_stores)[0] == []
 
     # "despite" -> Contrast verifies true after substitution.
-    despite_cand = AltLexCandidate(
-        pair=comics_pair,
-        direction=CaseKind.NON_EXP_EXP,
-        connective=inventory.by_id["though"],
-        paraphrase=ParaphraseEntry(("though",), ("despite",), 3.5, Resource.PPDB),
-        span=match_phrase(comics_pair.complex, ("despite",))[0],
-    )
-    assert despite_cand.sense is Sense.CONTRAST
-    assert verify_candidate(despite_cand, inventory) is True
+    though = inventory.by_id["though"]
+    assert though.top_sense is Sense.CONTRAST
+    span = match_phrase(comics_pair.complex, ("despite",))[0]
+    assert verify_candidate(comics_pair.complex, span, though, inventory) is True
 
     # temporal-PP "since" -> Cause verifies false after substitution.
-    since_cand = AltLexCandidate(
-        pair=landmark_pair,
-        direction=CaseKind.EXP_NON_EXP,
-        connective=inventory.by_id["because"],
-        paraphrase=ParaphraseEntry(("because",), ("since",), 1.0, Resource.SYNONYM_LEXICON),
-        span=match_phrase(landmark_pair.simple, ("since",))[0],
-    )
-    assert since_cand.sense is Sense.CAUSE
-    assert verify_candidate(since_cand, inventory) is False
+    because = inventory.by_id["because"]
+    assert because.top_sense is Sense.CAUSE
+    span = match_phrase(landmark_pair.simple, ("since",))[0]
+    assert verify_candidate(landmark_pair.simple, span, because, inventory) is False
 
     # drones pair: Exp-NonExp "before" Asynchronous mines AltLex "used to".
     assert _categorize(drones_pair, inventory) == ChangeCase(CaseKind.EXP_NON_EXP)

@@ -260,7 +260,9 @@ def test_mine_article_dir_deterministic_across_worker_counts(tmp_path, ppdb_file
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-@pytest.mark.parametrize("bad_file", ["utf-8", "level", "duplicate-level", "utf-8-last-level"])
+@pytest.mark.parametrize(
+    "bad_file", ["utf-8", "level", "duplicate-level", "utf-8-last-level", "semicolon-id", "tab-id"]
+)
 def test_mine_article_shard_errors_are_input_errors(tmp_path, ppdb_file, synonym_file, capsys, bad_file):
     art = _sharded_article_dir(tmp_path)
     if bad_file == "utf-8":
@@ -275,6 +277,12 @@ def test_mine_article_shard_errors_are_input_errors(tmp_path, ppdb_file, synonym
         bad = art / "e.01.txt"
         bad.write_text("A sentence.\n", encoding="utf-8")
         message = f"error: {bad} and {art / 'e.1.txt'}: both are article level 1"
+    elif bad_file.endswith("-id"):
+        # An id with ";" would split altlexes.tsv's example id list, one
+        # with a tab its columns.
+        bad = art / ("a;b.1.txt" if bad_file == "semicolon-id" else "a\tb.0.txt")
+        bad.write_text("A sentence.\n", encoding="utf-8")
+        message = f"error: {bad}: article id"
     else:
         # The last level of the last article: every level before it has
         # been aligned, and in one process mined, when the bad byte is read.

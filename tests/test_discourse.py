@@ -1,14 +1,18 @@
 import random
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from altlex_miner.discourse import (
     InventoryError,
     Sense,
+    _is_verbish,
     detect_explicit,
     load_inventory,
 )
-from altlex_miner.text import tokenize
+from altlex_miner.text import split_tokens, tokenize
 
 from conftest import WOODCUTS_COMPLEX, WOODCUTS_SIMPLE, BROADCAST_COMPLEX, LANDMARK_SIMPLE
 
@@ -128,3 +132,20 @@ def test_multiple_connectives_all_reported(inventory):
 def test_determinism(inventory):
     s = tokenize(WOODCUTS_SIMPLE)
     assert detect_explicit(s, inventory) == detect_explicit(s, inventory)
+
+
+# The verb-suffix rule as a regex, the reference for ``str.endswith``.
+_SUFFIX_RE = re.compile(r".*(ed|s|ing)$")
+
+
+@given(
+    st.text(alphabet="edsingax\nİß'’07 ", max_size=10),
+    st.sampled_from(["", "ed", "s", "ing", "in", "d", "ed\n", "s\n", "’s", "7s"]),
+    st.integers(0, 2),
+)
+def test_verb_suffix_check_agrees_with_the_regex(stem, ending, position):
+    raw = stem + ending
+    # isalpha() is tested first, so no newline reaches the regex's "$".
+    for lower in {raw, raw.lower(), *split_tokens(raw), *split_tokens(raw.lower())}:
+        by_regex = position > 0 and lower.isalpha() and _SUFFIX_RE.fullmatch(lower) is not None
+        assert _is_verbish(lower, position) == (_is_verbish(lower, 0) or by_regex)

@@ -5,9 +5,8 @@ import pytest
 
 from altlex_miner.corpus import SentencePair
 from altlex_miner.discourse import ExplicitAnnotation, Sense, detect_explicit
-from altlex_miner.lexres import ParaphraseEntry, Resource
+from altlex_miner.lexres import Resource
 from altlex_miner.mining import (
-    AltLexCandidate,
     CaseKind,
     ChangeCase,
     OtherKind,
@@ -105,73 +104,21 @@ def test_substitute_invalid_span():
         substitute(tokenize("a b"), TokenSpan(1, 5), ("x",))
 
 
-def _candidate(pair, direction, connective, target, score, resource, span):
-    source = connective.parts[0]
-    return AltLexCandidate(
-        pair=pair,
-        direction=direction,
-        connective=connective,
-        paraphrase=ParaphraseEntry(source=source, target=target, score=score, resource=resource),
-        span=span,
-    )
-
-
-def test_candidate_span_must_match_target(comics_pair, inventory):
-    with pytest.raises(ValueError, match="span does not match"):
-        _candidate(
-            comics_pair,
-            CaseKind.NON_EXP_EXP,
-            inventory.by_id["though"],
-            ("despite",),
-            3.5,
-            Resource.PPDB,
-            TokenSpan(0, 1),  # covers "Today", not "despite"
-        )
-
-
 def test_verify_comics_true(comics_pair, inventory):
-    cand = _candidate(
-        comics_pair,
-        CaseKind.NON_EXP_EXP,
-        inventory.by_id["though"],
-        ("despite",),
-        3.5,
-        Resource.PPDB,
-        match_phrase(comics_pair.complex, ("despite",))[0],
-    )
-    assert verify_candidate(cand, inventory) is True
+    span = match_phrase(comics_pair.complex, ("despite",))[0]
+    assert verify_candidate(comics_pair.complex, span, inventory.by_id["though"], inventory) is True
 
 
 def test_verify_landmark_false(landmark_pair, inventory):
-    cand = _candidate(
-        landmark_pair,
-        CaseKind.EXP_NON_EXP,
-        inventory.by_id["because"],
-        ("since",),
-        1.0,
-        Resource.SYNONYM_LEXICON,
-        match_phrase(landmark_pair.simple, ("since",))[0],
-    )
-    assert verify_candidate(cand, inventory) is False
+    span = match_phrase(landmark_pair.simple, ("since",))[0]
+    assert verify_candidate(landmark_pair.simple, span, inventory.by_id["because"], inventory) is False
 
 
 def test_verify_filter_rejection_path(inventory):
     # Substituting into a span whose right side has no finite clause fails.
-    pair = SentencePair(
-        complex=tokenize("She left early owing to the office closure."),
-        simple=tokenize("She left early because the office closed."),
-        source_id="p",
-    )
-    cand = _candidate(
-        pair,
-        CaseKind.NON_EXP_EXP,
-        inventory.by_id["because"],
-        ("owing", "to", "the", "office", "closure"),
-        1.0,
-        Resource.PPDB,
-        match_phrase(pair.complex, ("owing", "to", "the", "office", "closure"))[0],
-    )
-    assert verify_candidate(cand, inventory) is False
+    sentence = tokenize("She left early owing to the office closure.")
+    span = match_phrase(sentence, ("owing", "to", "the", "office", "closure"))[0]
+    assert verify_candidate(sentence, span, inventory.by_id["because"], inventory) is False
 
 
 def test_mine_pair_comics(comics_pair, inventory, fixture_stores):

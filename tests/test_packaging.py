@@ -1,4 +1,5 @@
 import ast
+import inspect
 import re
 import sys
 from argparse import _HelpAction, _SubParsersAction
@@ -163,3 +164,25 @@ def test_public_names_are_used_or_documented():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert public - used - documented == set(_UNREACHED_PUBLIC_NAMES)
+
+
+def test_exports_are_the_imported_public_names():
+    # A name left in __all__ after its deletion breaks ``import *``; a public
+    # class or function imported but not exported is surface nobody listed.
+    exported = altlex_miner.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(altlex_miner, name)] == []
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {
+        name
+        for name in imported
+        if not name.startswith("_")
+        and (inspect.isclass(obj := getattr(altlex_miner, name)) or inspect.isfunction(obj))
+    }
+    assert public - set(exported) == set()

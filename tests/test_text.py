@@ -90,7 +90,7 @@ def test_match_phrase_spans_sorted_unique_starts(letters):
     assert starts == sorted(starts)
     assert len(starts) == len(set(starts))
     for sp in spans:
-        assert s.lowers(sp) == ("a", "b")
+        assert s.lower_forms[sp.start : sp.end] == ("a", "b")
 
 
 @given(
