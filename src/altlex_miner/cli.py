@@ -2,7 +2,8 @@
 
 Outputs are deterministic: fixed row orders, fixed float formats, and
 largest-remainder percentage rounding so report percentages always sum to
-100.00.
+100.00. ``mine`` builds its report, what ``altlexes.json`` holds, once;
+``cases.tsv``, ``altlexes.tsv`` and the summary lines are read from it.
 
 ``mine`` and ``align`` stream their input. An aligned TSV is read one raw
 text row at a time; an article directory is listed as article ids and
@@ -40,7 +41,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -92,15 +93,9 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
+# A config key's type is its field's default's, str where that is None.
 _CONFIG_TYPES = {
-    "ppdb": str,
-    "synonyms": str,
-    "inventory": str,
-    "threshold": float,
-    "min_score": float,
-    "workers": int,
-    "output_dir": str,
-    "output": str,
+    f.name: str if f.default is None else type(f.default) for f in fields(RunConfig) if f.name != "input_path"
 }
 
 
@@ -156,75 +151,59 @@ def percent_rows(counts: list[int]) -> list[float]:
     return [f / 100 for f in floors]
 
 
-def _case_totals(inv: AltLexInventory) -> dict[CaseKind, int]:
-    totals = {kind: 0 for kind in CaseKind}
+def _report(inv: AltLexInventory) -> dict:
+    """What ``altlexes.json`` holds, built once for all three files and the
+    summary: the totals of the five cases, Other's three kinds, alignments
+    per sense, and the records ordered by sense, descending token count,
+    then text."""
+    cases = {kind.value: 0 for kind in CaseKind}
+    other = {kind.value: 0 for kind in OtherKind}
     for case, count in inv.per_case_counts.items():
-        totals[case.kind] += count
-    return totals
+        cases[case.kind.value] += count
+        if case.other_kind is not None:
+            other[case.other_kind.value] += count
+    sense_rank = {sense.value: rank for rank, sense in enumerate(Sense)}
+    altlexes = [
+        {
+            "text": " ".join(rec.text),
+            "sense": rec.sense.value,
+            "resource": rec.resource.value,
+            "token_count": rec.token_count,
+            "example_pair_ids": rec.example_pair_ids,
+        }
+        for rec in inv.records.values()
+    ]
+    altlexes.sort(key=lambda a: (sense_rank[a["sense"]], -a["token_count"], a["text"]))
+    return {
+        "total_pairs": inv.total_pairs,
+        "cases": cases,
+        "other_breakdown": other,
+        "sense_alignments": {s.value: inv.per_sense_alignment_counts.get(s, 0) for s in Sense},
+        "altlexes": altlexes,
+    }
 
 
-def write_cases_tsv(path: Path, inv: AltLexInventory) -> None:
-    totals = _case_totals(inv)
-    kinds = list(CaseKind)
-    counts = [totals[k] for k in kinds]
+def write_cases_tsv(path: Path, report: dict) -> None:
+    counts = list(report["cases"].values())
     percents = percent_rows(counts)
     lines = ["case\tcount\tpercent"]
-    for kind, count, pct in zip(kinds, counts, percents):
-        lines.append(f"{kind.value}\t{count}\t{pct:.2f}")
+    for kind, count, pct in zip(report["cases"], counts, percents):
+        lines.append(f"{kind}\t{count}\t{pct:.2f}")
     lines.append(f"Total\t{sum(counts)}\t{sum(percents):.2f}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _ordered_records(inv: AltLexInventory):
-    sense_order = {s: i for i, s in enumerate(Sense)}
-    return sorted(
-        inv.records.values(),
-        key=lambda r: (sense_order[r.sense], -r.token_count, " ".join(r.text)),
-    )
-
-
-def write_altlexes_tsv(path: Path, inv: AltLexInventory) -> None:
+def write_altlexes_tsv(path: Path, report: dict) -> None:
     lines = ["text\tsense\tresource\ttoken_count\tsense_alignments\texample_pair_ids"]
-    for rec in _ordered_records(inv):
-        alignments = inv.per_sense_alignment_counts.get(rec.sense, 0)
-        lines.append(
-            "\t".join(
-                (
-                    " ".join(rec.text),
-                    rec.sense.value,
-                    rec.resource.value,
-                    str(rec.token_count),
-                    str(alignments),
-                    ";".join(rec.example_pair_ids),
-                )
-            )
-        )
+    for a in report["altlexes"]:
+        alignments = report["sense_alignments"][a["sense"]]
+        ids = ";".join(a["example_pair_ids"])
+        lines.append(f"{a['text']}\t{a['sense']}\t{a['resource']}\t{a['token_count']}\t{alignments}\t{ids}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_altlexes_json(path: Path, inv: AltLexInventory) -> None:
-    totals = _case_totals(inv)
-    other = {k.value: 0 for k in OtherKind}
-    for case, count in inv.per_case_counts.items():
-        if case.other_kind is not None:
-            other[case.other_kind.value] += count
-    payload = {
-        "total_pairs": inv.total_pairs,
-        "cases": {kind.value: totals[kind] for kind in CaseKind},
-        "other_breakdown": other,
-        "sense_alignments": {s.value: inv.per_sense_alignment_counts.get(s, 0) for s in Sense},
-        "altlexes": [
-            {
-                "text": " ".join(rec.text),
-                "sense": rec.sense.value,
-                "resource": rec.resource.value,
-                "token_count": rec.token_count,
-                "example_pair_ids": list(rec.example_pair_ids),
-            }
-            for rec in _ordered_records(inv)
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def write_altlexes_json(path: Path, report: dict) -> None:
+    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
 
 def _load_stores(config: RunConfig, inventory: ConnectiveInventory) -> list[ParaphraseStore]:
@@ -378,12 +357,13 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_cases_tsv(out / "cases.tsv", inv)
-    write_altlexes_tsv(out / "altlexes.tsv", inv)
-    write_altlexes_json(out / "altlexes.json", inv)
-    print(f"pairs: {inv.total_pairs}")
-    print(f"altlex types: {len(inv.records)}")
-    print(f"altlex tokens: {sum(r.token_count for r in inv.records.values())}")
+    report = _report(inv)
+    write_cases_tsv(out / "cases.tsv", report)
+    write_altlexes_tsv(out / "altlexes.tsv", report)
+    write_altlexes_json(out / "altlexes.json", report)
+    print(f"pairs: {report['total_pairs']}")
+    print(f"altlex types: {len(report['altlexes'])}")
+    print(f"altlex tokens: {sum(a['token_count'] for a in report['altlexes'])}")
     print(f"wrote {out / 'cases.tsv'}, {out / 'altlexes.tsv'}, {out / 'altlexes.json'}")
     return 0
 

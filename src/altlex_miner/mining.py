@@ -1,6 +1,7 @@
 """The discovery procedure: classify aligned pairs, substitute, verify.
 
-Each pair is classified by what the detector finds on the two sides. Only
+Each pair is classified by what the detector finds on the two sides, as
+one of seven ``ChangeCase`` members (Other splits three ways). Only
 pairs where exactly one side carries exactly one explicit connective are
 mined: every expansion of the connective found in the non-explicit side is
 a match, the connective is substituted into the match's span, and the
@@ -20,7 +21,7 @@ tokens, never the whole sentence.
 A pair's matches are put in order once: where verified matches overlap,
 the best by paraphrase score, span, resource and target is kept. That
 ranking is total except between matches that give identical records, and
-the writers sort their records, so no other order (of stores, expansions
+the CLI's report sorts the records, so no other order (of stores, expansions
 or matches) reaches an output.
 """
 
@@ -56,24 +57,21 @@ class OtherKind(enum.Enum):
     MULTIPLE = "Multiple"
 
 
-@dataclass(frozen=True, slots=True)
-class ChangeCase:
-    kind: CaseKind
-    other_kind: OtherKind | None = None
+class ChangeCase(enum.Enum):
+    """The seven outcomes of ``classify_annotations``. A member's ``kind``
+    is its ``cases.tsv`` row; ``other_kind`` is set exactly under Other."""
 
-    def __post_init__(self) -> None:
-        if (self.kind is CaseKind.OTHER) != (self.other_kind is not None):
-            raise ValueError("other_kind must be present exactly when kind is OTHER")
+    NON_EXP_NON_EXP = (CaseKind.NON_EXP_NON_EXP, None)
+    EXP_EXP = (CaseKind.EXP_EXP, None)
+    NON_EXP_EXP = (CaseKind.NON_EXP_EXP, None)
+    EXP_NON_EXP = (CaseKind.EXP_NON_EXP, None)
+    SAME_REL_DIFF_CONN = (CaseKind.OTHER, OtherKind.SAME_REL_DIFF_CONN)
+    DIFF_REL_DIFF_CONN = (CaseKind.OTHER, OtherKind.DIFF_REL_DIFF_CONN)
+    MULTIPLE = (CaseKind.OTHER, OtherKind.MULTIPLE)
 
-
-# The seven cases ``classify_annotations`` returns, built once.
-_NON_EXP_NON_EXP = ChangeCase(CaseKind.NON_EXP_NON_EXP)
-_EXP_EXP = ChangeCase(CaseKind.EXP_EXP)
-_NON_EXP_EXP = ChangeCase(CaseKind.NON_EXP_EXP)
-_EXP_NON_EXP = ChangeCase(CaseKind.EXP_NON_EXP)
-_MULTIPLE = ChangeCase(CaseKind.OTHER, OtherKind.MULTIPLE)
-_SAME_REL_DIFF_CONN = ChangeCase(CaseKind.OTHER, OtherKind.SAME_REL_DIFF_CONN)
-_DIFF_REL_DIFF_CONN = ChangeCase(CaseKind.OTHER, OtherKind.DIFF_REL_DIFF_CONN)
+    def __init__(self, kind: CaseKind, other_kind: OtherKind | None) -> None:
+        self.kind = kind
+        self.other_kind = other_kind
 
 
 @dataclass(slots=True)
@@ -142,24 +140,23 @@ def classify_annotations(
     """Total five-way classification of a pair's detection results.
 
     A side with more than one annotation always classifies as
-    Other:Multiple, before the one-sided cases apply. The result is one of
-    seven shared ChangeCase values, not a new object per pair.
+    Other:Multiple, before the one-sided cases apply.
     """
     nc, ns = len(complex_anns), len(simple_anns)
     if nc > 1 or ns > 1:
-        return _MULTIPLE
+        return ChangeCase.MULTIPLE
     if nc == 0 and ns == 0:
-        return _NON_EXP_NON_EXP
+        return ChangeCase.NON_EXP_NON_EXP
     if nc == 0:
-        return _NON_EXP_EXP
+        return ChangeCase.NON_EXP_EXP
     if ns == 0:
-        return _EXP_NON_EXP
+        return ChangeCase.EXP_NON_EXP
     ca, sa = complex_anns[0], simple_anns[0]
     if ca.connective_id == sa.connective_id and ca.sense == sa.sense:
-        return _EXP_EXP
+        return ChangeCase.EXP_EXP
     if ca.sense == sa.sense:
-        return _SAME_REL_DIFF_CONN
-    return _DIFF_REL_DIFF_CONN
+        return ChangeCase.SAME_REL_DIFF_CONN
+    return ChangeCase.DIFF_REL_DIFF_CONN
 
 
 def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...] | list[str]) -> Sentence:
@@ -283,9 +280,9 @@ def _fold_pair(
     result.per_case_counts[case] += 1
     # Only a one-sided single-annotation pair is mined, for the connective
     # of its explicit side.
-    if case.kind is CaseKind.EXP_NON_EXP:
+    if case is ChangeCase.EXP_NON_EXP:
         annotation, nonexp = complex_anns[0], pair.simple
-    elif case.kind is CaseKind.NON_EXP_EXP:
+    elif case is ChangeCase.NON_EXP_EXP:
         annotation, nonexp = simple_anns[0], pair.complex
     else:
         return

@@ -106,18 +106,8 @@ def match_phrase(sentence: Sentence, phrase: list[str] | tuple[str, ...]) -> lis
     phrase = tuple(phrase)
     width = len(phrase)
     lowers = sentence.lower_forms
-    # tuple.index jumps between occurrences of the first token in C, and the
-    # whole phrase is compared only there. ``stop`` is one past the last
-    # start; should it be negative, index searches a prefix whose slices are
-    # all shorter than the phrase, so nothing matches.
-    stop = len(lowers) - width + 1
-    first, start = phrase[0], 0
-    spans = []
-    while True:
-        try:
-            start = lowers.index(first, start, stop)
-        except ValueError:
-            return spans
-        if lowers[start : start + width] == phrase:
-            spans.append(TokenSpan(start, start + width))
-        start += 1
+    return [
+        TokenSpan(start, start + width)
+        for start in range(len(lowers) - width + 1)
+        if lowers[start : start + width] == phrase
+    ]

@@ -27,6 +27,9 @@ from conftest import (
     LANDMARK_SIMPLE,
     COMICS_COMPLEX,
     COMICS_SIMPLE,
+    COMICS_COMPLEX_SUBSTITUTED,
+    DRONES_COMPLEX,
+    DRONES_SIMPLE,
     PPDB_FIXTURE_LINES,
     SYNONYM_FIXTURE_LINES,
     UNICODE_LINE_BREAKS,
@@ -117,6 +120,73 @@ def test_mine_deterministic_across_worker_counts(tmp_path, example_corpus, ppdb_
             tuple((out / name).read_bytes() for name in ("cases.tsv", "altlexes.tsv", "altlexes.json"))
         )
     assert outputs[0] == outputs[1]
+
+
+# Rows whose outputs are pinned byte for byte. Rows 1 and 2 give a
+# Contrast tie at one token each, listed before row 2's "despite" sorts
+# first; rows 5, 6 and 7 are the three Other kinds.
+_GOLDEN_ROWS = [
+    (WOODCUTS_COMPLEX, WOODCUTS_SIMPLE),  # NonExp-Exp: "whilst", from the lexicon
+    (COMICS_COMPLEX, COMICS_SIMPLE),  # NonExp-Exp: "despite", from PPDB
+    (DRONES_COMPLEX, DRONES_SIMPLE),  # Exp-NonExp: "used to"
+    (LANDMARK_COMPLEX, LANDMARK_SIMPLE),  # Exp-NonExp, no match verified
+    (COMICS_SIMPLE, WOODCUTS_SIMPLE),  # SameRel-DiffConn
+    (BROADCAST_COMPLEX, LANDMARK_COMPLEX),  # DiffRel-DiffConn
+    (f"{DRONES_COMPLEX} {COMICS_SIMPLE}", BROADCAST_SIMPLE),  # Multiple
+    (BROADCAST_SIMPLE, COMICS_COMPLEX),  # NonExp-NonExp
+    (COMICS_SIMPLE, COMICS_COMPLEX_SUBSTITUTED),  # Exp-Exp
+    (DRONES_SIMPLE, DRONES_COMPLEX),  # NonExp-Exp: "used to" again
+    (BROADCAST_COMPLEX, BROADCAST_SIMPLE),  # Exp-NonExp, no match verified
+]
+_GOLDEN_CASES = """\
+case\tcount\tpercent
+NonExp-NonExp\t1\t9.09
+Exp-Exp\t1\t9.09
+NonExp-Exp\t3\t27.28
+Exp-NonExp\t3\t27.27
+Other\t3\t27.27
+Total\t11\t100.00
+"""
+_GOLDEN_ALTLEXES = """\
+text\tsense\tresource\ttoken_count\tsense_alignments\texample_pair_ids
+used to\tAsynchronous\tPPDB\t2\t2\t3;10
+despite\tContrast\tPPDB\t1\t2\t2
+whilst\tContrast\tSynonymLexicon\t1\t2\t1
+"""
+_GOLDEN_JSON = {
+    "total_pairs": 11,
+    "cases": {"NonExp-NonExp": 1, "Exp-Exp": 1, "NonExp-Exp": 3, "Exp-NonExp": 3, "Other": 3},
+    "other_breakdown": {"SameRel-DiffConn": 1, "DiffRel-DiffConn": 1, "Multiple": 1},
+    "sense_alignments": {
+        "Asynchronous": 2, "Synchrony": 1, "Cause": 1, "Condition": 0, "Contrast": 2, "Concession": 0,
+        "Conjunction": 0, "Instantiation": 0, "Restatement": 0, "Alternative": 0, "Exception": 0, "List": 0,
+    },
+    "altlexes": [
+        {"text": "used to", "sense": "Asynchronous", "resource": "PPDB", "token_count": 2,
+         "example_pair_ids": ["3", "10"]},
+        {"text": "despite", "sense": "Contrast", "resource": "PPDB", "token_count": 1, "example_pair_ids": ["2"]},
+        {"text": "whilst", "sense": "Contrast", "resource": "SynonymLexicon", "token_count": 1,
+         "example_pair_ids": ["1"]},
+    ],
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_mine_outputs_are_pinned_byte_for_byte(tmp_path, ppdb_file, workers, capsys):
+    corpus = tmp_path / "pairs.tsv"
+    corpus.write_text("".join(f"{c}\t{s}\n" for c, s in _GOLDEN_ROWS), encoding="utf-8")
+    synonyms = tmp_path / "synonyms.tsv"
+    synonyms.write_text("\n".join([*SYNONYM_FIXTURE_LINES, "but\twhilst"]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_mine_args(corpus, out, ppdb_file, synonyms, ("--workers", workers))) == 0
+    assert (out / "cases.tsv").read_bytes() == _GOLDEN_CASES.encode()
+    assert (out / "altlexes.tsv").read_bytes() == _GOLDEN_ALTLEXES.encode()
+    assert (out / "altlexes.json").read_bytes() == (json.dumps(_GOLDEN_JSON, indent=2) + "\n").encode()
+    assert capsys.readouterr().out == (
+        "pairs: 11\naltlex types: 3\naltlex tokens: 4\n"
+        f"wrote {out / 'cases.tsv'}, {out / 'altlexes.tsv'}, {out / 'altlexes.json'}\n"
+    )
 
 
 _OUTPUT_NAMES = ("cases.tsv", "altlexes.tsv", "altlexes.json")

@@ -21,7 +21,7 @@ from altlex_miner.corpus import (
     read_aligned_rows,
     tfidf_cosine,
 )
-from altlex_miner.mining import CaseKind, ChangeCase
+from altlex_miner.mining import ChangeCase
 from altlex_miner.text import tokenize
 
 from conftest import UNICODE_LINE_BREAKS, WOODCUTS_COMPLEX, WOODCUTS_SIMPLE
@@ -49,7 +49,7 @@ def test_load_aligned_tsv_strips_utf8_bom(tmp_path, inventory):
     )
     (pair,) = load_aligned_tsv(path)
     assert pair.complex.surface_forms[0] == "Although"
-    assert _categorize(pair, inventory) == ChangeCase(CaseKind.EXP_NON_EXP)
+    assert _categorize(pair, inventory) == ChangeCase.EXP_NON_EXP
 
 
 def test_load_aligned_tsv_malformed_line(tmp_path):

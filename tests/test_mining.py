@@ -37,42 +37,45 @@ def _mine_one(pair, inventory, stores):
 
 
 def test_categorize_broadcast_exp_nonexp(broadcast_pair, inventory):
-    assert _categorize(broadcast_pair, inventory) == ChangeCase(CaseKind.EXP_NON_EXP)
+    assert _categorize(broadcast_pair, inventory) == ChangeCase.EXP_NON_EXP
 
 
 def test_categorize_woodcuts_nonexp_exp(woodcuts_pair, inventory):
-    assert _categorize(woodcuts_pair, inventory) == ChangeCase(CaseKind.NON_EXP_EXP)
+    assert _categorize(woodcuts_pair, inventory) == ChangeCase.NON_EXP_EXP
 
 
 def test_categorize_identical_explicit_sides(inventory):
     raw = "The team was ready, but the plan was rejected."
     pair = SentencePair(complex=tokenize(raw), simple=tokenize(raw), source_id="self")
-    assert _categorize(pair, inventory) == ChangeCase(CaseKind.EXP_EXP)
+    assert _categorize(pair, inventory) == ChangeCase.EXP_EXP
 
 
 def test_classify_same_sense_different_connective():
     case = classify_annotations([_ann("but", Sense.CONTRAST)], [_ann("however", Sense.CONTRAST)])
-    assert case == ChangeCase(CaseKind.OTHER, OtherKind.SAME_REL_DIFF_CONN)
+    assert case == ChangeCase.SAME_REL_DIFF_CONN
 
 
 def test_classify_different_sense_different_connective():
     case = classify_annotations([_ann("but", Sense.CONTRAST)], [_ann("because", Sense.CAUSE)])
-    assert case == ChangeCase(CaseKind.OTHER, OtherKind.DIFF_REL_DIFF_CONN)
+    assert case == ChangeCase.DIFF_REL_DIFF_CONN
 
 
 def test_classify_multiple_beats_one_sided():
     # Two annotations on one side file under Other:Multiple even when the
     # other side is empty.
     anns = [_ann("but", Sense.CONTRAST, 0), _ann("so", Sense.CAUSE, 4)]
-    assert classify_annotations(anns, []) == ChangeCase(CaseKind.OTHER, OtherKind.MULTIPLE)
-    assert classify_annotations([], anns) == ChangeCase(CaseKind.OTHER, OtherKind.MULTIPLE)
+    assert classify_annotations(anns, []) == ChangeCase.MULTIPLE
+    assert classify_annotations([], anns) == ChangeCase.MULTIPLE
 
 
-def test_change_case_invariant():
-    with pytest.raises(ValueError):
-        ChangeCase(CaseKind.OTHER)
-    with pytest.raises(ValueError):
-        ChangeCase(CaseKind.EXP_EXP, OtherKind.MULTIPLE)
+def test_change_case_members_are_the_valid_pairs():
+    # Each non-Other kind once without an Other kind, each Other kind once
+    # under OTHER, and nothing else.
+    pairs = [(case.kind, case.other_kind) for case in ChangeCase]
+    valid = [(kind, None) for kind in CaseKind if kind is not CaseKind.OTHER]
+    valid += [(CaseKind.OTHER, other) for other in OtherKind]
+    assert len(pairs) == len(valid)
+    assert set(pairs) == set(valid)
 
 
 def test_substitute_comics(comics_pair):

@@ -186,3 +186,30 @@ def test_exports_are_the_imported_public_names():
         and (inspect.isclass(obj := getattr(altlex_miner, name)) or inspect.isfunction(obj))
     }
     assert public - set(exported) == set()
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_private_module_names_are_read():
+    # A private module-level function, class or constant that no code in
+    # the package reads is left over from code that has gone.
+    defined, read = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+                defined.update((path.stem, name.id) for name in names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert sorted((module, name) for module, name in defined if _is_private(name) and name not in read) == []
