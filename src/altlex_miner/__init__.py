@@ -30,7 +30,7 @@ from .mining import (
     substitute,
     verify_candidate,
 )
-from .text import Sentence, TokenSpan, match_phrase, tokenize
+from .text import InputError, Sentence, TokenSpan, match_phrase, tokenize
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,7 @@ __all__ = [
     "ConnectiveEntry",
     "ConnectiveInventory",
     "ExplicitAnnotation",
+    "InputError",
     "OtherKind",
     "ParaphraseEntry",
     "ParaphraseStore",

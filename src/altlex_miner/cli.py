@@ -22,15 +22,16 @@ the process pool in windows of 2N, handing out the next window before it
 folds the results of the one before. Each worker reads, tokenizes, aligns
 and mines its task and returns an AltLexInventory, and the parent folds
 the results in task order, so the emitted files are byte-identical for
-any worker count. An input that ends inside the first window is split
-into at most N contiguous shards instead, and a single shard is mined in
-this process, without a pool. The parent holds at most two windows of
-raw rows or article names, and each worker one pair, or level 0 and one
-simplified level of an article, at a time; beyond the mined inventory,
-memory does not grow with the corpus.
+any worker count. An input that ends inside the first window is cut
+again into at most N tasks, and one that makes a single task, or none,
+is mined in this process, without a pool. The parent holds at most two
+windows of raw rows or article names, and each worker one pair, or level
+0 and one simplified level of an article, at a time; beyond the mined
+inventory, memory does not grow with the corpus.
 
-Exit codes: 0 success, 1 usage error, 2 input/parse error or a crashed
-worker process.
+Exit codes: 0 success, 1 usage error, 2 a crashed worker process or an
+input error: an unreadable file, a bad value, or a malformed line,
+reported as ``PATH: line N: reason``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from itertools import islice
 from pathlib import Path
 
 from .corpus import (
-    CorpusFormatError,
     SentencePair,
     cohen_kappa,
     align_articles,
@@ -59,17 +59,13 @@ from .corpus import (
     read_aligned_rows,
     read_article,
 )
-from .discourse import ConnectiveInventory, InventoryError, Sense, load_inventory
-from .lexres import ParaphraseStore, ResourceError, load_ppdb, load_synonyms
+from .discourse import ConnectiveInventory, Sense, load_inventory
+from .lexres import ParaphraseStore, load_ppdb, load_synonyms
 from .mining import AltLexInventory, CaseKind, OtherKind, mine_corpus
-from .text import read_lines
+from .text import InputError, read_lines
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass
@@ -86,11 +82,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
+            raise ValueError(f"threshold {self.threshold} outside [0, 1]")
         if not math.isfinite(self.min_score):  # nan would keep no PPDB line, inf none or all
-            raise ConfigError(f"min_score must be finite, got {self.min_score}")
+            raise ValueError(f"min_score must be finite, got {self.min_score}")
         if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 # A config key's type is its field's default's, str where that is None.
@@ -102,23 +98,20 @@ _CONFIG_TYPES = {
 def load_config_file(path: str) -> dict:
     """Flat key=value config; '#' comments; keys match the long flag names."""
     values: dict = {}
-    try:
-        for lineno, line in read_lines(path, ConfigError):
-            line = line.strip()
-            if line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_TYPES[key](value.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise InputError(f"{path}: line {lineno}: expected key=value")
+        key = key.strip().replace("-", "_")
+        if key not in _CONFIG_TYPES:
+            raise InputError(f"{path}: line {lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _CONFIG_TYPES[key](value.strip())
+        except ValueError as exc:
+            raise InputError(f"{path}: line {lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -247,21 +240,10 @@ def _align(articles: Iterable[tuple], threshold: float) -> Iterator[SentencePair
         del original  # before the next article's level 0 is read
 
 
-# Mining 1,000 of the benchmark's TSV rows takes about 20 ms on a 2-vCPU
-# VM, so the inventory and stores pickled with each task (about 8 KB, 0.3 ms
-# each way) cost little.
+# Mining 1,000 of the benchmark's TSV rows takes about 20 ms on a 2-vCPU VM.
+# The inventory and stores are pickled with each task: little with small
+# resources, but 3.0 MB (0.23 s to dump and load) with a dense PPDB.
 _ROWS_PER_TASK = 1000
-
-
-def _shards(items: list, n: int) -> list[list]:
-    n = max(1, min(n, len(items)) if items else 1)
-    size, extra = divmod(len(items), n)
-    shards, start = [], 0
-    for i in range(n):
-        end = start + size + (1 if i < extra else 0)
-        shards.append(items[start:end])
-        start = end
-    return shards
 
 
 def _tasks(items: Iterable, size: int) -> Iterator[list]:
@@ -297,18 +279,20 @@ def _mine_in_pool(work, tasks: Iterator[list], workers: int) -> AltLexInventory 
     Tasks go to the pool in windows of ``2 * workers``, at most two
     windows at a time: the one being folded and the next. The pool is
     never handed the task stream itself, because ``Executor.map`` submits
-    all it is given at once. If the input ends inside the first window, it
-    is split into at most ``workers`` contiguous shards instead, and a
-    single shard is mined here. The pool starts no more processes than the
-    machine has CPUs; the tasks, and so the results, stay the same. An
-    error reading the next window cancels the tasks not yet started.
+    all it is given at once. If the input ends inside the first window, its
+    items are cut again into tasks of ``ceil(items / workers)``, and if
+    that gives at most one task they are mined here. The pool starts no
+    more processes than the machine has CPUs; the tasks, and so the
+    results, stay the same. An error reading the next window cancels the
+    tasks not yet started.
     """
     ahead = 2 * workers
     window = list(islice(tasks, ahead))
     if len(window) < ahead:
-        window = _shards([item for task in window for item in task], workers)
-        if len(window) == 1:
-            return work(window[0])
+        items = [item for task in window for item in task]
+        window = list(_tasks(items, math.ceil(len(items) / workers)))
+        if len(window) <= 1:
+            return work(items)
     from concurrent.futures.process import BrokenProcessPool
 
     inv = AltLexInventory()
@@ -393,12 +377,7 @@ def cmd_align(args: argparse.Namespace) -> int:
 def cmd_kappa(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     table = load_agreement_tsv(config.input_path)
-    try:
-        value = cohen_kappa(table)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    print(f"{value:.3f}")
+    print(f"{cohen_kappa(table):.3f}")
     return 0
 
 
@@ -443,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CorpusFormatError, InventoryError, ResourceError, OSError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

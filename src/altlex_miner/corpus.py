@@ -9,7 +9,7 @@ and drops pairs below a threshold.
 
 Every file is streamed through ``text.read_lines``, so the TSV, article
 and agreement readers share its line ends, blank-line skip and
-``PATH: line N: invalid UTF-8`` error.
+``PATH: line N: invalid UTF-8`` InputError.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .text import Sentence, read_lines, tokenize
-
-
-class CorpusFormatError(Exception):
-    """Raised for malformed corpus, article, or agreement files."""
+from .text import InputError, Sentence, read_lines, tokenize
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,17 +69,15 @@ def read_aligned_rows(path: str | Path) -> Iterator[tuple[str, str, str]]:
     """Stream a pre-aligned 2-column TSV as ``(source_id, complex_raw,
     simple_raw)`` rows without tokenizing; the source id is the line number.
 
-    Raises CorpusFormatError naming the line for an undecodable byte or any
+    Raises InputError naming the line for an undecodable byte or any
     line that does not have exactly two tab-separated fields, once reading
     reaches it; the rows before it have been yielded. Blank lines are
     skipped.
     """
-    for lineno, line in read_lines(path, CorpusFormatError):
+    for lineno, line in read_lines(path):
         fields = line.split("\t")
         if len(fields) != 2:
-            raise CorpusFormatError(
-                f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(fields)}"
-            )
+            raise InputError(f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(fields)}")
         yield str(lineno), fields[0], fields[1]
 
 
@@ -98,12 +92,12 @@ def pairs_from_rows(rows: Iterable[tuple[str, str, str]]) -> Iterator[SentencePa
 def load_aligned_tsv(path: str | Path) -> list[SentencePair]:
     """Load a pre-aligned 2-column TSV; similarity is 1.0 for every pair.
 
-    Raises CorpusFormatError as ``read_aligned_rows`` does.
+    Raises InputError as ``read_aligned_rows`` does.
     """
     return list(pairs_from_rows(read_aligned_rows(path)))
 
 
-_ARTICLE_FILE_RE = re.compile(r"^(?P<id>.+)\.(?P<level>\d+)\.txt$")
+_ARTICLE_FILE_RE = re.compile(r"(?P<id>.+)\.(?P<level>\d+)\.txt")
 
 
 def list_article_dir(path: str | Path) -> dict[str, dict[int, str]]:
@@ -112,24 +106,24 @@ def list_article_dir(path: str | Path) -> dict[str, dict[int, str]]:
     ignored. A level outside 0..5, two files for one article level (such
     as ``s.0.txt`` and ``s.00.txt``), or an id holding ``;``, a tab or a
     carriage return, which would split an example id list, a column or a
-    line of ``altlexes.tsv``, raises CorpusFormatError naming the files.
+    line of ``altlexes.tsv``, raises InputError naming the files.
     """
     root = Path(path)
     if not root.is_dir():
-        raise CorpusFormatError(f"{path}: not a directory")
+        raise InputError(f"{path}: not a directory")
     files: dict[str, dict[int, str]] = {}
     for file in sorted(root.iterdir()):
-        m = _ARTICLE_FILE_RE.match(file.name)
+        m = _ARTICLE_FILE_RE.fullmatch(file.name)
         if m is None or not file.is_file():
             continue
         art_id, level = m.group("id"), int(m.group("level"))
         if not 0 <= level <= 5:
-            raise CorpusFormatError(f"{file}: article level {level} outside 0..5")
+            raise InputError(f"{file}: article level {level} outside 0..5")
         if any(c in art_id for c in ";\t\r"):
-            raise CorpusFormatError(f"{file}: article id {art_id!r} holds ';', a tab or a carriage return")
+            raise InputError(f"{file}: article id {art_id!r} holds ';', a tab or a carriage return")
         levels = files.setdefault(art_id, {})
         if level in levels:
-            raise CorpusFormatError(f"{levels[level]} and {file}: both are article level {level}")
+            raise InputError(f"{levels[level]} and {file}: both are article level {level}")
         levels[level] = str(file)
     return files
 
@@ -138,7 +132,7 @@ def read_article(art_id: str, level: int, path: str | Path) -> Article:
     """Read and tokenize one article level's file, one sentence per
     non-blank line as ``text.read_lines`` reads them. A Unicode line or
     paragraph separator inside a line stays in its sentence."""
-    sentences = tuple(tokenize(line) for _, line in read_lines(path, CorpusFormatError))
+    sentences = tuple(tokenize(line) for _, line in read_lines(path))
     return Article(id=art_id, level=level, sentences=sentences)
 
 
@@ -235,14 +229,13 @@ def cohen_kappa(table: AgreementTable) -> float:
 
 
 def load_agreement_tsv(path: str | Path) -> AgreementTable:
-    """Read ``pair_id<TAB>a(0|1)<TAB>b(0|1)`` rows into an AgreementTable."""
+    """Read ``pair_id<TAB>a(0|1)<TAB>b(0|1)`` rows into an AgreementTable;
+    a file without a row raises InputError."""
     yy = nn = yn = ny = 0
-    for lineno, line in read_lines(path, CorpusFormatError):
+    for lineno, line in read_lines(path):
         fields = line.split("\t")
         if len(fields) != 3 or fields[1] not in ("0", "1") or fields[2] not in ("0", "1"):
-            raise CorpusFormatError(
-                f"{path}: row {lineno}: expected pair_id<TAB>0|1<TAB>0|1"
-            )
+            raise InputError(f"{path}: line {lineno}: expected pair_id<TAB>0|1<TAB>0|1")
         a, b = fields[1] == "1", fields[2] == "1"
         if a and b:
             yy += 1
@@ -252,4 +245,6 @@ def load_agreement_tsv(path: str | Path) -> AgreementTable:
             yn += 1
         else:
             ny += 1
+    if not yy + nn + yn + ny:
+        raise InputError(f"{path}: no agreement rows")
     return AgreementTable(both_yes=yy, both_no=nn, a_yes_b_no=yn, a_no_b_yes=ny)

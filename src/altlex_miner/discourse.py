@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .text import Sentence, TokenSpan, read_lines
+from .text import InputError, Sentence, TokenSpan, read_lines
 
 
 class Sense(enum.Enum):
@@ -41,10 +41,6 @@ class Sense(enum.Enum):
 
 
 _SENSE_BY_NAME = {s.value.lower(): s for s in Sense}
-
-
-class InventoryError(Exception):
-    """Raised for malformed or inconsistent connective inventory files."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,21 +123,21 @@ def load_inventory(path: str | Path | None = None) -> ConnectiveInventory:
     name = str(_SHIPPED_INVENTORY if path is None else path)
     entries: list[ConnectiveEntry] = []
     seen: set[str] = set()
-    for lineno, line in read_lines(name, InventoryError):
+    for lineno, line in read_lines(name):
         line = line.strip()
         if line.startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != 3:
-            raise InventoryError(f"{name}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+            raise InputError(f"{name}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
         first = tuple(fields[0].lower().split())
         second = tuple(fields[1].lower().split())
         if not first:
-            raise InventoryError(f"{name}:{lineno}: empty connective form")
+            raise InputError(f"{name}: line {lineno}: empty connective form")
         parts = (first, second) if second else (first,)
         entry_id = _entry_id(parts)
         if entry_id in seen:
-            raise InventoryError(f"{name}:{lineno}: duplicate connective form {entry_id!r}")
+            raise InputError(f"{name}: line {lineno}: duplicate connective form {entry_id!r}")
         seen.add(entry_id)
 
         senses: list[tuple[Sense, float]] = []
@@ -149,19 +145,19 @@ def load_inventory(path: str | Path | None = None) -> ConnectiveInventory:
             sense_name, _, weight_s = item.partition(":")
             sense = _SENSE_BY_NAME.get(sense_name.strip().lower())
             if sense is None:
-                raise InventoryError(f"{name}:{lineno}: unknown sense label {sense_name.strip()!r}")
+                raise InputError(f"{name}: line {lineno}: unknown sense label {sense_name.strip()!r}")
             try:
                 weight = float(weight_s)
             except ValueError:
-                raise InventoryError(f"{name}:{lineno}: bad weight {weight_s!r}") from None
+                raise InputError(f"{name}: line {lineno}: bad weight {weight_s!r}") from None
             if weight <= 0:
-                raise InventoryError(f"{name}:{lineno}: non-positive weight for {sense_name.strip()!r}")
+                raise InputError(f"{name}: line {lineno}: non-positive weight for {sense_name.strip()!r}")
             senses.append((sense, weight))
         if not senses:
-            raise InventoryError(f"{name}:{lineno}: no senses listed")
+            raise InputError(f"{name}: line {lineno}: no senses listed")
         total = sum(w for _, w in senses)
         if abs(total - 1.0) > 1e-9:
-            raise InventoryError(f"{name}:{lineno}: sense weights sum to {total}, expected 1.0")
+            raise InputError(f"{name}: line {lineno}: sense weights sum to {total}, expected 1.0")
         senses.sort(key=lambda sw: (-sw[1], list(Sense).index(sw[0])))
         entries.append(ConnectiveEntry(id=entry_id, parts=parts, senses=tuple(senses)))
     return ConnectiveInventory(entries)

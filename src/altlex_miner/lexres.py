@@ -34,10 +34,6 @@ class Resource(enum.Enum):
     SYNONYM_LEXICON = "SynonymLexicon"
 
 
-class ResourceError(Exception):
-    """Raised when a paraphrase resource file is not valid UTF-8."""
-
-
 @dataclass(frozen=True, slots=True)
 class ParaphraseEntry:
     source: tuple[str, ...]
@@ -120,17 +116,17 @@ def load_ppdb(
     in it are stored; every line is still validated and counted.
     """
     store = ParaphraseStore(Resource.PPDB)
-    for lineno, line in read_lines(path, ResourceError):
+    for lineno, line in read_lines(path):
         fields = line.split(_PPDB_SEP)
         if len(fields) < 4:
             store.skipped += 1
-            logger.warning("%s:%d: skipping line with %d fields", path, lineno, len(fields))
+            logger.warning("%s: line %d: skipping line with %d fields", path, lineno, len(fields))
             continue
         source = tuple(fields[1].lower().split())
         target = tuple(fields[2].lower().split())
         if not source or not target or source == target:
             store.skipped += 1
-            logger.warning("%s:%d: skipping empty or identity paraphrase", path, lineno)
+            logger.warning("%s: line %d: skipping empty or identity paraphrase", path, lineno)
             continue
         stored = keep is None or source in keep or target in keep
         if stored:
@@ -139,7 +135,7 @@ def load_ppdb(
             score = _EQ_NUMBER_RE.search(fields[3]) or _VALUE_NUMBER_RE.search(" " + fields[3])
         if score is None:
             store.skipped += 1
-            logger.warning("%s:%d: no score found in feature column", path, lineno)
+            logger.warning("%s: line %d: no score found in feature column", path, lineno)
             continue
         if stored and score >= min_score:
             store.add(source, target, score)
@@ -154,17 +150,17 @@ def load_synonyms(
     ``keep`` filters lines as in ``load_ppdb``.
     """
     store = ParaphraseStore(Resource.SYNONYM_LEXICON)
-    for lineno, line in read_lines(path, ResourceError):
+    for lineno, line in read_lines(path):
         fields = line.split("\t")
         if len(fields) != 2:
             store.skipped += 1
-            logger.warning("%s:%d: skipping line with %d fields", path, lineno, len(fields))
+            logger.warning("%s: line %d: skipping line with %d fields", path, lineno, len(fields))
             continue
         source = tuple(fields[0].lower().split())
         target = tuple(fields[1].lower().split())
         if not source or not target or source == target:
             store.skipped += 1
-            logger.warning("%s:%d: skipping empty or identity synonym pair", path, lineno)
+            logger.warning("%s: line %d: skipping empty or identity synonym pair", path, lineno)
             continue
         if keep is None or source in keep or target in keep:
             store.add(source, target, 1.0)

@@ -5,7 +5,8 @@ internal hyphens and apostrophes kept intact, so "don't" and
 "African-Americans" stay single tokens) and standalone punctuation marks.
 All matching downstream is case-insensitive, so a Sentence stores each
 token's lowercased form alongside its surface. ``read_lines`` is the one
-reader of every input file: it streams a file's non-blank lines.
+reader of every input file: it streams a file's non-blank lines. A bad
+input file raises ``InputError``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,15 @@ from pathlib import Path
 _TOKEN_RE = re.compile(r"\w+(?:[-'’]\w+)*|\S")
 # What the "surrogateescape" error handler decodes an undecodable byte to.
 _UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
+# The two bytes that begin a gzip file, as "surrogateescape" decodes them.
+_GZIP_MAGIC = "\x1f\udc8b"
+
+
+class InputError(Exception):
+    """A bad input file: ``PATH: line N: reason`` for one line, ``PATH:
+    reason`` for a whole file or a file name. The message is the only
+    argument, so an error raised in a worker process unpickles in its
+    parent."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,7 +65,7 @@ class Sentence:
         return len(self.surface_forms)
 
 
-def read_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Stream the file's non-blank lines as ``(line number, line)``, without
     their line ends, counting from 1.
 
@@ -63,8 +73,9 @@ def read_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, 
     and ``\r`` end a line as ``\n`` does. No other character ends one, so
     U+2028, U+0085, ``\f`` and the like stay inside their line. A blank
     line is one that is empty or all whitespace. An undecodable byte raises
-    ``error`` naming the file and its line, also for a pipe, once every
-    line before it has been yielded.
+    InputError naming the file and its line, also for a pipe, once every
+    line before it has been yielded; if the line starts with gzip's magic
+    bytes, the message says the file is compressed.
     """
     # Not "utf-8-sig": its decoder reads a file of only a BOM's first one or
     # two bytes as empty text instead of failing. An undecodable byte
@@ -75,7 +86,8 @@ def read_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, 
                 line = line.removeprefix("\ufeff")
             if line and not line.isspace():
                 if not line.isascii() and _UNDECODED_BYTE.search(line):
-                    raise error(f"{path}: line {lineno}: invalid UTF-8")
+                    gzipped = " (gzip-compressed: decompress it first)" if line.startswith(_GZIP_MAGIC) else ""
+                    raise InputError(f"{path}: line {lineno}: invalid UTF-8{gzipped}")
                 yield lineno, line.rstrip("\n")
 
 

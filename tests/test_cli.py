@@ -1,5 +1,6 @@
 import collections
 import gc
+import gzip
 import io
 import json
 import multiprocessing
@@ -659,9 +660,9 @@ def _write_rows(path, count):
 def test_mine_pool_never_starts_more_processes_than_tasks(tmp_path, ppdb_file, synonym_file, monkeypatch):
     # The fork start method launches every ``max_workers`` process up front,
     # so a pool larger than its task list forks processes that never work.
-    # An input that ends inside the first window of 2 x workers tasks goes
-    # out as at most ``workers`` shards; a longer one streams out in such
-    # windows.
+    # An input that ends inside the first window of 2 x workers tasks is
+    # cut again into tasks of ceil(items / workers), at most ``workers`` of
+    # them; a longer one streams out in such windows.
     cases = [
         # (input, workers, rows per task, expected log)
         (_write_rows(tmp_path / "two.tsv", 2), 6, 1000, [("start", 2), ("map", 2)]),
@@ -669,7 +670,7 @@ def test_mine_pool_never_starts_more_processes_than_tasks(tmp_path, ppdb_file, s
         (_write_rows(tmp_path / "chunked.tsv", 23), 2, 2, [("start", 2), ("map", 4), ("map", 4), ("map", 4)]),
         (tmp_path / "chunked.tsv", 3, 4, [("start", 3), ("map", 6)]),
         (_sharded_article_dir(tmp_path), 2, 1000, [("start", 2), ("map", 4)]),  # four with level 0
-        (tmp_path / "articles", 3, 1000, [("start", 3), ("map", 3)]),
+        (tmp_path / "articles", 3, 1000, [("start", 2), ("map", 2)]),  # two articles a task
     ]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)  # more CPUs than workers
     for corpus, workers, per_task, expected in cases:
@@ -846,7 +847,7 @@ def test_mine_invalid_utf8_resource_names_file_and_line(
     argv = _mine_args(example_corpus, tmp_path / "out", ppdb_file, synonym_file)
     argv[argv.index(flag) + 1] = str(bad)
     assert main(argv) == 2
-    assert f"error: {bad}: line 3: invalid UTF-8" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad}: line 3: invalid UTF-8\n"
 
 
 @pytest.mark.parametrize(
@@ -865,6 +866,44 @@ def test_invalid_utf8_names_file_and_line(tmp_path, example_corpus, capsys, read
     }[reader]
     assert main(argv) == 2
     assert f"error: {bad}: line 3: invalid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "reader, line",
+    [
+        ("pairs", b"only one field"),
+        ("inventory", b"but\tContrast:1.0"),
+        ("agreement", b"p2\t1"),
+        ("config", b"bogus=1"),
+    ],
+    ids=["pairs", "inventory", "agreement", "config"],
+)
+def test_malformed_line_names_file_and_line(tmp_path, example_corpus, capsys, reader, line):
+    # Every strict reader reports its first malformed line the same way.
+    good = {"pairs": b"a\tb", "inventory": b"but\t\tContrast:1.0", "agreement": b"p1\t1\t1", "config": b"# ok"}
+    bad = tmp_path / "input.txt"
+    bad.write_bytes(good[reader] + b"\n" + line + b"\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "pairs": ["mine", str(bad), "--output-dir", out],
+        "inventory": ["mine", str(example_corpus), "--inventory", str(bad), "--output-dir", out],
+        "agreement": ["kappa", str(bad)],
+        "config": ["mine", str(example_corpus), "--config", str(bad), "--output-dir", out],
+    }[reader]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line 2: ")
+
+
+@pytest.mark.parametrize("flag", ["--ppdb", "--synonyms", "--inventory"])
+def test_gzipped_resource_says_it_is_compressed(tmp_path, example_corpus, ppdb_file, synonym_file, capsys, flag):
+    # PPDB is distributed gzip-compressed; a .gz passed as is fails on its
+    # first line, and the message says how to mend it.
+    bad = tmp_path / "ppdb-2.0-s-all.gz"
+    bad.write_bytes(gzip.compress(("\n".join(PPDB_FIXTURE_LINES) + "\n").encode("utf-8")))
+    argv = _mine_args(example_corpus, tmp_path / "out", ppdb_file, synonym_file, (flag, str(bad)))
+    assert main(argv) == 2
+    message = f"error: {bad}: line 1: invalid UTF-8 (gzip-compressed: decompress it first)\n"
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("reader", ["inventory", "config"])
@@ -1052,7 +1091,15 @@ def test_kappa_malformed_row(tmp_path, capsys):
     path = tmp_path / "agree.tsv"
     path.write_text("p1\t1\t1\np2\tx\t0\n", encoding="utf-8")
     assert main(["kappa", str(path)]) == 2
-    assert "row 2" in capsys.readouterr().err
+    assert f"error: {path}: line 2: expected pair_id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+def test_kappa_without_rows_names_the_file(tmp_path, capsys, text):
+    path = tmp_path / "agree.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["kappa", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: no agreement rows\n"
 
 
 def test_config_file_flags_override(tmp_path, example_corpus, ppdb_file, synonym_file):
@@ -1085,7 +1132,7 @@ def test_config_file_bad_key(tmp_path, example_corpus, capsys):
         config.write_text(line + "\n", encoding="utf-8")
         assert main(["mine", str(example_corpus), "--config", str(config)]) == 2
         key = line.partition("=")[0]
-        assert f"error: {config}:1: unknown config key {key!r}" in capsys.readouterr().err
+        assert f"error: {config}: line 1: unknown config key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

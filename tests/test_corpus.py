@@ -11,18 +11,18 @@ from altlex_miner import cli
 from altlex_miner.corpus import (
     AgreementTable,
     Article,
-    CorpusFormatError,
     align_articles,
     cohen_kappa,
     compute_idf,
     load_agreement_tsv,
     load_aligned_tsv,
+    list_article_dir,
     load_article_dir,
     read_aligned_rows,
     tfidf_cosine,
 )
 from altlex_miner.mining import ChangeCase
-from altlex_miner.text import tokenize
+from altlex_miner.text import InputError, tokenize
 
 from conftest import UNICODE_LINE_BREAKS, WOODCUTS_COMPLEX, WOODCUTS_SIMPLE
 from test_mining import _categorize
@@ -55,7 +55,7 @@ def test_load_aligned_tsv_strips_utf8_bom(tmp_path, inventory):
 def test_load_aligned_tsv_malformed_line(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("a\tb\nx\ty\tz\tw\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="line 2"):
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: line 2: "):
         load_aligned_tsv(path)
 
 
@@ -70,7 +70,7 @@ def test_read_aligned_rows_keeps_line_numbers_across_line_ends(tmp_path):
 def test_read_aligned_rows_invalid_utf8_names_file_and_line(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_bytes(b"\xef\xbb\xbfa\tb\r\nc\td\re\tf\nbad \xff\tg\n")
-    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line 4: invalid UTF-8$"):
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: line 4: invalid UTF-8$"):
         list(read_aligned_rows(path))
 
 
@@ -319,8 +319,16 @@ def test_article_lines_end_only_at_newline(tmp_path, sep):
     ]
 
 
+def test_article_file_name_must_match_whole(tmp_path):
+    # A name that ends in a newline after ".txt" is no article file; read
+    # as one, it would be a second file for level 1 of "a".
+    for name in ("a.0.txt", "a.1.txt", "a.1.txt\n", "b.0.txt\n"):
+        (tmp_path / name).write_text("One line.\n", encoding="utf-8")
+    assert list_article_dir(tmp_path) == {"a": {0: str(tmp_path / "a.0.txt"), 1: str(tmp_path / "a.1.txt")}}
+
+
 def test_load_article_dir_not_a_dir(tmp_path):
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(InputError):
         load_article_dir(tmp_path / "missing")
 
 
@@ -381,5 +389,5 @@ def test_load_agreement_tsv(tmp_path):
 def test_load_agreement_tsv_malformed(tmp_path):
     path = tmp_path / "agree.tsv"
     path.write_text("p1\t1\t1\np2\t2\t0\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="row 2"):
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: line 2: "):
         load_agreement_tsv(path)

@@ -6,13 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altlex_miner.discourse import (
-    InventoryError,
     Sense,
     _is_verbish,
     detect_explicit,
     load_inventory,
 )
-from altlex_miner.text import split_tokens, tokenize
+from altlex_miner.text import InputError, split_tokens, tokenize
 
 from conftest import WOODCUTS_COMPLEX, WOODCUTS_SIMPLE, BROADCAST_COMPLEX, LANDMARK_SIMPLE
 
@@ -40,21 +39,21 @@ def test_discontinuous_entries_present(inventory):
 def test_weight_sum_validation(tmp_path):
     path = tmp_path / "inv.tsv"
     path.write_text("but\t\tContrast:0.5,Concession:0.4\n", encoding="utf-8")
-    with pytest.raises(InventoryError, match="sum"):
+    with pytest.raises(InputError, match="sum"):
         load_inventory(path)
 
 
 def test_duplicate_form_validation(tmp_path):
     path = tmp_path / "inv.tsv"
     path.write_text("but\t\tContrast:1.0\nbut\t\tCause:1.0\n", encoding="utf-8")
-    with pytest.raises(InventoryError, match="duplicate"):
+    with pytest.raises(InputError, match="duplicate"):
         load_inventory(path)
 
 
 def test_unknown_sense_validation(tmp_path):
     path = tmp_path / "inv.tsv"
     path.write_text("but\t\tSarcasm:1.0\n", encoding="utf-8")
-    with pytest.raises(InventoryError, match="unknown sense"):
+    with pytest.raises(InputError, match="unknown sense"):
         load_inventory(path)
 
 

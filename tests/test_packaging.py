@@ -1,4 +1,5 @@
 import ast
+import builtins
 import inspect
 import re
 import sys
@@ -213,3 +214,20 @@ def test_private_module_names_are_read():
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
     assert sorted((module, name) for module, name in defined if _is_private(name) and name not in read) == []
+
+
+def _names_an_exception(base):
+    name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+    builtin = getattr(builtins, name, None)
+    return name.endswith(("Error", "Exception")) or isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+
+def test_input_error_is_the_one_exception_class():
+    # Every bad input raises one type, which ``main`` and library callers
+    # catch; a second class would only carry the same message.
+    exceptions = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(map(_names_an_exception, node.bases)):
+                exceptions.add(f"{path.stem}.{node.name}")
+    assert exceptions == {"text.InputError"}

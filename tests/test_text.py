@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from altlex_miner.text import TokenSpan, match_phrase, read_lines, tokenize
+from altlex_miner.text import InputError, TokenSpan, match_phrase, read_lines, tokenize
 
 
 def surfaces(sentence):
@@ -110,10 +110,6 @@ def test_match_phrase_equals_brute_force(letters, phrase):
     assert match_phrase(s, tuple(phrase)) == expected
 
 
-class _BadInput(Exception):
-    pass
-
-
 def _spec_lines(data):
     """What ``read_lines`` must give for ``data``, written from its
     contract: ([(line number, line), ...] of the non-blank lines, number of
@@ -186,9 +182,9 @@ def test_read_lines_matches_its_spec(tmp_path_factory, data):
             expected, bad_line = _spec_lines(data)
             got = []
             try:
-                for item in read_lines(path, _BadInput):
+                for item in read_lines(path):
                     got.append(item)
-            except _BadInput as exc:
+            except InputError as exc:
                 assert bad_line is not None
                 assert str(exc) == f"{path}: line {bad_line}: invalid UTF-8"
                 # Every line before the bad one has been yielded, as read.
