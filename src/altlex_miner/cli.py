@@ -13,8 +13,7 @@ aligned against level 0 and its pairs consumed before the next level is
 read, and the article is released before the next one's level 0 is read.
 With ``--workers 1`` that stream is mined in this process, a row
 tokenized into its pair only when mining reaches it. ``align`` writes each
-pair as it is aligned, into a temporary file that replaces its output
-after the last article.
+pair as it is aligned.
 
 With ``--workers N`` the parent cuts the stream into tasks without
 tokenizing it: 1,000 rows, or one article, per task. It hands the tasks to
@@ -29,9 +28,10 @@ windows of raw rows or article names, and each worker one pair, or level
 0 and one simplified level of an article, at a time; beyond the mined
 inventory, memory does not grow with the corpus.
 
-Exit codes: 0 success, 1 usage error, 2 a crashed worker process or an
-input error: an unreadable file, a bad value, or a malformed line,
-reported as ``PATH: line N: reason``.
+Exit codes: 0 success, 1 usage error, 2 a crashed worker process, an
+unwritable output, or an input error: an unreadable file, a bad value, or
+a malformed line, reported as ``PATH: line N: reason``. Outputs are
+replaced only once all are written, so a failed run leaves each as it was.
 """
 
 from __future__ import annotations
@@ -40,8 +40,10 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import islice
@@ -176,27 +178,66 @@ def _report(inv: AltLexInventory) -> dict:
     }
 
 
-def write_cases_tsv(path: Path, report: dict) -> None:
+def write_cases_tsv(write: Callable[[str], object], report: dict) -> None:
     counts = list(report["cases"].values())
     percents = percent_rows(counts)
     lines = ["case\tcount\tpercent"]
     for kind, count, pct in zip(report["cases"], counts, percents):
         lines.append(f"{kind}\t{count}\t{pct:.2f}")
     lines.append(f"Total\t{sum(counts)}\t{sum(percents):.2f}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write("\n".join(lines) + "\n")
 
 
-def write_altlexes_tsv(path: Path, report: dict) -> None:
+def write_altlexes_tsv(write: Callable[[str], object], report: dict) -> None:
     lines = ["text\tsense\tresource\ttoken_count\tsense_alignments\texample_pair_ids"]
     for a in report["altlexes"]:
         alignments = report["sense_alignments"][a["sense"]]
         ids = ";".join(a["example_pair_ids"])
         lines.append(f"{a['text']}\t{a['sense']}\t{a['resource']}\t{a['token_count']}\t{alignments}\t{ids}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write("\n".join(lines) + "\n")
 
 
-def write_altlexes_json(path: Path, report: dict) -> None:
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+def write_altlexes_json(write: Callable[[str], object], report: dict) -> None:
+    write(json.dumps(report, indent=2) + "\n")
+
+
+@contextmanager
+def _replacing(*outputs: str | Path) -> Iterator[list[Callable[[str], object]]]:
+    """Yield a ``write(text)`` per output, into a temporary file beside it,
+    or beside its symlink's target, and replace the outputs once the block
+    has ended and all are closed; a failure removes them. An existing output
+    keeps its mode bits; one that is not a regular file is written directly."""
+    def named(output, call, *args):  # a nameless OSError, such as a full disk's, gets the output's name
+        try:
+            return call(*args)
+        except OSError as exc:
+            exc.filename = exc.filename or str(output)
+            raise
+
+    files, replacing = [], {}  # [(output, file)], {temporary file: target}
+    try:
+        for output in outputs:
+            mode = os.stat(output).st_mode if os.path.exists(output) else None
+            if mode and not stat.S_ISREG(mode):  # through a link: /dev/stdout on a pipe resolves to no path
+                files.append((output, open(output, "w", encoding="utf-8")))
+                continue
+            target = Path(os.path.realpath(output))
+            temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            files.append((output, open(temporary, "x", encoding="utf-8")))
+            replacing[temporary] = target
+            if mode:
+                os.chmod(temporary, stat.S_IMODE(mode))
+        yield [partial(named, output, fh.write) for output, fh in files]
+        for output, fh in files:
+            named(output, fh.close)
+        for temporary, target in replacing.items():
+            os.replace(temporary, target)
+    finally:
+        for _, fh in files:
+            with suppress(OSError):  # a no-op once closed; else the error raised says more
+                fh.close()
+        for temporary in replacing:
+            temporary.unlink(missing_ok=True)  # replaced already, or left by a failure
 
 
 def _load_stores(config: RunConfig, inventory: ConnectiveInventory) -> list[ParaphraseStore]:
@@ -272,9 +313,9 @@ def ProcessPoolExecutor(*args, **kwargs):  # noqa: N802 - perfbench and tests re
     return pool_class(*args, **kwargs)
 
 
-def _mine_in_pool(work, tasks: Iterator[list], workers: int) -> AltLexInventory | None:
+def _mine_in_pool(work, tasks: Iterator[list], workers: int) -> AltLexInventory:
     """Mine ``tasks`` with ``work`` in ``workers`` processes and fold the
-    results in task order; None if a worker process died.
+    results in task order; a dead worker raises ChildProcessError.
 
     Tasks go to the pool in windows of ``2 * workers``, at most two
     windows at a time: the one being folded and the next. The pool is
@@ -313,9 +354,8 @@ def _mine_in_pool(work, tasks: Iterator[list], workers: int) -> AltLexInventory 
                 for result in results:
                     inv.update(result)
                 results = following
-    except BrokenProcessPool:
-        print("error: mining worker process exited unexpectedly", file=sys.stderr)
-        return None
+    except BrokenProcessPool as exc:
+        raise ChildProcessError("mining worker process exited unexpectedly") from exc
     return inv
 
 
@@ -332,19 +372,15 @@ def cmd_mine(args: argparse.Namespace) -> int:
         per_task = _ROWS_PER_TASK
         work = partial(_mine_rows, inventory=inventory, stores=stores)
 
-    if config.workers == 1:
-        inv = work(items)
-    else:
-        inv = _mine_in_pool(work, _tasks(items, per_task), config.workers)
-        if inv is None:
-            return INPUT_ERROR
+    inv = work(items) if config.workers == 1 else _mine_in_pool(work, _tasks(items, per_task), config.workers)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = _report(inv)
-    write_cases_tsv(out / "cases.tsv", report)
-    write_altlexes_tsv(out / "altlexes.tsv", report)
-    write_altlexes_json(out / "altlexes.json", report)
+    with _replacing(out / "cases.tsv", out / "altlexes.tsv", out / "altlexes.json") as (cases, altlexes, altlexes_json):
+        write_cases_tsv(cases, report)
+        write_altlexes_tsv(altlexes, report)
+        write_altlexes_json(altlexes_json, report)
     print(f"pairs: {report['total_pairs']}")
     print(f"altlex types: {len(report['altlexes'])}")
     print(f"altlex tokens: {sum(a['token_count'] for a in report['altlexes'])}")
@@ -355,21 +391,13 @@ def cmd_mine(args: argparse.Namespace) -> int:
 def cmd_align(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     articles = _list_articles(config.input_path)
-    # Rows go to a file beside the output as each level is aligned, and it
-    # replaces the output only after the last article: a failed run leaves
-    # neither a partial output nor this file.
-    output = Path(config.output)
-    partial_output = output.with_name(f".{output.name}.{os.getpid()}.tmp")
     count = 0
-    try:
-        with open(partial_output, "x", encoding="utf-8") as fh:
-            for p in _align(articles, config.threshold):
-                fh.write(f"{p.complex.raw}\t{p.simple.raw}\t{p.similarity:.6f}\n")
-                count += 1
-        os.replace(partial_output, output)
-    except BaseException:
-        partial_output.unlink(missing_ok=True)
-        raise
+    with _replacing(config.output) as (write,):
+        for p in _align(articles, config.threshold):
+            if "\t" in (raw := p.complex.raw) or "\t" in (raw := p.simple.raw):
+                raise InputError(f"aligned pair {p.source_id}: sentence {raw!r} holds a tab, which would split its row")
+            write(f"{p.complex.raw}\t{p.simple.raw}\t{p.similarity:.6f}\n")
+            count += 1
     print(f"{count} pairs written to {config.output}")
     return 0
 

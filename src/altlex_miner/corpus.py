@@ -66,18 +66,21 @@ class AgreementTable:
 
 
 def read_aligned_rows(path: str | Path) -> Iterator[tuple[str, str, str]]:
-    """Stream a pre-aligned 2-column TSV as ``(source_id, complex_raw,
-    simple_raw)`` rows without tokenizing; the source id is the line number.
+    """Stream a pre-aligned TSV as ``(source_id, complex_raw, simple_raw)``
+    rows without tokenizing; the source id is the line number. A third
+    field, the similarity ``align`` writes, must be a decimal in [0, 1] and
+    is not used: ``align`` has applied its threshold.
 
-    Raises InputError naming the line for an undecodable byte or any
-    line that does not have exactly two tab-separated fields, once reading
-    reaches it; the rows before it have been yielded. Blank lines are
-    skipped.
+    Raises InputError naming the line for an undecodable byte or any other
+    bad line, once reading reaches it; the rows before it have been yielded.
+    Blank lines are skipped.
     """
     for lineno, line in read_lines(path):
         fields = line.split("\t")
+        if len(fields) == 3 and not re.fullmatch(r"0(\.[0-9]*)?|1(\.0*)?", similarity := fields.pop()):
+            raise InputError(f"{path}: line {lineno}: similarity {similarity!r} is not a number in [0, 1]")
         if len(fields) != 2:
-            raise InputError(f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(fields)}")
+            raise InputError(f"{path}: line {lineno}: expected 2 or 3 tab-separated fields, got {len(fields)}")
         yield str(lineno), fields[0], fields[1]
 
 
@@ -90,7 +93,7 @@ def pairs_from_rows(rows: Iterable[tuple[str, str, str]]) -> Iterator[SentencePa
 
 
 def load_aligned_tsv(path: str | Path) -> list[SentencePair]:
-    """Load a pre-aligned 2-column TSV; similarity is 1.0 for every pair.
+    """Load a pre-aligned TSV; similarity is 1.0 for every pair.
 
     Raises InputError as ``read_aligned_rows`` does.
     """
@@ -211,8 +214,8 @@ def align_articles(
 def cohen_kappa(table: AgreementTable) -> float:
     """Cohen's kappa for a 2x2 agreement table.
 
-    Degenerate tables (chance agreement 1) return 1.0 under perfect observed
-    agreement and raise otherwise; empty tables raise.
+    A degenerate table (chance agreement 1) returns 1.0: both annotators
+    then gave every pair the same answer. An empty table raises.
     """
     total = table.total
     if total == 0:
@@ -222,9 +225,7 @@ def cohen_kappa(table: AgreementTable) -> float:
     pb_yes = (table.both_yes + table.a_no_b_yes) / total
     p_e = pa_yes * pb_yes + (1.0 - pa_yes) * (1.0 - pb_yes)
     if p_e == 1.0:
-        if p_o == 1.0:
-            return 1.0
-        raise ValueError("degenerate table: chance agreement is 1 but observed agreement is not")
+        return 1.0
     return (p_o - p_e) / (1.0 - p_e)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 # A word is a run of word characters, optionally joined by internal hyphens
-# or apostrophes; anything else that is not whitespace is a one-char token.
-_TOKEN_RE = re.compile(r"\w+(?:[-'’]\w+)*|\S")
+# or apostrophes; anything else but whitespace or a stray BOM is a one-char token.
+_TOKEN_RE = re.compile(r"\w+(?:[-'’]\w+)*|[^\s\ufeff]")
 # What the "surrogateescape" error handler decodes an undecodable byte to.
 _UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
 # The two bytes that begin a gzip file, as "surrogateescape" decodes them.

@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import errno
 import gc
 import gzip
 import io
@@ -6,6 +8,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import stat
 import subprocess
 import sys
 import tempfile
@@ -776,7 +779,7 @@ def test_mine_pool_malformed_last_row_is_input_error(tmp_path, ppdb_file, synony
         fh.write("one field only\n")
     out = tmp_path / "out"
     assert main(_mine_args(corpus, out, ppdb_file, synonym_file, ("--workers", "2"))) == 2
-    assert f"error: {corpus}: line 13: expected 2 tab-separated fields, got 1" in capsys.readouterr().err
+    assert f"error: {corpus}: line 13: expected 2 or 3 tab-separated fields, got 1" in capsys.readouterr().err
     assert shutdowns[0] == (True, True)
     assert not out.exists()
 
@@ -829,7 +832,7 @@ def test_mine_reports_the_first_faulty_line(tmp_path, ppdb_file, synonym_file, c
     out = tmp_path / "out"
     assert main(_mine_args(corpus, out, ppdb_file, synonym_file, ("--workers", workers))) == 2
     err = capsys.readouterr().err
-    assert f"error: {corpus}: line 1: expected 2 tab-separated fields, got 1" in err
+    assert f"error: {corpus}: line 1: expected 2 or 3 tab-separated fields, got 1" in err
     assert "invalid UTF-8" not in err
     assert not out.exists()
 
@@ -1223,3 +1226,173 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "1.000"
+
+
+def _align_dir(tmp_path):
+    art = tmp_path / "articles"
+    art.mkdir()
+    (art / "s.0.txt").write_text("The fox ran far.\nRain fell on the town.\n", encoding="utf-8")
+    (art / "s.1.txt").write_text("Rain fell on the town.\nThe fox ran far.\n", encoding="utf-8")
+    return art
+
+
+def _run_cli(argv, **kwargs):
+    """``altlex-miner ARGV`` in a child process, with this package on its path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "altlex_miner", *argv]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, **kwargs)
+
+
+_ALIGNED = "Rain fell on the town.\tRain fell on the town.\t1.000000\nThe fox ran far.\tThe fox ran far.\t1.000000\n"
+
+
+def test_align_through_a_symlink_rewrites_its_target(tmp_path):
+    target, link = tmp_path / "target.tsv", tmp_path / "link.tsv"
+    target.write_text("old\n", encoding="utf-8")
+    link.symlink_to(target)
+    assert main(["align", str(_align_dir(tmp_path)), "-o", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == _ALIGNED
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["articles", "link.tsv", "target.tsv"]
+
+
+def test_align_keeps_the_outputs_mode(tmp_path):
+    out = tmp_path / "aligned.tsv"
+    out.write_text("old\n", encoding="utf-8")
+    out.chmod(0o640)
+    assert main(["align", str(_align_dir(tmp_path)), "-o", str(out)]) == 0
+    assert out.stat().st_mode & 0o7777 == 0o640
+    assert out.read_text(encoding="utf-8") == _ALIGNED
+
+
+def test_align_into_a_fifo(tmp_path):
+    # A FIFO is written, not replaced by a regular file.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(
+        [sys.executable, "-c", "import sys; sys.stdout.write(open(sys.argv[1]).read())", str(fifo)],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert main(["align", str(_align_dir(tmp_path)), "-o", str(fifo)]) == 0
+        assert reader.communicate(timeout=30)[0] == _ALIGNED
+    finally:
+        reader.kill()
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd/1").exists(), reason="needs /proc/self/fd")
+def test_align_into_a_link_to_stdout_on_a_pipe(tmp_path):
+    # What /dev/stdout is: a link to /proc/self/fd/1, here a pipe. Resolving
+    # it names no path, so the output's type is checked through the link.
+    link = tmp_path / "stdout"
+    link.symlink_to("/proc/self/fd/1")
+    run = _run_cli(["align", str(_align_dir(tmp_path)), "-o", str(link)])
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == f"{_ALIGNED}2 pairs written to {link}\n"
+    assert link.is_symlink()
+
+
+def test_align_rejects_a_sentence_holding_a_tab(tmp_path, capsys):
+    # Its row would have more than three fields; ``mine`` on the article
+    # directory itself mines the sentence as it is.
+    art = _align_dir(tmp_path)
+    (art / "s.1.txt").write_text("The fox ran far.\nRain fell\ton the town.\n", encoding="utf-8")
+    out = tmp_path / "aligned.tsv"
+    out.write_text("old\n", encoding="utf-8")
+    assert main(["align", str(art), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: aligned pair s:1:1: sentence 'Rain fell\\ton the town.' holds a tab, which would split its row\n"
+    )
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["aligned.tsv", "articles"]
+
+
+def test_mine_through_a_symlink_rewrites_its_target(tmp_path, example_corpus, ppdb_file, synonym_file):
+    out, target = tmp_path / "out", tmp_path / "kept.json"
+    out.mkdir()
+    target.write_text("old\n", encoding="utf-8")
+    (out / "altlexes.json").symlink_to(target)
+    assert main(_mine_args(example_corpus, out, ppdb_file, synonym_file)) == 0
+    assert (out / "altlexes.json").is_symlink()
+    assert json.loads(target.read_text(encoding="utf-8"))["total_pairs"] == 4
+
+
+def test_mine_write_error_names_the_file_and_keeps_the_previous_outputs(
+    tmp_path, example_corpus, ppdb_file, synonym_file
+):
+    # RLIMIT_FSIZE, set in the child only, makes a write past 512 bytes fail
+    # with EFBIG (Python ignores SIGXFSZ): altlexes.json, the one output of
+    # more than 512 bytes. No output may change, and no temporary file stay.
+    resource = pytest.importorskip("resource")
+    out = tmp_path / "out"
+    out.mkdir()
+    previous = {name: f"previous {name}\n".encode() for name in _OUTPUT_NAMES}
+    for name, data in previous.items():
+        (out / name).write_bytes(data)
+    run = _run_cli(
+        _mine_args(example_corpus, out, ppdb_file, synonym_file),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (512, 512)),
+    )
+    assert run.returncode == 2
+    assert run.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{out / 'altlexes.json'}'\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+
+
+_ROUND_TRIP_TEXT = [
+    "because ", "Because ", "since ", "though ", "despite ", "so ", "but ", "the ", "storm ", "crossed ",
+    "river ", "farmer ", "watched ", "road ", "it ", "rained ", ", ", ". ", "İ", "\ufeff", "\u2028", " ", "\t",
+]
+_ROUND_TRIP_SENTENCE = st.lists(st.sampled_from(_ROUND_TRIP_TEXT), max_size=6).map("".join)
+_BOM_HIDDEN = "\ufeffBecause the storm crossed the river, the farmer watched the road."
+# A complex and a simple sentence: an example row, which mines AltLexes, or
+# two random ones.
+_ROUND_TRIP_ROW = st.sampled_from([*EXAMPLE_ROWS, (DRONES_COMPLEX, DRONES_SIMPLE)]) | st.tuples(
+    _ROUND_TRIP_SENTENCE, _ROUND_TRIP_SENTENCE
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    articles=st.lists(st.lists(_ROUND_TRIP_ROW, min_size=1, max_size=4), max_size=2),
+    threshold=st.sampled_from(["0", "0.3", "0.5"]),
+)
+@example(
+    # A stray BOM before level 0's second sentence, which is the complex
+    # side of align's first row.
+    articles=[[("It rained.", "It rained."), (_BOM_HIDDEN, _BOM_HIDDEN[1:])]],
+    threshold="0.5",
+)
+def test_mine_reads_what_align_writes(articles, threshold, ppdb_file, synonym_file):
+    # The paper's two steps, align then mine, give what mine gives on the
+    # article directory itself, up to the example ids: line numbers here,
+    # <article>:<level>:<index> there. A sentence holding a tab cannot
+    # round-trip, so align rejects it and writes nothing.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        art = root / "articles"
+        art.mkdir()
+        for i, rows in enumerate(articles):
+            # Level 0 holds the complex sides, level 1 the simple sides in
+            # reverse and level 2 in order.
+            levels = ([c for c, _ in rows], [s for _, s in reversed(rows)], [s for _, s in rows])
+            for level, sentences in enumerate(levels):
+                (art / f"a{i}.{level}.txt").write_text("".join(s + "\n" for s in sentences), encoding="utf-8")
+        aligned = root / "aligned.tsv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["align", str(art), "--threshold", threshold, "-o", str(aligned)])
+        assert main(_mine_args(art, root / "direct", ppdb_file, synonym_file, ("--threshold", threshold))) == 0
+        pairs = list(cli._align(cli._list_articles(art), float(threshold)))
+        if any("\t" in p.complex.raw + p.simple.raw for p in pairs):
+            assert code == 2 and "holds a tab" in err.getvalue() and not aligned.exists()
+            return
+        assert code == 0
+        assert main(_mine_args(aligned, root / "two-step", ppdb_file, synonym_file)) == 0
+        direct, two_step = root / "direct", root / "two-step"
+        assert (two_step / "cases.tsv").read_bytes() == (direct / "cases.tsv").read_bytes()
+        rows = lambda out: [row.rpartition("\t") for row in (out / "altlexes.tsv").read_text().splitlines()]
+        without_ids = lambda out: [(row, ids.count(";")) for row, _, ids in rows(out)]
+        assert without_ids(two_step) == without_ids(direct)

@@ -95,6 +95,18 @@ def test_every_input_file_is_read_by_read_lines():
     assert line_readers == _LINE_READERS
 
 
+def test_every_output_file_is_written_by_replacing():
+    # One writer means one rule for temporary files, symlinks, permission
+    # bits and FIFOs, and one way a failed run leaves the old outputs.
+    calls = {}
+    for path in PACKAGE.rglob("*.py"):
+        calls.update(_calls_by_function(path))
+    writes = lambda call: _called_name(call) in {"write_text", "write_bytes"} or (
+        _called_name(call) == "open" and _writes_only(call)
+    )
+    assert {owner for owner, found in calls.items() if any(map(writes, found))} == {"cli._replacing"}
+
+
 def test_declared_dependencies_are_the_imported_ones():
     # A declared dependency the code never imports still has to be
     # installed; an undeclared one breaks a clean install.

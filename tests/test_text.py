@@ -31,6 +31,13 @@ def test_clitics_and_hyphens_stay_single_tokens():
     ]
 
 
+def test_stray_bom_is_no_token():
+    # U+FEFF inside a file, as concatenating two files that begin with a
+    # BOM leaves it, would hide a sentence-initial connective as a token.
+    assert surfaces(tokenize("\ufeffBecause it rained, we left.")) == surfaces(tokenize("Because it rained, we left."))
+    assert surfaces(tokenize("a\ufeffb \ufeff")) == ["a", "b"]
+
+
 @given(st.text(max_size=200))
 def test_round_trip(raw):
     first = tokenize(raw).surface_forms
