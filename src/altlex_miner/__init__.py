@@ -3,7 +3,6 @@ complex/simple parallel corpora."""
 
 from .corpus import (
     AgreementTable,
-    Article,
     SentencePair,
     align_articles,
     cohen_kappa,
@@ -38,7 +37,6 @@ __all__ = [
     "AgreementTable",
     "AltLexInventory",
     "AltLexRecord",
-    "Article",
     "CaseKind",
     "ChangeCase",
     "ConnectiveEntry",

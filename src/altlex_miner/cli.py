@@ -32,6 +32,8 @@ Exit codes: 0 success, 1 usage error, 2 a crashed worker process, an
 unwritable output, or an input error: an unreadable file, a bad value, or
 a malformed line, reported as ``PATH: line N: reason``. Outputs are
 replaced only once all are written, so a failed run leaves each as it was.
+A stdout closed by its reader, as by ``| head``, is no error: the outputs
+are written before the summary is printed.
 """
 
 from __future__ import annotations
@@ -207,14 +209,15 @@ def _replacing(*outputs: str | Path) -> Iterator[list[Callable[[str], object]]]:
     or beside its symlink's target, and replace the outputs once the block
     has ended and all are closed; a failure removes them. An existing output
     keeps its mode bits; one that is not a regular file is written directly."""
-    def named(output, call, *args):  # a nameless OSError, such as a full disk's, gets the output's name
+    def named(output, call, *args):  # an OSError, such as a full disk's, names the output, not a temporary file
         try:
             return call(*args)
         except OSError as exc:
-            exc.filename = exc.filename or str(output)
+            exc.filename = str(output)
+            del exc.filename2  # os.replace's target: one name, the one the user gave
             raise
 
-    files, replacing = [], {}  # [(output, file)], {temporary file: target}
+    files, replacing = [], {}  # [(output, file)], {temporary file: (output, target)}
     try:
         for output in outputs:
             mode = os.stat(output).st_mode if os.path.exists(output) else None
@@ -223,15 +226,15 @@ def _replacing(*outputs: str | Path) -> Iterator[list[Callable[[str], object]]]:
                 continue
             target = Path(os.path.realpath(output))
             temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-            files.append((output, open(temporary, "x", encoding="utf-8")))
-            replacing[temporary] = target
+            files.append((output, named(output, lambda: open(temporary, "x", encoding="utf-8"))))
+            replacing[temporary] = output, target
             if mode:
-                os.chmod(temporary, stat.S_IMODE(mode))
+                named(output, os.chmod, temporary, stat.S_IMODE(mode))
         yield [partial(named, output, fh.write) for output, fh in files]
         for output, fh in files:
             named(output, fh.close)
-        for temporary, target in replacing.items():
-            os.replace(temporary, target)
+        for temporary, (output, target) in replacing.items():
+            named(output, os.replace, temporary, target)
     finally:
         for _, fh in files:
             with suppress(OSError):  # a no-op once closed; else the error raised says more
@@ -275,9 +278,9 @@ def _align(articles: Iterable[tuple], threshold: float) -> Iterator[SentencePair
     read.
     """
     for art_id, ((_, original_file), *simplified) in articles:
-        original = read_article(art_id, 0, original_file)
+        original = read_article(original_file)
         for level, file in simplified:
-            yield from align_articles(original, read_article(art_id, level, file), threshold)
+            yield from align_articles(original, read_article(file), art_id, level, threshold)
         del original  # before the next article's level 0 is read
 
 
@@ -449,8 +452,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
     except (InputError, OSError, ValueError) as exc:
+        if isinstance(exc, BrokenPipeError) and exc.filename is None:  # stdout closed by its reader, as by `| head`
+            with open(os.devnull, "w") as devnull:  # for what is still buffered, flushed at exit
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            return 0
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -2,10 +2,11 @@
 
 Two corpus forms are supported: pre-aligned TSV files (one
 ``complex<TAB>simple`` pair per line) and article-aligned directories of
-``<articleid>.<level>.txt`` files (level 0 is the most complex; each higher
-level is aligned against level 0 independently). Alignment pairs every
-simple-side sentence with its highest TF-IDF-cosine complex-side sentence
-and drops pairs below a threshold.
+``<articleid>.<level>.txt`` files, each level read as a tuple of Sentences
+(level 0 is the most complex). ``align_articles(complex_sentences,
+simple_sentences, article_id, level)`` pairs each sentence of a higher
+level with its highest TF-IDF-cosine sentence of level 0, as pair
+``<articleid>:<level>:<index>``, and drops pairs below a threshold.
 
 Every file is streamed through ``text.read_lines``, so the TSV, article
 and agreement readers share its line ends, blank-line skip and
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,19 +37,6 @@ class SentencePair:
     def __post_init__(self) -> None:
         if not 0.0 <= self.similarity <= 1.0 + 1e-9:
             raise ValueError(f"similarity {self.similarity} outside [0, 1]")
-
-
-@dataclass(frozen=True, slots=True)
-class Article:
-    """One article at one complexity level (0 = original, up to 5)."""
-
-    id: str
-    level: int
-    sentences: tuple[Sentence, ...]
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.level <= 5:
-            raise ValueError(f"article level {self.level} outside 0..5")
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,19 +119,18 @@ def list_article_dir(path: str | Path) -> dict[str, dict[int, str]]:
     return files
 
 
-def read_article(art_id: str, level: int, path: str | Path) -> Article:
+def read_article(path: str | Path) -> tuple[Sentence, ...]:
     """Read and tokenize one article level's file, one sentence per
     non-blank line as ``text.read_lines`` reads them. A Unicode line or
     paragraph separator inside a line stays in its sentence."""
-    sentences = tuple(tokenize(line) for _, line in read_lines(path))
-    return Article(id=art_id, level=level, sentences=sentences)
+    return tuple(tokenize(line) for _, line in read_lines(path))
 
 
-def load_article_dir(path: str | Path) -> dict[str, dict[int, Article]]:
+def load_article_dir(path: str | Path) -> dict[str, dict[int, tuple[Sentence, ...]]]:
     """Load ``<articleid>.<level>.txt`` files, one sentence per line, as
-    {article_id: {level: Article}}; see ``list_article_dir``."""
+    {article_id: {level: sentences}}; see ``list_article_dir``."""
     return {
-        art_id: {level: read_article(art_id, level, file) for level, file in files.items()}
+        art_id: {level: read_article(file) for level, file in files.items()}
         for art_id, files in list_article_dir(path).items()
     }
 
@@ -182,28 +169,29 @@ def compute_idf(sentences: list[Sentence]) -> dict[str, float]:
 
 
 def align_articles(
-    complex_article: Article, simple_article: Article, threshold: float = 0.5
+    complex_sentences: Sequence[Sentence], simple_sentences: Sequence[Sentence],
+    article_id: str, level: int, threshold: float = 0.5,
 ) -> list[SentencePair]:
-    """Pair each sentence of ``simple_article`` with its best sentence of
-    ``complex_article``, in simple sentence order.
+    """Pair each of ``simple_sentences``, level ``level`` of article
+    ``article_id``, with its best of ``complex_sentences``, in simple
+    sentence order, as pair ``<article_id>:<level>:<simple index>``.
 
     Simple-side-driven argmax (first maximum wins ties); pairs with
     similarity below ``threshold`` are dropped. IDF is computed over the
-    union of both articles' sentences, as ``compute_idf`` computes it.
+    union of both levels' sentences, as ``compute_idf`` computes it.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
-    cx, sx = complex_article.sentences, simple_article.sentences
-    if not (cx and sx):
+    if not (complex_sentences and simple_sentences):
         return []
     from .similarity import best_matches  # numpy, which TSV runs never need
 
-    best, scores = best_matches(cx, sx)
+    best, scores = best_matches(complex_sentences, simple_sentences)
     return [
         SentencePair(
-            complex=cx[ci],
-            simple=sx[si],
-            source_id=f"{simple_article.id}:{simple_article.level}:{si}",
+            complex=complex_sentences[ci],
+            simple=simple_sentences[si],
+            source_id=f"{article_id}:{level}:{si}",
             similarity=min(score, 1.0),
         )
         for si, (ci, score) in enumerate(zip(best, scores))

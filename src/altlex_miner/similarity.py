@@ -1,8 +1,8 @@
 """Pairwise TF-IDF cosine similarity for article alignment.
 
-Aligning an article level against the original needs, for each simple
-sentence, its best complex sentence over sparse TF-IDF vectors.
-``best_matches`` aligns one simplified level against level 0:
+``corpus.align_articles`` is given the sentences of level 0 and of one
+simplified level, and needs each simple sentence's best complex sentence
+over sparse TF-IDF vectors. ``best_matches`` finds them:
 ``csr_counts`` builds each side's term counts as CSR arrays,
 ``csr_weights`` weights them by the level pair's IDF, ``cosine_blocks``
 computes the cosines a block of simple rows at a time with numpy alone,

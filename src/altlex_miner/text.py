@@ -23,6 +23,8 @@ _TOKEN_RE = re.compile(r"\w+(?:[-'’]\w+)*|[^\s\ufeff]")
 _UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
 # The two bytes that begin a gzip file, as "surrogateescape" decodes them.
 _GZIP_MAGIC = "\x1f\udc8b"
+# A blank line that is not ASCII: whitespace and stray BOMs, which are no token.
+_BLANK_LINE = re.compile(r"[\s\ufeff]*")
 
 
 class InputError(Exception):
@@ -72,7 +74,8 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     The file is read as UTF-8 text: a leading BOM is dropped, and ``\r\n``
     and ``\r`` end a line as ``\n`` does. No other character ends one, so
     U+2028, U+0085, ``\f`` and the like stay inside their line. A blank
-    line is one that is empty or all whitespace. An undecodable byte raises
+    line is one that is empty or holds only whitespace and U+FEFF, which
+    ``tokenize`` reads as no token. An undecodable byte raises
     InputError naming the file and its line, also for a pipe, once every
     line before it has been yielded; if the line starts with gzip's magic
     bytes, the message says the file is compressed.
@@ -84,7 +87,7 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         for lineno, line in enumerate(fh, start=1):
             if lineno == 1:
                 line = line.removeprefix("\ufeff")
-            if line and not line.isspace():
+            if line and not line.isspace() and (line.isascii() or not _BLANK_LINE.fullmatch(line)):
                 if not line.isascii() and _UNDECODED_BYTE.search(line):
                     gzipped = " (gzip-compressed: decompress it first)" if line.startswith(_GZIP_MAGIC) else ""
                     raise InputError(f"{path}: line {lineno}: invalid UTF-8{gzipped}")

@@ -14,7 +14,6 @@ import pytest
 from altlex_miner.cli import main, percent_rows
 from altlex_miner.corpus import (
     AgreementTable,
-    Article,
     SentencePair,
     align_articles,
     cohen_kappa,
@@ -221,9 +220,7 @@ def test_c5_alignment_oracle_equivalence():
         cx = [make() for _ in range(rng.randint(1, 8))]
         sx = [make() for _ in range(rng.randint(1, 8))]
         threshold = rng.choice([0.0, 0.2, 0.5, 0.8])
-        ca = Article(id="c", level=0, sentences=tuple(cx))
-        sa = Article(id="c", level=1, sentences=tuple(sx))
-        got = align_articles(ca, sa, threshold=threshold)
+        got = align_articles(tuple(cx), tuple(sx), "c", 1, threshold=threshold)
 
         idf = compute_idf(cx + sx)
         expected = []

@@ -1236,12 +1236,16 @@ def _align_dir(tmp_path):
     return art
 
 
+def _cli_env():
+    """The environment of a child process with this package on its path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _run_cli(argv, **kwargs):
     """``altlex-miner ARGV`` in a child process, with this package on its path."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = [sys.executable, "-m", "altlex_miner", *argv]
-    return subprocess.run(argv, env=env, capture_output=True, text=True, **kwargs)
+    return subprocess.run(argv, env=_cli_env(), capture_output=True, text=True, **kwargs)
 
 
 _ALIGNED = "Rain fell on the town.\tRain fell on the town.\t1.000000\nThe fox ran far.\tThe fox ran far.\t1.000000\n"
@@ -1396,3 +1400,114 @@ def test_mine_reads_what_align_writes(articles, threshold, ppdb_file, synonym_fi
         rows = lambda out: [row.rpartition("\t") for row in (out / "altlexes.tsv").read_text().splitlines()]
         without_ids = lambda out: [(row, ids.count(";")) for row, _, ids in rows(out)]
         assert without_ids(two_step) == without_ids(direct)
+
+
+def _run_with_closed_stdout(argv, cwd, unbuffered):
+    """``altlex-miner ARGV`` in a child process whose stdout is a pipe that
+    its reader has closed, as ``| head -0`` leaves it: (exit code, stderr)."""
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "altlex_miner", *argv],
+        cwd=cwd,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    child.stdout.close()  # before the child can have started writing
+    stderr = child.stderr.read()
+    return child.wait(timeout=60), stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["mine", "align", "kappa"])
+def test_a_closed_stdout_is_no_error(tmp_path, example_corpus, ppdb_file, synonym_file, command, unbuffered):
+    # The outputs are written before the summary is printed, so a reader
+    # that stops early, such as ``head``, loses only the summary.
+    (tmp_path / "agree.tsv").write_text("p\t1\t1\nq\t0\t1\n", encoding="utf-8")
+    argv = {
+        "mine": _mine_args(example_corpus, "out", ppdb_file, synonym_file),
+        "align": ["align", str(_align_dir(tmp_path)), "-o", "aligned.tsv"],
+        "kappa": ["kappa", "agree.tsv"],
+    }[command]
+    assert _run_with_closed_stdout(argv, tmp_path, unbuffered) == (0, "")
+    if command == "mine":
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(_OUTPUT_NAMES)
+    if command == "align":
+        assert (tmp_path / "aligned.tsv").read_text(encoding="utf-8") == _ALIGNED
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_an_output_on_a_closed_stdout_is_an_error(tmp_path, unbuffered):
+    # Here the closed pipe is an output the user named, so the run fails.
+    argv = ["align", str(_align_dir(tmp_path)), "-o", "/dev/stdout"]
+    broken = f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}: '/dev/stdout'\n"
+    assert _run_with_closed_stdout(argv, tmp_path, unbuffered) == (2, broken)
+
+
+def test_a_write_error_names_the_output_not_a_temporary_file(
+    tmp_path, example_corpus, ppdb_file, synonym_file, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    missing = f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+    assert main(["align", str(_align_dir(tmp_path)), "-o", "nodir/x.tsv"]) == 2
+    assert capsys.readouterr().err == f"{missing}: 'nodir/x.tsv'\n"
+    # cases.tsv is a link into a missing directory: the first output fails,
+    # and the other two are left as they were.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "cases.tsv").symlink_to(tmp_path / "gone" / "cases.tsv")
+    previous = {name: f"previous {name}\n".encode() for name in _OUTPUT_NAMES[1:]}
+    for name, data in previous.items():
+        (out / name).write_bytes(data)
+    assert main(_mine_args(example_corpus, "out", ppdb_file, synonym_file)) == 2
+    assert capsys.readouterr().err == f"{missing}: 'out/cases.tsv'\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir() if not p.is_symlink()} == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["articles", "out", "pairs.tsv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(_OUTPUT_NAMES)
+
+
+def test_a_line_of_whitespace_and_bom_is_blank(tmp_path, ppdb_file, synonym_file, capsys):
+    # U+FEFF is no token, so a line holding only it and whitespace is a
+    # blank line: no row of a pairs file, and no empty sentence of an article.
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a\tb\n\ufeff\n \ufeff\t\n", encoding="utf-8")
+    assert main(_mine_args(pairs, tmp_path / "out", ppdb_file, synonym_file)) == 0
+    assert capsys.readouterr().out.startswith("pairs: 1\n")
+    art = _align_dir(tmp_path)
+    (art / "s.1.txt").write_text("Rain fell on the town.\n\ufeff\nThe fox ran far.\n", encoding="utf-8")
+    aligned = tmp_path / "aligned.tsv"
+    assert main(["align", str(art), "--threshold", "0", "-o", str(aligned)]) == 0
+    assert aligned.read_text(encoding="utf-8") == _ALIGNED
+
+
+def test_resource_warnings_name_each_skipped_line(tmp_path, example_corpus, ppdb_file, synonym_file):
+    # A skipped PPDB or synonym line is reported on stderr, in file order,
+    # and mines as if it were not there.
+    noisy_ppdb, noisy_synonyms = tmp_path / "noisy_ppdb.txt", tmp_path / "noisy_synonyms.tsv"
+    noisy_ppdb.write_text(
+        "[X] ||| despite ||| though\n"
+        "[X] ||| despite ||| despite ||| PPDB2.0Score=1.0\n"
+        "[X] ||| despite ||| notwithstanding ||| Equivalence\n"
+        + ppdb_file.read_text(encoding="utf-8"),
+        encoding="utf-8",
+    )
+    noisy_synonyms.write_text(
+        "because\tsince\tas\nsince\tsince\n" + synonym_file.read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    run = _run_cli(_mine_args(example_corpus, tmp_path / "noisy", noisy_ppdb, noisy_synonyms))
+    assert run.returncode == 0
+    assert run.stderr == (
+        f"{noisy_ppdb}: line 1: skipping line with 3 fields\n"
+        f"{noisy_ppdb}: line 2: skipping empty or identity paraphrase\n"
+        f"{noisy_ppdb}: line 3: no score found in feature column\n"
+        f"{noisy_synonyms}: line 1: skipping line with 3 fields\n"
+        f"{noisy_synonyms}: line 2: skipping empty or identity synonym pair\n"
+    )
+    assert main(_mine_args(example_corpus, tmp_path / "clean", ppdb_file, synonym_file)) == 0
+    outputs = lambda out: {name: (out / name).read_bytes() for name in _OUTPUT_NAMES}
+    assert outputs(tmp_path / "noisy") == outputs(tmp_path / "clean")

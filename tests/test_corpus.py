@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from altlex_miner import cli
 from altlex_miner.corpus import (
     AgreementTable,
-    Article,
     align_articles,
     cohen_kappa,
     compute_idf,
@@ -138,13 +137,13 @@ def test_tfidf_symmetric(words_a, words_b):
     assert tfidf_cosine(a, b, idf) == tfidf_cosine(b, a, idf)
 
 
-def _article(art_id, level, raws):
-    return Article(id=art_id, level=level, sentences=tuple(tokenize(r) for r in raws))
+def _sentences(raws):
+    return tuple(tokenize(r) for r in raws)
 
 
 def test_align_identical_articles():
     raws = ["the red fox ran.", "a cold night fell.", "we watched the stars."]
-    pairs = align_articles(_article("a", 0, raws), _article("a", 1, raws), threshold=0.5)
+    pairs = align_articles(_sentences(raws), _sentences(raws), "a", 1, threshold=0.5)
     assert len(pairs) == 3
     for i, pair in enumerate(pairs):
         assert pair.similarity == pytest.approx(1.0, abs=1e-9)
@@ -153,9 +152,9 @@ def test_align_identical_articles():
 
 
 def test_align_drops_dissimilar():
-    complex_a = _article("a", 0, ["the red fox ran fast."])
-    simple_a = _article("a", 1, ["nothing shared here whatsoever."])
-    assert align_articles(complex_a, simple_a, threshold=0.5) == []
+    complex_a = _sentences(["the red fox ran fast."])
+    simple_a = _sentences(["nothing shared here whatsoever."])
+    assert align_articles(complex_a, simple_a, "a", 1, threshold=0.5) == []
 
 
 def test_align_three_by_three_matches_bruteforce():
@@ -169,15 +168,15 @@ def test_align_three_by_three_matches_bruteforce():
         "rain flooded the village.",
         "astronomers mapped the comet.",
     ]
-    ca = _article("t", 0, complex_raws)
-    sa = _article("t", 1, simple_raws)
-    pairs = align_articles(ca, sa, threshold=0.5)
+    ca = _sentences(complex_raws)
+    sa = _sentences(simple_raws)
+    pairs = align_articles(ca, sa, "t", 1, threshold=0.5)
 
     # Exhaustive 9-pair oracle: argmax per simple sentence with threshold.
-    idf = compute_idf(list(ca.sentences) + list(sa.sentences))
+    idf = compute_idf(list(ca) + list(sa))
     expected = []
-    for si, s in enumerate(sa.sentences):
-        sims = [tfidf_cosine(s, c, idf) for c in ca.sentences]
+    for si, s in enumerate(sa):
+        sims = [tfidf_cosine(s, c, idf) for c in ca]
         best = max(range(3), key=lambda i: (sims[i], -i))
         if sims[best] >= 0.5:
             expected.append((best, si, sims[best]))
@@ -193,23 +192,23 @@ def test_align_threshold_monotonic():
     rng = random.Random(7)
     vocab = ["sun", "moon", "tide", "wind", "leaf", "stone", "bird", "rain"]
     make = lambda: " ".join(rng.choice(vocab) for _ in range(rng.randint(2, 6)))
-    ca = _article("m", 0, [make() for _ in range(5)])
-    sa = _article("m", 1, [make() for _ in range(5)])
-    counts = [len(align_articles(ca, sa, threshold=t)) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    ca = _sentences([make() for _ in range(5)])
+    sa = _sentences([make() for _ in range(5)])
+    counts = [len(align_articles(ca, sa, "m", 1, threshold=t)) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
     assert counts == sorted(counts, reverse=True)
 
 
 def test_align_empty_article():
-    assert align_articles(_article("e", 0, []), _article("e", 1, ["a b."]), 0.5) == []
+    assert align_articles(_sentences([]), _sentences(["a b."]), "e", 1, 0.5) == []
 
 
 def test_align_output_similarities_above_threshold():
     rng = random.Random(3)
     vocab = ["alpha", "beta", "gamma", "delta"]
     make = lambda: " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 5)))
-    ca = _article("x", 0, [make() for _ in range(4)])
-    sa = _article("x", 2, [make() for _ in range(4)])
-    for pair in align_articles(ca, sa, threshold=0.4):
+    ca = _sentences([make() for _ in range(4)])
+    sa = _sentences([make() for _ in range(4)])
+    for pair in align_articles(ca, sa, "x", 2, threshold=0.4):
         assert pair.similarity >= 0.4 - 1e-12
 
 
@@ -248,12 +247,11 @@ def _reference_pairs(art_id, complex_raws, simple_levels, threshold):
 def test_align_articles_equals_per_level_reference(complex_raws, simple_levels, threshold):
     # Each level aligned against level 0 must give, bit for bit, what the
     # brute-force reference gives.
-    complex_article = _article("p", 0, complex_raws)
-    cx = complex_article.sentences
+    cx = _sentences(complex_raws)
     got = [
         (p.source_id, next(i for i, c in enumerate(cx) if c is p.complex), p.similarity)
         for level, raws in enumerate(simple_levels, start=1)
-        for p in align_articles(complex_article, _article("p", level, raws), threshold)
+        for p in align_articles(cx, _sentences(raws), "p", level, threshold)
     ]
     assert got == _reference_pairs("p", complex_raws, enumerate(simple_levels, start=1), threshold)
 
@@ -307,11 +305,6 @@ def test_cli_align_over_article_files_equals_per_level_reference(articles, thres
     assert got == expected
 
 
-def test_article_level_validation():
-    with pytest.raises(ValueError):
-        Article(id="bad", level=6, sentences=())
-
-
 def test_load_article_dir(tmp_path):
     (tmp_path / "story.0.txt").write_text("one two.\nthree four.\n", encoding="utf-8")
     (tmp_path / "story.1.txt").write_text("one two.\n", encoding="utf-8")
@@ -319,7 +312,7 @@ def test_load_article_dir(tmp_path):
     articles = load_article_dir(tmp_path)
     assert set(articles) == {"story"}
     assert set(articles["story"]) == {0, 1}
-    assert len(articles["story"][0].sentences) == 2
+    assert len(articles["story"][0]) == 2
 
 
 @pytest.mark.parametrize("sep", UNICODE_LINE_BREAKS, ids=lambda sep: f"U+{ord(sep):04X}")
@@ -329,8 +322,8 @@ def test_article_lines_end_only_at_newline(tmp_path, sep):
     (tmp_path / "s.0.txt").write_text(f"one{sep}two.\nthree four.\n", encoding="utf-8")
     (tmp_path / "s.1.txt").write_text(f"one{sep}two.\r\nthree four.\n", encoding="utf-8")
     levels = load_article_dir(tmp_path)["s"]
-    assert [s.raw for s in levels[1].sentences] == [f"one{sep}two.", "three four."]
-    pairs = align_articles(levels[0], levels[1], threshold=0.5)
+    assert [s.raw for s in levels[1]] == [f"one{sep}two.", "three four."]
+    pairs = align_articles(levels[0], levels[1], "s", 1, threshold=0.5)
     assert [(p.source_id, p.complex.raw) for p in pairs] == [
         ("s:1:0", f"one{sep}two."),
         ("s:1:1", "three four."),

@@ -67,6 +67,17 @@ def test_load_synonyms_strips_utf8_bom(tmp_path):
     assert [e.target for e in store.lookup(("because",))] == [("since",)]
 
 
+def test_a_line_of_whitespace_and_bom_is_blank(tmp_path, caplog):
+    # U+FEFF is no token, so such a line is blank: neither skipped nor
+    # warned about.
+    ppdb, synonyms = tmp_path / "ppdb", tmp_path / "syn.tsv"
+    ppdb.write_text("[X] ||| despite ||| though ||| PPDB2.0Score=3.5\n\ufeff\n \ufeff\t\n", encoding="utf-8")
+    synonyms.write_text("because\tsince\n\ufeff\n\ufeff \n", encoding="utf-8")
+    stores = [load_ppdb(ppdb), load_synonyms(synonyms)]
+    assert [(store.skipped, len(store)) for store in stores] == [(0, 2), (0, 2)]
+    assert caplog.records == []
+
+
 def test_load_synonyms_empty_file(tmp_path):
     path = tmp_path / "syn.tsv"
     path.write_text("", encoding="utf-8")

@@ -119,8 +119,9 @@ def test_match_phrase_equals_brute_force(letters, phrase):
 
 def _spec_lines(data):
     """What ``read_lines`` must give for ``data``, written from its
-    contract: ([(line number, line), ...] of the non-blank lines, number of
-    the line holding the first undecodable byte or None)."""
+    contract: ([(line number, line), ...] of the lines holding more than
+    whitespace and U+FEFF, number of the line holding the first
+    undecodable byte or None)."""
     if data.startswith(codecs.BOM_UTF8):
         data = data[len(codecs.BOM_UTF8) :]
     try:
@@ -129,7 +130,7 @@ def _spec_lines(data):
         text = data[: exc.start].decode("utf-8")
         bad_line = text.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    kept = [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
+    kept = [(n, line) for n, line in enumerate(lines, start=1) if line.replace("\ufeff", "").strip()]
     if bad_line is not None:
         kept = [(n, line) for n, line in kept if n < bad_line]
     return kept, bad_line
@@ -177,6 +178,7 @@ def _pipe_of(data):
 @example(b"x" * 8191 + b"\r\n" + b"\xff")
 @example(b"x" * 8190 + "\u20ac".encode() + b"\n\xff")
 @example(codecs.BOM_UTF8 + codecs.BOM_UTF8 + b"a\n \n")
+@example(b"a\n" + codecs.BOM_UTF8 + b"\n \t" + codecs.BOM_UTF8 + "\u2028".encode() + b"\nb")
 @example(b"\xef\xbb")
 def test_read_lines_matches_its_spec(tmp_path_factory, data):
     # Over a file and over a pipe, whose bytes cannot be read again to find
