@@ -114,6 +114,7 @@ def load_config_file(path: str) -> dict:
             raise InputError(f"{path}: line {lineno}: unknown config key {key!r}")
         try:
             values[key] = _CONFIG_TYPES[key](value.strip())
+            RunConfig(**{key: values[key]})  # a range check names this line too
         except ValueError as exc:
             raise InputError(f"{path}: line {lineno}: bad value for {key}: {exc}") from exc
     return values

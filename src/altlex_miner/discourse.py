@@ -16,11 +16,12 @@ table shipped with the package; it is data, not code, and can be replaced.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .text import InputError, Sentence, TokenSpan, read_lines
+from .text import InputError, Sentence, TokenSpan, read_lines, tokenize
 
 
 class Sense(enum.Enum):
@@ -118,7 +119,8 @@ def load_inventory(path: str | Path | None = None) -> ConnectiveInventory:
     """Load a connective inventory TSV; defaults to the shipped PDTB table.
 
     Format: ``form<TAB>second_part_or_empty<TAB>sense:weight[,sense:weight…]``
-    with ``#`` comment lines. Weights per entry must sum to 1.
+    with ``#`` comment lines. Forms are tokenized as sentences are, so that
+    ``as a result,`` is four tokens; weights per entry must sum to 1.
     """
     name = str(_SHIPPED_INVENTORY if path is None else path)
     entries: list[ConnectiveEntry] = []
@@ -130,8 +132,7 @@ def load_inventory(path: str | Path | None = None) -> ConnectiveInventory:
         fields = line.split("\t")
         if len(fields) != 3:
             raise InputError(f"{name}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
-        first = tuple(fields[0].lower().split())
-        second = tuple(fields[1].lower().split())
+        first, second = (tokenize(field).lower_forms for field in fields[:2])
         if not first:
             raise InputError(f"{name}: line {lineno}: empty connective form")
         parts = (first, second) if second else (first,)
@@ -149,7 +150,9 @@ def load_inventory(path: str | Path | None = None) -> ConnectiveInventory:
             try:
                 weight = float(weight_s)
             except ValueError:
-                raise InputError(f"{name}: line {lineno}: bad weight {weight_s!r}") from None
+                weight = math.nan
+            if not math.isfinite(weight):  # nan passes both checks below
+                raise InputError(f"{name}: line {lineno}: bad weight {weight_s!r}")
             if weight <= 0:
                 raise InputError(f"{name}: line {lineno}: non-positive weight for {sense_name.strip()!r}")
             senses.append((sense, weight))

@@ -1,7 +1,7 @@
 """Paraphrase and synonym resources used to expand connectives.
 
 Both resource kinds load into the same symmetric ParaphraseStore: PPDB flat
-files (``|||``-delimited, score taken from the feature column) and plain
+files (``|||``-delimited, one score rule over the feature column) and plain
 ``word<TAB>synonym`` lexicons standing in for WordNet. Expanding a
 connective returns its stored paraphrases minus anything that is itself an
 inventory connective, since a connective-for-connective swap is not an
@@ -74,30 +74,14 @@ class ParaphraseStore:
 
 
 _PPDB_SEP = " ||| "
-# The feature whose value is a PPDB line's score.
-_SCORE_FEATURE = "PPDB2.0Score"
 _FLOAT_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
+# A whole "PPDB2.0Score=NUMBER" item. It starts with its literal, not with the
+# lookbehind, so that re scans for that prefix instead of trying every position.
+_SCORE_RE = re.compile(r"PPDB2\.0Score=(?<=(?<!\S)PPDB2\.0Score=)(" + _FLOAT_RE.pattern + r")(?!\S)")
 # Searched in " " + features: a number that begins a feature's value or a
 # bare item, never digits of a feature name such as "PPDB2.0Score".
 _VALUE_NUMBER_RE = re.compile(r"[=\s](" + _FLOAT_RE.pattern + r")(?![^\s=]*=)")
-# Its matches that begin a value: most lines have one, and a search for a
-# literal "=" is the faster.
-_EQ_NUMBER_RE = re.compile(r"=(" + _FLOAT_RE.pattern + r")(?![^\s=]*=)")
-
-
-def _feature_score(features: str) -> float | None:
-    """The score feature's value, else the first number that begins a
-    value, else None. A numeric score value begins a value itself, so a
-    line has a score exactly when ``_VALUE_NUMBER_RE`` finds one."""
-    for item in features.split():
-        key, eq, value = item.partition("=")
-        if eq and key == _SCORE_FEATURE:
-            m = _FLOAT_RE.fullmatch(value)
-            if m:
-                return float(value)
-    m = _VALUE_NUMBER_RE.search(" " + features)
-    return float(m.group(1)) if m else None
 
 
 def load_ppdb(
@@ -108,12 +92,12 @@ def load_ppdb(
     """Load a PPDB flat file, keeping entries with score >= min_score.
 
     Expected fields: ``LHS ||| source ||| target ||| features [||| ...]``.
-    The score is the value of ``PPDB2.0Score`` in the feature column, falling
-    back to the first number there that begins a feature's value or a bare
-    item (the digits of a name such as ``PPDB2.0Score`` are no score).
-    Malformed lines are skipped and counted on the returned store; blank
-    lines are neither. With ``keep``, only lines whose source or target is
-    in it are stored; every line is still validated and counted.
+    One score rule for every line: the first numeric ``PPDB2.0Score`` item
+    in the feature column, else the first number there that begins a value
+    or a bare item (digits of a name such as ``PPDB2.0Score`` are no score).
+    Malformed and score-less lines are skipped and counted on the returned
+    store; blank lines are neither. With ``keep``, only lines whose source or
+    target is in it are stored; every line is still validated and counted.
     """
     store = ParaphraseStore(Resource.PPDB)
     for lineno, line in read_lines(path):
@@ -128,17 +112,15 @@ def load_ppdb(
             store.skipped += 1
             logger.warning("%s: line %d: skipping empty or identity paraphrase", path, lineno)
             continue
-        stored = keep is None or source in keep or target in keep
-        if stored:
-            score = _feature_score(fields[3])
-        else:  # only whether the line has a score
-            score = _EQ_NUMBER_RE.search(fields[3]) or _VALUE_NUMBER_RE.search(" " + fields[3])
-        if score is None:
+        m = _SCORE_RE.search(fields[3]) or _VALUE_NUMBER_RE.search(" " + fields[3])
+        if m is None:
             store.skipped += 1
             logger.warning("%s: line %d: no score found in feature column", path, lineno)
             continue
-        if stored and score >= min_score:
-            store.add(source, target, score)
+        if keep is None or source in keep or target in keep:
+            score = float(m.group(1))
+            if score >= min_score:
+                store.add(source, target, score)
     return store
 
 

@@ -1147,9 +1147,27 @@ def test_non_finite_min_score_is_input_error(
     out = tmp_path / "out"
     config = tmp_path / "run.cfg"
     config.write_text(f"min_score = {value}\n", encoding="utf-8")
-    for extra in ([f"--min-score={value}"], ["--config", str(config)]):
+    for extra, where in (
+        ([f"--min-score={value}"], ""),
+        (["--config", str(config)], f"{config}: line 1: bad value for min_score: "),
+    ):
         assert main(_mine_args(example_corpus, out, ppdb_file, synonym_file, extra)) == 2
-        assert f"error: min_score must be finite, got {float(value)}" in capsys.readouterr().err
+        assert f"error: {where}min_score must be finite, got {float(value)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [("threshold", "2", "threshold 2.0 outside [0, 1]"), ("workers", "0", "workers must be >= 1, got 0")],
+)
+def test_a_bad_config_value_names_its_line(tmp_path, example_corpus, capsys, key, value, reason):
+    # Also when a flag overrides the key, as for an unknown key.
+    out = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# run settings\n{key}={value}\n", encoding="utf-8")
+    for extra in ([], [f"--{key}", "1"]):
+        assert main(["mine", str(example_corpus), "--config", str(config), "--output-dir", str(out), *extra]) == 2
+        assert capsys.readouterr().err == f"error: {config}: line 2: bad value for {key}: {reason}\n"
     assert not out.exists()
 
 

@@ -6,12 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altlex_miner.discourse import (
+    _SHIPPED_INVENTORY,
     Sense,
     _is_verbish,
     detect_explicit,
     load_inventory,
 )
-from altlex_miner.text import InputError, split_tokens, tokenize
+from altlex_miner.text import InputError, read_lines, split_tokens, tokenize
 
 from conftest import WOODCUTS_COMPLEX, WOODCUTS_SIMPLE, BROADCAST_COMPLEX, LANDMARK_SIMPLE
 
@@ -45,9 +46,39 @@ def test_weight_sum_validation(tmp_path):
 
 def test_duplicate_form_validation(tmp_path):
     path = tmp_path / "inv.tsv"
-    path.write_text("but\t\tContrast:1.0\nbut\t\tCause:1.0\n", encoding="utf-8")
-    with pytest.raises(InputError, match="duplicate"):
+    # Forms are compared as tokens, so a space before the comma makes no new form.
+    for text in ("but\t\tContrast:1.0\nbut\t\tCause:1.0\n", "as a result,\t\tCause:1.0\nas a result ,\t\tCause:1.0\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match="duplicate"):
+            load_inventory(path)
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_a_weight_that_is_not_finite_is_bad(tmp_path, weight):
+    # nan <= 0 and abs(nan - 1) > 1e-9 are both false, so a nan weight
+    # passed both checks and could become the top sense.
+    path = tmp_path / "inv.tsv"
+    path.write_text(f"# senses\nalthough\t\tContrast:{weight},Concession:1.0\n", encoding="utf-8")
+    with pytest.raises(InputError) as info:
         load_inventory(path)
+    assert str(info.value) == f"{path}: line 2: bad weight {weight!r}"
+
+
+def test_a_form_ending_in_a_comma_is_detected(tmp_path):
+    # The form is split as a sentence is: "result" and "," are two tokens.
+    path = tmp_path / "inv.tsv"
+    path.write_text("as a result,\t\tCause:1.0\n", encoding="utf-8")
+    inv = load_inventory(path)
+    anns = detect_explicit(tokenize("As a result, we left the house."), inv)
+    assert [(a.connective_id, a.span.start, a.span.end) for a in anns] == [("as a result ,", 0, 4)]
+
+
+def test_every_shipped_form_is_its_own_tokenization():
+    # Tokenizing the shipped forms changed none of them.
+    lines = [line for _, line in read_lines(_SHIPPED_INVENTORY) if not line.startswith("#")]
+    forms = [field for line in lines for field in line.split("\t")[:2]]
+    assert len(forms) == 200
+    assert [tokenize(form).lower_forms for form in forms] == [tuple(form.lower().split()) for form in forms]
 
 
 def test_unknown_sense_validation(tmp_path):

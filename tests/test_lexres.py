@@ -1,8 +1,34 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from altlex_miner.lexres import ParaphraseStore, Resource, _feature_score, expand, load_ppdb, load_synonyms
+from altlex_miner.lexres import (
+    _FLOAT_RE,
+    _VALUE_NUMBER_RE,
+    ParaphraseStore,
+    Resource,
+    expand,
+    load_ppdb,
+    load_synonyms,
+)
+
+# The reference score rule, item by item: load_ppdb's one regex search must
+# give every line, stored or not, this score.
+_SCORE_FEATURE = "PPDB2.0Score"
+
+
+def _feature_score(features: str) -> float | None:
+    """The score feature's value, else the first number that begins a
+    value, else None. A numeric score value begins a value itself, so a
+    line has a score exactly when ``_VALUE_NUMBER_RE`` finds one."""
+    for item in features.split():
+        key, eq, value = item.partition("=")
+        if eq and key == _SCORE_FEATURE:
+            m = _FLOAT_RE.fullmatch(value)
+            if m:
+                return float(value)
+    m = _VALUE_NUMBER_RE.search(" " + features)
+    return float(m.group(1)) if m else None
 
 
 def test_load_ppdb_basic(tmp_path):
@@ -176,9 +202,9 @@ KEEP_PPDB_OTHER = [
     "[X] ||| unless ||| except if ||| no score here",
     "[X] ||| pebble ||| gravel ||| no score here",
     "[X] |||  ||| though ||| PPDB2.0Score=1.0",
-    # Unreachable lines are not parsed for a score, only tested for one: the
-    # first has a number, though not as its score key's value; the other
-    # two have none, the last only the digits of the key's name.
+    # Unreachable lines get the same score rule as the others: the first has
+    # a number, though not as its score key's value; the other two have
+    # none, the last only the digits of the key's name.
     "[X] ||| pebble ||| gravel ||| PPDB2.0Score=abc 0.75",
     "[X] ||| pebble ||| cobble ||| Score= none",
     "[X] ||| pebble ||| shale ||| PPDB2.0Score= x",
@@ -232,6 +258,33 @@ def test_stored_and_unstored_lines_agree_on_a_score(tmp_path_factory, features):
     assert store.skipped in (0, 2)
     assert (store.skipped == 0) == (_feature_score(features) is not None)
     assert len(store) == (2 if store.skipped == 0 else 0)
+
+
+# Whitespace that str.split and re's \s both split on (NBSP, U+3000, U+0085,
+# \x1c), U+FEFF, which neither does, and near-misses of a score item.
+_SCORE_PIECES = _FEATURE_PIECES + [
+    "PPDB2.0Score=", "xPPDB2.0Score=1", "==", "1e", ".5", "\t", "\xa0", "\u3000", "\x85", "\x1c", "\ufeff",
+]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_SCORE_PIECES + [" "]), min_size=1, max_size=10).map("".join))
+@example("PPDB2.0Score=abc PPDB2.0Score=x\xa0PPDB2.0Score=0.5 p(e|f)=0.75")
+@example("PPDB2.0Score=1e PPDB2.0Score=\ufeff2 PPDB2.0Score=-1\u3000p=3")
+@example("xPPDB2.0Score=1\x85PPDB2.0Score=.5")
+@example("p(e|f)=0.75 xPPDB2.0Score=1 PPDB2.0Score=2e3x")
+def test_every_line_gets_the_reference_score(tmp_path_factory, features):
+    # Stored with keep, stored without it, or dropped by keep: the line is
+    # skipped exactly when the reference finds no score, and a stored line
+    # holds the reference's score.
+    path = tmp_path_factory.mktemp("ppdb") / "ppdb"
+    path.write_text(f"[X] ||| because ||| given that ||| {features}\n", encoding="utf-8")
+    score = _feature_score(features)
+    for keep, stored in ((None, True), ({("because",)}, True), ({("pebble",)}, False)):
+        store = load_ppdb(path, min_score=float("-inf"), keep=keep)
+        assert store.skipped == (score is None)
+        expected = [(("given", "that"), score)] if stored and score is not None else []
+        assert [(e.target, e.score) for e in store.lookup(("because",))] == expected
 
 
 def test_load_synonyms_keep_is_exact(tmp_path, inventory):
