@@ -11,29 +11,30 @@ their file names, and each file is read only when alignment reaches it.
 An article's level 0 is read once; each simplified level is then read,
 aligned against level 0 and its pairs consumed before the next level is
 read, and the article is released before the next one's level 0 is read.
-With ``--workers 1`` that stream is mined in this process, a row
-tokenized into its pair only when mining reaches it. ``align`` writes each
-pair as it is aligned.
+``align`` writes each pair as it is aligned.
 
-With ``--workers N`` the parent cuts the stream into tasks without
-tokenizing it: 1,000 rows, or one article, per task. It hands the tasks to
-the process pool in windows of 2N, handing out the next window before it
-folds the results of the one before. Each worker reads, tokenizes, aligns
-and mines its task and returns an AltLexInventory, and the parent folds
-the results in task order, so the emitted files are byte-identical for
-any worker count. An input that ends inside the first window is cut
-again into at most N tasks, and one that makes a single task, or none,
-is mined in this process, without a pool. The parent holds at most two
-windows of raw rows or article names, and each worker one pair, or level
-0 and one simplified level of an article, at a time; beyond the mined
+``mine`` cuts the stream into tasks without tokenizing it: 1,000 rows (the
+first 200), or one article, per task, whatever ``--workers`` and the
+machine. One rule sets how many processes mine them: the least of
+``--workers``, the CPUs and the tasks in a first window of 2 x
+min(``--workers``, CPUs) tasks. With one, the stream is mined in this
+process, a row tokenized into its pair only when mining reaches it. With
+more, a process pool is handed the tasks in such windows, the next window
+before the parent folds the results of the one before. Each worker reads,
+tokenizes, aligns and mines its task and returns an AltLexInventory, and
+the parent folds the results in task order, so the emitted files are
+byte-identical for any worker count. The parent holds at most two windows
+of raw rows or article names, and each worker one pair, or level 0 and
+one simplified level of an article, at a time; beyond the mined
 inventory, memory does not grow with the corpus.
 
 Exit codes: 0 success, 1 usage error, 2 a crashed worker process, an
-unwritable output, or an input error: an unreadable file, a bad value, or
-a malformed line, reported as ``PATH: line N: reason``. Outputs are
-replaced only once all are written, so a failed run leaves each as it was.
-A stdout closed by its reader, as by ``| head``, is no error: the outputs
-are written before the summary is printed.
+unwritable output, no memory left, or an input error: an unreadable file,
+a bad value, or a malformed line, reported as ``PATH: line N: reason``;
+130 a run stopped by Ctrl-C. Outputs are replaced only once all are
+written, so a failed or stopped run leaves each as it was. A stdout closed
+by its reader, as by ``| head``, is no error: the outputs are written
+before the summary is printed.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 from .corpus import (
@@ -70,6 +71,7 @@ from .text import InputError, read_lines
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
+INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 @dataclass
@@ -123,15 +125,13 @@ def load_config_file(path: str) -> dict:
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults < config file < explicit flags."""
     values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(load_config_file(args.config))
     for key in _CONFIG_TYPES:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key, None)  # align has no resource flags
         if flag is not None:
             values[key] = flag
-    if getattr(args, "input_path", None) is not None:
-        values["input_path"] = args.input_path
-    return RunConfig(**values)
+    return RunConfig(input_path=args.input_path, **values)
 
 
 def percent_rows(counts: list[int]) -> list[float]:
@@ -286,16 +286,21 @@ def _align(articles: Iterable[tuple], threshold: float) -> Iterator[SentencePair
 
 
 # Mining 1,000 of the benchmark's TSV rows takes about 20 ms on a 2-vCPU VM.
-# The inventory and stores are pickled with each task: little with small
-# resources, but 3.0 MB (0.23 s to dump and load) with a dense PPDB.
+# The inventory and stores are pickled with each task; with a dense PPDB that
+# is 2.72 MB, 64-74 ms to dump and 113-157 ms to load.
 _ROWS_PER_TASK = 1000
+# The first task is smaller, so that the few hundred rows of the benchmark's
+# own tests of its pooled workload still make two tasks.
+_FIRST_TASK_ROWS = 200
 
 
-def _tasks(items: Iterable, size: int) -> Iterator[list]:
-    """``items`` in consecutive lists of ``size``; the last may be shorter."""
-    items = iter(items)
-    while task := list(islice(items, size)):
+def _tasks(items: Iterator, size: int) -> Iterator[list]:
+    """``items`` in consecutive lists of ``size``, the first of at most
+    ``_FIRST_TASK_ROWS``; the last may be shorter."""
+    task = list(islice(items, min(size, _FIRST_TASK_ROWS)))
+    while task:
         yield task
+        task = list(islice(items, size))
 
 
 def _mine_rows(rows, inventory, stores):
@@ -317,32 +322,31 @@ def ProcessPoolExecutor(*args, **kwargs):  # noqa: N802 - perfbench and tests re
     return pool_class(*args, **kwargs)
 
 
-def _mine_in_pool(work, tasks: Iterator[list], workers: int) -> AltLexInventory:
-    """Mine ``tasks`` with ``work`` in ``workers`` processes and fold the
-    results in task order; a dead worker raises ChildProcessError.
+def _mine(work, items: Iterable, per_task: int, workers: int) -> AltLexInventory:
+    """Mine ``items`` with ``work`` in tasks of ``per_task`` items and fold
+    the results in task order; a dead worker raises ChildProcessError.
 
-    Tasks go to the pool in windows of ``2 * workers``, at most two
-    windows at a time: the one being folded and the next. The pool is
-    never handed the task stream itself, because ``Executor.map`` submits
-    all it is given at once. If the input ends inside the first window, its
-    items are cut again into tasks of ``ceil(items / workers)``, and if
-    that gives at most one task they are mined here. The pool starts no
-    more processes than the machine has CPUs; the tasks, and so the
-    results, stay the same. An error reading the next window cancels the
-    tasks not yet started.
+    The one dispatch rule: ``min(workers, CPUs, tasks in the first window)``
+    processes, a window being ``2 * min(workers, CPUs)`` tasks and CPUs one
+    if unknown. One process mines here, reading no item ahead unless a first
+    window was read. More are a pool, handed the windows at most two at a
+    time: the one being folded and the next, never the task stream, all of
+    which ``Executor.map`` would submit at once. An error reading the next
+    window cancels the tasks not yet started.
     """
-    ahead = 2 * workers
-    window = list(islice(tasks, ahead))
-    if len(window) < ahead:
-        items = [item for task in window for item in task]
-        window = list(_tasks(items, math.ceil(len(items) / workers)))
-        if len(window) <= 1:
-            return work(items)
+    items = iter(items)
+    tasks = _tasks(items, per_task)
+    processes = min(workers, os.cpu_count() or 1)
+    ahead = 2 * processes
+    window = list(islice(tasks, ahead)) if processes > 1 else []
+    processes = min(processes, len(window))
+    if processes <= 1:  # a first window of one task, or none, held the whole input
+        return work(chain(*window, items))
     from concurrent.futures.process import BrokenProcessPool
 
     inv = AltLexInventory()
     try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(window), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = pool.map(work, window)
             while window:
                 # Hand out the next window before folding this one, so the
@@ -376,7 +380,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         per_task = _ROWS_PER_TASK
         work = partial(_mine_rows, inventory=inventory, stores=stores)
 
-    inv = work(items) if config.workers == 1 else _mine_in_pool(work, _tasks(items, per_task), config.workers)
+    inv = _mine(work, items, per_task, config.workers)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -407,8 +411,7 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 
 def cmd_kappa(args: argparse.Namespace) -> int:
-    config = build_run_config(args)
-    table = load_agreement_tsv(config.input_path)
+    table = load_agreement_tsv(args.input_path)
     print(f"{cohen_kappa(table):.3f}")
     return 0
 
@@ -444,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kappa = sub.add_parser("kappa", help="Cohen's kappa from an agreement TSV")
     p_kappa.add_argument("input_path", metavar="AGREEMENT_TSV")
-    p_kappa.add_argument("--config", default=None, help="key=value config file")
     p_kappa.set_defaults(func=cmd_kappa)
     return parser
 
@@ -463,6 +465,12 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except MemoryError:  # whose message is empty
+        print("error: out of memory", file=sys.stderr)
+        return INPUT_ERROR
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return INTERRUPTED
 
 
 def entrypoint() -> None:

@@ -36,7 +36,6 @@ class Resource(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class ParaphraseEntry:
-    source: tuple[str, ...]
     target: tuple[str, ...]
     score: float
     resource: Resource
@@ -66,7 +65,7 @@ class ParaphraseStore:
     def lookup(self, source: tuple[str, ...]) -> list[ParaphraseEntry]:
         """The source's paraphrases, best score first then by target."""
         entries = [
-            ParaphraseEntry(source=source, target=t, score=s, resource=self.resource)
+            ParaphraseEntry(target=t, score=s, resource=self.resource)
             for t, s in self._by_source.get(source, {}).items()
         ]
         entries.sort(key=lambda e: (-e.score, e.target))

@@ -114,3 +114,22 @@ def synonym_file(tmp_path_factory):
 @pytest.fixture(scope="session")
 def fixture_stores(ppdb_file, synonym_file):
     return [load_ppdb(ppdb_file), load_synonyms(synonym_file)]
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The process count of each pool that ``mine`` starts, on a machine
+    taken to have two CPUs, so that an input of two tasks or more starts one
+    also where the host has one CPU."""
+    from altlex_miner import cli
+
+    starts = []
+    pool = cli.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        starts.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    return starts

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from altlex_miner import cli
 from altlex_miner.cli import main, percent_rows
 from altlex_miner.corpus import (
     AgreementTable,
@@ -252,7 +253,10 @@ def test_c6_kappa_values():
     _report("6 kappa values")
 
 
-def test_c7_mine_determinism_across_workers(tmp_path, ppdb_file, synonym_file, worked_example_pairs):
+def test_c7_mine_determinism_across_workers(
+    tmp_path, ppdb_file, synonym_file, worked_example_pairs, monkeypatch, pool_starts
+):
+    monkeypatch.setattr(cli, "_ROWS_PER_TASK", 1)  # four tasks, so eight workers start a pool
     corpus = tmp_path / "pairs.tsv"
     corpus.write_text(
         "".join(f"{p.complex.raw}\t{p.simple.raw}\n" for p in worked_example_pairs), encoding="utf-8"
@@ -279,6 +283,7 @@ def test_c7_mine_determinism_across_workers(tmp_path, ppdb_file, synonym_file, w
             tuple((out / n).read_bytes() for n in ("cases.tsv", "altlexes.tsv", "altlexes.json"))
         )
     assert blobs[0] == blobs[1]
+    assert pool_starts == [2]
     _report("7 byte-identical outputs for worker counts 1 and 8")
 
 

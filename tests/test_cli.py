@@ -112,7 +112,10 @@ def test_mine_percentages_sum(tmp_path, example_corpus, ppdb_file, synonym_file)
     assert abs(total - 100.0) < 0.01
 
 
-def test_mine_deterministic_across_worker_counts(tmp_path, example_corpus, ppdb_file, synonym_file):
+def test_mine_deterministic_across_worker_counts(
+    tmp_path, example_corpus, ppdb_file, synonym_file, monkeypatch, pool_starts
+):
+    monkeypatch.setattr(cli, "_ROWS_PER_TASK", 1)  # four tasks, so eight workers start a pool
     outputs = []
     for workers in ("1", "8"):
         out = tmp_path / f"out{workers}"
@@ -124,6 +127,7 @@ def test_mine_deterministic_across_worker_counts(tmp_path, example_corpus, ppdb_
             tuple((out / name).read_bytes() for name in ("cases.tsv", "altlexes.tsv", "altlexes.json"))
         )
     assert outputs[0] == outputs[1]
+    assert pool_starts == [2]
 
 
 # Rows whose outputs are pinned byte for byte. Rows 1 and 2 give a
@@ -176,7 +180,8 @@ _GOLDEN_JSON = {
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_mine_outputs_are_pinned_byte_for_byte(tmp_path, ppdb_file, workers, capsys):
+def test_mine_outputs_are_pinned_byte_for_byte(tmp_path, ppdb_file, workers, capsys, monkeypatch, pool_starts):
+    monkeypatch.setattr(cli, "_ROWS_PER_TASK", 4)  # three tasks, so two workers start a pool
     corpus = tmp_path / "pairs.tsv"
     corpus.write_text("".join(f"{c}\t{s}\n" for c, s in _GOLDEN_ROWS), encoding="utf-8")
     synonyms = tmp_path / "synonyms.tsv"
@@ -191,6 +196,7 @@ def test_mine_outputs_are_pinned_byte_for_byte(tmp_path, ppdb_file, workers, cap
         "pairs: 11\naltlex types: 3\naltlex tokens: 4\n"
         f"wrote {out / 'cases.tsv'}, {out / 'altlexes.tsv'}, {out / 'altlexes.json'}\n"
     )
+    assert pool_starts == ([] if workers == "1" else [2])
 
 
 _OUTPUT_NAMES = ("cases.tsv", "altlexes.tsv", "altlexes.json")
@@ -255,7 +261,7 @@ def test_line_ends_do_not_change_outputs(
     ppdb_file, synonym_file, kind, complex_lines, simple_lines, bom, style
 ):
     # A BOM and CR, CRLF or mixed line ends read as the LF form does, with
-    # one worker and with two.
+    # one worker and with two, mining one row or article a task.
     if kind == "tsv":
         files = {"pairs.tsv": [f"{c}\t{s}" for c, s in zip(complex_lines, simple_lines)]}
     else:  # two articles, so two workers each get one
@@ -271,8 +277,11 @@ def test_line_ends_do_not_change_outputs(
         lf = _write_input(tmp / "lf", kind, files, False, _LINE_ENDS["lf"])
         expected = _mined_outputs(lf, tmp / "out-lf", ppdb_file, synonym_file, "1")
         other = _write_input(tmp / "other", kind, files, bom, _LINE_ENDS[style])
-        for workers in ("1", "2"):
-            assert _mined_outputs(other, tmp / f"out{workers}", ppdb_file, synonym_file, workers) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_ROWS_PER_TASK", 1)
+            patch.setattr(cli.os, "cpu_count", lambda: 2)
+            for workers in ("1", "2"):
+                assert _mined_outputs(other, tmp / f"out{workers}", ppdb_file, synonym_file, workers) == expected
 
 
 @pytest.mark.skipif(
@@ -280,12 +289,20 @@ def test_line_ends_do_not_change_outputs(
     reason="workers must inherit the patched mine_corpus",
 )
 def test_mine_crashed_worker_is_input_error(
-    tmp_path, example_corpus, ppdb_file, synonym_file, monkeypatch, capsys
+    tmp_path, example_corpus, ppdb_file, synonym_file, monkeypatch, capsys, pool_starts
 ):
-    monkeypatch.setattr(cli, "mine_corpus", lambda *args, **kwargs: os._exit(3))
+    test_process = os.getpid()
+
+    def crash(*args, **kwargs):
+        assert os.getpid() != test_process, "mined in the test's own process, not a worker"
+        os._exit(3)
+
+    monkeypatch.setattr(cli, "_ROWS_PER_TASK", 2)  # two tasks
+    monkeypatch.setattr(cli, "mine_corpus", crash)
     args = _mine_args(example_corpus, tmp_path / "out", ppdb_file, synonym_file, ["--workers", "2"])
     assert main(args) == 2
     assert "error: mining worker process exited unexpectedly" in capsys.readouterr().err
+    assert pool_starts == [2]
 
 
 def _article_dir(tmp_path):
@@ -503,20 +520,24 @@ def test_align_memory_does_not_grow_with_articles(tmp_path, capsys):
 
 
 _MODULES_AFTER_RUN = """
-import sys
+import os, sys
 from altlex_miner import cli
-code = cli.main(sys.argv[2:])
+cpus = None if sys.argv[2] == "None" else int(sys.argv[2])
+os.cpu_count = lambda: cpus
+cli._ROWS_PER_TASK = int(sys.argv[3])
+code = cli.main(sys.argv[4:])
 print(code, " ".join(name for name in sys.argv[1].split(",") if name in sys.modules))
 """
 
 
-def _modules_after_run(argv, modules):
-    """Run ``cli.main(argv)`` in a fresh interpreter; its exit code and which
-    of ``modules`` it imported, in this process only."""
+def _modules_after_run(argv, modules, cpus=2, rows_per_task=1000):
+    """Run ``cli.main(argv)`` in a fresh interpreter whose ``os.cpu_count()``
+    returns ``cpus``; its exit code and which of ``modules`` it imported, in
+    this process only."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", _MODULES_AFTER_RUN, ",".join(modules), *map(str, argv)],
+        [sys.executable, "-c", _MODULES_AFTER_RUN, ",".join(modules), str(cpus), str(rows_per_task), *map(str, argv)],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     return out.stdout.splitlines()[-1]
@@ -524,13 +545,23 @@ def _modules_after_run(argv, modules):
 
 def test_runs_import_numpy_and_the_pool_only_where_used(tmp_path, example_corpus, ppdb_file, synonym_file):
     # Workers align article shards, so the parent never needs numpy or the
-    # module that imports it; a run with one worker never starts a pool.
+    # module that imports it. A run that would start one process, for one
+    # worker, one CPU or one task, starts no pool.
     art = _sharded_article_dir(tmp_path)
+    rows = _write_rows(tmp_path / "rows.tsv", 12)
     modules = ("numpy", "altlex_miner.similarity", "concurrent.futures.process")
-    sharded = _mine_args(art, tmp_path / "a", ppdb_file, synonym_file, ("--workers", "2"))
-    assert _modules_after_run(sharded, modules) == "0 concurrent.futures.process"
-    serial = _mine_args(example_corpus, tmp_path / "t", ppdb_file, synonym_file, ("--workers", "1"))
-    assert _modules_after_run(serial, modules) == "0 "
+    runs = [
+        # (input, --workers, CPUs, rows per task, expected)
+        (art, 2, 2, 1000, "0 concurrent.futures.process"),
+        (rows, 6, 2, 2, "0 concurrent.futures.process"),
+        (rows, 6, 1, 2, "0 "),
+        (rows, 6, None, 2, "0 "),
+        (example_corpus, 2, 2, 1000, "0 "),  # one task
+        (example_corpus, 1, 2, 1, "0 "),
+    ]
+    for corpus, workers, cpus, per_task, expected in runs:
+        argv = _mine_args(corpus, tmp_path / "out", ppdb_file, synonym_file, ("--workers", str(workers)))
+        assert _modules_after_run(argv, modules, cpus, per_task) == expected, (corpus, workers, cpus)
 
 
 _THREADS_AFTER_ENTRYPOINT = """
@@ -615,6 +646,8 @@ def test_mine_pool_ships_text_rows(
             return [fn(shard) for shard in shards]
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_ROWS_PER_TASK", 2)  # the four rows, or the two articles, make two tasks
     corpus = example_corpus if input_kind == "aligned-tsv" else _article_dir(tmp_path)
     assert main(_mine_args(corpus, tmp_path / "out", ppdb_file, synonym_file, ("--workers", "2"))) == 0
     assert len(sent) == 2
@@ -629,11 +662,12 @@ def test_mine_pool_ships_text_rows(
         assert not _pickled_types((fn, shard)) & {Sentence, SentencePair}
 
 
-def _map_only_pool(log):
+def _map_only_pool(log, sent=None):
     """A stand-in for the process pool that offers only ``map``, as
     perfbench's traced pool does, and runs each task in this process when
     its result is read. ``log`` gets ``("start", max_workers)`` and
-    ``("map", number of tasks)`` entries."""
+    ``("map", number of tasks)`` entries, and ``sent``, if given, each
+    task."""
 
     class MapOnlyPool:
         def __init__(self, max_workers):
@@ -648,6 +682,8 @@ def _map_only_pool(log):
         def map(self, fn, tasks):
             tasks = list(tasks)
             log.append(("map", len(tasks)))
+            if sent is not None:
+                sent.extend(tasks)
             return (fn(task) for task in tasks)
 
     return MapOnlyPool
@@ -663,17 +699,18 @@ def _write_rows(path, count):
 def test_mine_pool_never_starts_more_processes_than_tasks(tmp_path, ppdb_file, synonym_file, monkeypatch):
     # The fork start method launches every ``max_workers`` process up front,
     # so a pool larger than its task list forks processes that never work.
-    # An input that ends inside the first window of 2 x workers tasks is
-    # cut again into tasks of ceil(items / workers), at most ``workers`` of
-    # them; a longer one streams out in such windows.
+    # An input that ends inside the first window of 2 x workers tasks starts
+    # one process per task, and one of a single task starts no pool; a
+    # longer one streams out in such windows.
     cases = [
         # (input, workers, rows per task, expected log)
-        (_write_rows(tmp_path / "two.tsv", 2), 6, 1000, [("start", 2), ("map", 2)]),
-        (_write_rows(tmp_path / "small.tsv", 23), 6, 5, [("start", 6), ("map", 6)]),
+        (_write_rows(tmp_path / "two.tsv", 2), 6, 1000, []),
+        (_write_rows(tmp_path / "400.tsv", 400), 6, 1000, [("start", 2), ("map", 2)]),  # the first task is 200 rows
+        (_write_rows(tmp_path / "small.tsv", 23), 6, 5, [("start", 5), ("map", 5)]),
         (_write_rows(tmp_path / "chunked.tsv", 23), 2, 2, [("start", 2), ("map", 4), ("map", 4), ("map", 4)]),
         (tmp_path / "chunked.tsv", 3, 4, [("start", 3), ("map", 6)]),
         (_sharded_article_dir(tmp_path), 2, 1000, [("start", 2), ("map", 4)]),  # four with level 0
-        (tmp_path / "articles", 3, 1000, [("start", 2), ("map", 2)]),  # two articles a task
+        (tmp_path / "articles", 3, 1000, [("start", 3), ("map", 4)]),
     ]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)  # more CPUs than workers
     for corpus, workers, per_task, expected in cases:
@@ -685,19 +722,43 @@ def test_mine_pool_never_starts_more_processes_than_tasks(tmp_path, ppdb_file, s
         assert log == expected
 
 
-@pytest.mark.parametrize("cpus, processes", [(2, 2), (None, 1)])
+@pytest.mark.parametrize("cpus, processes", [(2, 2), (1, 1), (None, 1)])
 def test_mine_pool_never_starts_more_processes_than_cpus(
     tmp_path, ppdb_file, synonym_file, monkeypatch, cpus, processes
 ):
-    # Twelve rows with --workers 6 go out as six shards whatever the
-    # machine, so the outputs do not depend on it; only as many processes
-    # as it has CPUs (one if that is unknown) start to mine them.
+    # Twelve rows in tasks of two are six tasks whatever the machine, so
+    # the outputs do not depend on it; only as many processes as it has
+    # CPUs start to mine them, in windows of two tasks a process. On one
+    # CPU, or an unknown number, they are mined here, without a pool.
     log = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _map_only_pool(log))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_ROWS_PER_TASK", 2)
     corpus = _write_rows(tmp_path / "pairs.tsv", 12)
     assert main(_mine_args(corpus, tmp_path / "out", ppdb_file, synonym_file, ("--workers", "6"))) == 0
-    assert log == [("start", processes), ("map", 6)]
+    assert log == ([("start", processes), ("map", 4), ("map", 2)] if processes > 1 else [])
+
+
+@pytest.mark.parametrize("input_kind", ["aligned-tsv", "article-dir"])
+def test_tasks_depend_on_the_input_alone(tmp_path, ppdb_file, synonym_file, monkeypatch, input_kind):
+    # The pool is handed the same tasks for any --workers and any machine;
+    # only the windows they go out in change, two tasks a process.
+    monkeypatch.setattr(cli, "_ROWS_PER_TASK", 2)
+    if input_kind == "aligned-tsv":
+        corpus, sizes = _write_rows(tmp_path / "pairs.tsv", 23), [2] * 11 + [1]
+    else:
+        corpus, sizes = _sharded_article_dir(tmp_path), [1] * 4  # one task per article with level 0
+    handed = []
+    for cpus, workers in ((8, 2), (8, 3), (8, 6), (2, 6)):
+        log, sent = [], []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _map_only_pool(log, sent))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        extra = ("--workers", str(workers), "--threshold", "0.4")
+        assert main(_mine_args(corpus, tmp_path / "out", ppdb_file, synonym_file, extra)) == 0
+        assert max(count for entry, count in log if entry == "map") <= 2 * min(cpus, workers)
+        handed.append(sent)
+    assert [len(task) for task in handed[0]] == sizes
+    assert handed[0] == handed[1] == handed[2] == handed[3]
 
 
 _ARTICLE_LEVELS = {0: 0, 1: 1, 2: 1}  # level: EXAMPLE_ROWS column
@@ -742,7 +803,9 @@ def test_task_size_and_worker_count_do_not_change_outputs(
             assert processes <= tasks
 
 
-def test_mine_pool_parent_memory_does_not_grow_with_rows(tmp_path, ppdb_file, synonym_file, monkeypatch, capsys):
+def test_mine_pool_parent_memory_does_not_grow_with_rows(
+    tmp_path, ppdb_file, synonym_file, monkeypatch, capsys, pool_starts
+):
     # The parent holds at most two windows of raw rows, never the whole
     # input: four times the rows, streamed through a real pool in tasks of
     # 100, need about the same peak in this process.
@@ -756,6 +819,7 @@ def test_mine_pool_parent_memory_does_not_grow_with_rows(tmp_path, ppdb_file, sy
         peaks.append(_traced_peak(main, args))
     small, large = peaks
     assert large < 1.5 * small
+    assert pool_starts == [2] * 4
 
 
 def test_mine_pool_malformed_last_row_is_input_error(tmp_path, ppdb_file, synonym_file, monkeypatch, capsys):
@@ -773,6 +837,7 @@ def test_mine_pool_malformed_last_row_is_input_error(tmp_path, ppdb_file, synony
             super().shutdown(wait, cancel_futures=cancel_futures)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", ShutdownRecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "_ROWS_PER_TASK", 1)
     corpus = _write_rows(tmp_path / "pairs.tsv", 12)
     with corpus.open("a", encoding="utf-8") as fh:
@@ -789,14 +854,16 @@ def test_mine_pool_malformed_last_row_is_input_error(tmp_path, ppdb_file, synony
     reason="workers must inherit the patched mine_corpus",
 )
 def test_mine_worker_crash_after_the_first_window_is_input_error(
-    tmp_path, ppdb_file, synonym_file, monkeypatch, capsys
+    tmp_path, ppdb_file, synonym_file, monkeypatch, capsys, pool_starts
 ):
     # One-row tasks in windows of four: row 9 is mined in the third window.
     mine_corpus = cli.mine_corpus
+    test_process = os.getpid()
 
     def crash_on_row_9(pairs, *args):
         pairs = list(pairs)
         if any(pair.source_id == "9" for pair in pairs):
+            assert os.getpid() != test_process, "mined in the test's own process, not a worker"
             os._exit(3)
         return mine_corpus(pairs, *args)
 
@@ -807,6 +874,7 @@ def test_mine_worker_crash_after_the_first_window_is_input_error(
     assert main(_mine_args(corpus, out, ppdb_file, synonym_file, ("--workers", "2"))) == 2
     assert "error: mining worker process exited unexpectedly" in capsys.readouterr().err
     assert not out.exists()
+    assert pool_starts == [2]
 
 
 @pytest.mark.parametrize("input_kind", ["aligned-tsv", "article-dir"])
@@ -969,6 +1037,7 @@ def test_usage_error_exit_code():
         # Removed options that could not change a result.
         ["mine", "pairs.tsv", "--sense-level", "1"],
         ["mine", "pairs.tsv", "--input-kind", "aligned-tsv"],
+        ["kappa", "agree.tsv", "--config", "run.cfg"],  # no config key sets the one path it reads
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -1218,7 +1287,7 @@ def test_no_input_gives_a_traceback(name, data):
             ["align", str(root / "articles"), "--output", str(root / "aligned.tsv"), *config],
             ["mine", str(root / "pairs.tsv"), *resources],
             ["mine", str(root / "articles"), *resources],
-            ["kappa", str(root / "agreement.tsv"), *config],
+            ["kappa", str(root / "agreement.tsv")],
         ]
         for argv in runs:
             assert main(argv) in (0, 1, 2), argv
@@ -1362,6 +1431,30 @@ def test_mine_write_error_names_the_file_and_keeps_the_previous_outputs(
     assert run.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{out / 'altlexes.json'}'\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
 
+
+@pytest.mark.parametrize("stopped_in", ["mine_corpus", "write_altlexes_json"])
+@pytest.mark.parametrize(
+    "exc, message, code", [(KeyboardInterrupt, "interrupted", 130), (MemoryError, "out of memory", 2)]
+)
+def test_an_interrupt_or_no_memory_ends_with_one_line(
+    tmp_path, example_corpus, ppdb_file, synonym_file, monkeypatch, capsys, stopped_in, exc, message, code
+):
+    # Ctrl-C, or a MemoryError, while mining or while the last output is
+    # written: one line, no traceback, and neither a changed output nor a
+    # temporary file is left.
+    out = tmp_path / "out"
+    out.mkdir()
+    previous = {name: f"previous {name}\n".encode() for name in _OUTPUT_NAMES}
+    for name, data in previous.items():
+        (out / name).write_bytes(data)
+
+    def stop(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, stopped_in, stop)
+    assert main(_mine_args(example_corpus, out, ppdb_file, synonym_file, ("--workers", "1"))) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
 
 _ROUND_TRIP_TEXT = [
     "because ", "Because ", "since ", "though ", "despite ", "so ", "but ", "the ", "storm ", "crossed ",
