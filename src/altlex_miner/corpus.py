@@ -220,20 +220,14 @@ def cohen_kappa(table: AgreementTable) -> float:
 def load_agreement_tsv(path: str | Path) -> AgreementTable:
     """Read ``pair_id<TAB>a(0|1)<TAB>b(0|1)`` rows into an AgreementTable;
     a file without a row raises InputError."""
-    yy = nn = yn = ny = 0
+    answers: Counter[tuple[str, str]] = Counter()
     for lineno, line in read_lines(path):
         fields = line.split("\t")
         if len(fields) != 3 or fields[1] not in ("0", "1") or fields[2] not in ("0", "1"):
             raise InputError(f"{path}: line {lineno}: expected pair_id<TAB>0|1<TAB>0|1")
-        a, b = fields[1] == "1", fields[2] == "1"
-        if a and b:
-            yy += 1
-        elif not a and not b:
-            nn += 1
-        elif a:
-            yn += 1
-        else:
-            ny += 1
-    if not yy + nn + yn + ny:
+        answers[fields[1], fields[2]] += 1
+    if not answers:
         raise InputError(f"{path}: no agreement rows")
-    return AgreementTable(both_yes=yy, both_no=nn, a_yes_b_no=yn, a_no_b_yes=ny)
+    return AgreementTable(
+        both_yes=answers["1", "1"], both_no=answers["0", "0"], a_yes_b_no=answers["1", "0"], a_no_b_yes=answers["0", "1"]
+    )

@@ -4,7 +4,7 @@ Each pair is classified by what the detector finds on the two sides, as
 one of seven ``ChangeCase`` members (Other splits three ways). Only
 pairs where exactly one side carries exactly one explicit connective are
 mined: every expansion of the connective found in the non-explicit side is
-a match, the connective is substituted into the match's span, and the
+a match, the connective is substituted into a match's span, and the
 match is kept only if re-detection finds the same connective. A kept
 match's sense is its connective's prior top sense, the one the detector
 assigns. Kept matches aggregate into an AltLexInventory keyed by (text,
@@ -18,11 +18,13 @@ tokens; a non-explicit side is then scanned once for all of them. A
 substitution splices token tuples, so only the replacement is split into
 tokens, never the whole sentence.
 
-A pair's matches are put in order once: where verified matches overlap,
-the best by paraphrase score, span, resource and target is kept. That
-ranking is total except between matches that give identical records, and
-the CLI's report sorts the records, so no other order (of stores, expansions
-or matches) reaches an output.
+A pair's matches are ranked once, by paraphrase score, span, resource and
+target, and walked best first: a match that overlaps a kept one is dropped
+without being verified, and any other is verified and, if it passes, kept.
+So where verified matches overlap, the best is kept. That ranking is total
+except between matches that give identical records, and the CLI's report
+sorts the records, so no other order (of stores, expansions or matches)
+reaches an output.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ class AltLexInventory:
         else:
             record.token_count += count
             record.example_pair_ids.extend(pair_ids)
-            record.resource = _merge_resource(record.resource, resource)
+            # PPDB wins where both resources give the same AltLex.
+            record.resource = min(record.resource, resource, key=_RESOURCE_RANK.__getitem__)
 
     def update(self, other: "AltLexInventory") -> None:
         """Fold ``other`` into this inventory in place, leaving ``other``
@@ -126,12 +129,6 @@ class AltLexInventory:
         out.update(self)
         out.update(other)
         return out
-
-
-def _merge_resource(a: Resource, b: Resource) -> Resource:
-    # Deterministic, order-independent pick when both resources yield the
-    # same AltLex: PPDB wins.
-    return a if _RESOURCE_RANK[a] <= _RESOURCE_RANK[b] else b
 
 
 def classify_annotations(
@@ -196,59 +193,28 @@ def verify_candidate(
     return any(ann.connective_id == connective.id for ann in detect_explicit(substituted, inventory))
 
 
-class _Expansions:
-    """Each connective's expansions from all stores, indexed by first token.
-
-    A connective's index is built on its first use and kept for the life of
-    this object, which is one ``mine_corpus`` call: each (store,
-    connective) pair is expanded once. Matches keep no store or expansion
-    order: ``_mine_single``'s overlap ranking is the only match order.
-    """
-
-    def __init__(self, inventory: ConnectiveInventory, stores: list[ParaphraseStore]):
-        self._inventory = inventory
-        self._stores = stores
-        self._by_connective: dict[str, dict[str, list[ParaphraseEntry]]] = {}
-
-    def matches(
-        self, connective: ConnectiveEntry, sentence: Sentence
-    ) -> Iterator[tuple[ParaphraseEntry, TokenSpan]]:
-        """Every expansion occurrence in the sentence, left to right: the
-        hits, each as often, that ``match_phrase`` gives for each entry of
-        each store's ``expand`` result."""
-        index = self._by_connective.get(connective.id)
-        if index is None:
-            index = self._by_connective[connective.id] = {}
-            for store in self._stores:
-                for entry in expand(connective, store, self._inventory):
-                    index.setdefault(entry.target[0], []).append(entry)
-        lowers = sentence.lower_forms
-        for start, token in enumerate(lowers):
-            for entry in index.get(token, ()):
-                end = start + len(entry.target)
-                if lowers[start:end] == entry.target:
-                    yield entry, TokenSpan(start, end)
+def _expansion_index(
+    connective: ConnectiveEntry, inventory: ConnectiveInventory, stores: list[ParaphraseStore]
+) -> dict[str, list[ParaphraseEntry]]:
+    """The connective's expansions from all stores, keyed by first token."""
+    index: dict[str, list[ParaphraseEntry]] = {}
+    for store in stores:
+        for entry in expand(connective, store, inventory):
+            index.setdefault(entry.target[0], []).append(entry)
+    return index
 
 
-def _mine_single(
-    nonexp: Sentence, connective: ConnectiveEntry, inventory: ConnectiveInventory, expansions: _Expansions
-) -> list[tuple[ParaphraseEntry, TokenSpan]]:
-    """The verified matches in the non-explicit side, keeping the best of
-    each overlapping group: higher paraphrase score first, then leftmost
-    span, then resource and target for a total deterministic order."""
-    verified = [
-        (paraphrase, span)
-        for paraphrase, span in expansions.matches(connective, nonexp)
-        if verify_candidate(nonexp, span, connective, inventory)
-    ]
-    verified.sort(
-        key=lambda m: (-m[0].score, m[1].start, m[1].end, _RESOURCE_RANK[m[0].resource], m[0].target)
-    )
-    kept: list[tuple[ParaphraseEntry, TokenSpan]] = []
-    for paraphrase, span in verified:
-        if not any(span.overlaps(k) for _, k in kept):
-            kept.append((paraphrase, span))
-    return kept
+def _matches(
+    index: dict[str, list[ParaphraseEntry]], sentence: Sentence
+) -> Iterator[tuple[ParaphraseEntry, TokenSpan]]:
+    """Every expansion occurrence in the sentence, left to right: the hits,
+    each as often, that ``match_phrase`` gives for each entry of the index."""
+    lowers = sentence.lower_forms
+    for start, token in enumerate(lowers):
+        for entry in index.get(token, ()):
+            end = start + len(entry.target)
+            if lowers[start:end] == entry.target:
+                yield entry, TokenSpan(start, end)
 
 
 def mine_corpus(
@@ -259,21 +225,27 @@ def mine_corpus(
     ``pairs`` is iterated once, in order, and may be a generator. No pair is
     kept after its turn, not even while the next one is drawn: the result
     holds only the source ids of verified matches, so a lazy ``pairs``
-    is mined in memory that does not grow with its length.
+    is mined in memory that does not grow with its length. A connective's
+    expansion index is built on its first use and kept for the call, so
+    each (store, connective) pair is expanded once.
     """
     result = AltLexInventory()
-    expansions = _Expansions(inventory, stores)
+    indexes: dict[str, dict[str, list[ParaphraseEntry]]] = {}
     for pair in pairs:
-        _fold_pair(result, pair, inventory, expansions)
+        _fold_pair(result, pair, inventory, stores, indexes)
         del pair  # a lazy ``pairs`` may read a file to make the next one
     return result
 
 
 def _fold_pair(
-    result: AltLexInventory, pair: SentencePair, inventory: ConnectiveInventory, expansions: _Expansions
+    result: AltLexInventory,
+    pair: SentencePair,
+    inventory: ConnectiveInventory,
+    stores: list[ParaphraseStore],
+    indexes: dict[str, dict[str, list[ParaphraseEntry]]],
 ) -> None:
     """Count one pair's case into ``result`` and, for a one-sided pair with
-    a single annotation, add its verified matches."""
+    a single annotation, add the matches it keeps, best first."""
     complex_anns = detect_explicit(pair.complex, inventory)
     simple_anns = detect_explicit(pair.simple, inventory)
     case = classify_annotations(complex_anns, simple_anns)
@@ -288,7 +260,17 @@ def _fold_pair(
         return
     result.per_sense_alignment_counts[annotation.sense] += 1
     connective = inventory.by_id[annotation.connective_id]
-    for paraphrase, _ in _mine_single(nonexp, connective, inventory, expansions):
-        result._add_record(
-            paraphrase.target, connective.top_sense, paraphrase.resource, 1, (pair.source_id,)
-        )
+    index = indexes.get(connective.id)
+    if index is None:
+        index = indexes[connective.id] = _expansion_index(connective, inventory, stores)
+    ranked = sorted(
+        _matches(index, nonexp),
+        key=lambda m: (-m[0].score, m[1].start, m[1].end, _RESOURCE_RANK[m[0].resource], m[0].target),
+    )
+    kept: list[TokenSpan] = []
+    for paraphrase, span in ranked:
+        if not any(span.overlaps(k) for k in kept) and verify_candidate(nonexp, span, connective, inventory):
+            kept.append(span)
+            result._add_record(
+                paraphrase.target, connective.top_sense, paraphrase.resource, 1, (pair.source_id,)
+            )

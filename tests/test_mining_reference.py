@@ -18,7 +18,14 @@ from altlex_miner import mining
 from altlex_miner.corpus import SentencePair
 from altlex_miner.discourse import ConnectiveEntry, ConnectiveInventory, Sense, detect_explicit
 from altlex_miner.lexres import ParaphraseStore, Resource, expand
-from altlex_miner.mining import CaseKind, _Expansions, classify_annotations, mine_corpus, substitute
+from altlex_miner.mining import (
+    CaseKind,
+    _expansion_index,
+    _matches,
+    classify_annotations,
+    mine_corpus,
+    substitute,
+)
 from altlex_miner.text import TokenSpan, match_phrase, tokenize
 
 
@@ -50,6 +57,8 @@ def _store(resource, rows):
 
 # Targets that share a first token ("due", "as", "even"), that overlap one
 # another, that are inventory forms ("but"), and that both stores hold.
+# "seeing as" outranks the "as" inside it, yet its substitution can lose
+# the only verb ("seeing") left of the connective.
 STORES = [
     _store(
         Resource.PPDB,
@@ -60,6 +69,7 @@ STORES = [
             ("because", "since", 2.0),
             ("because", "as", 1.5),
             ("because", "as a", 1.5),
+            ("because", "seeing as", 2.0),
             ("because", "but", 2.5),
             ("although", "even though", 2.0),
             ("although", "though", 2.0),
@@ -87,7 +97,7 @@ VOCAB = [
     "the", "farmer", "rain", "watched", "was", "crossed", ",", ",", ".",
     "because", "Because", "although", "but", "when", "either", "or", "e.g.",
     "as", "As", "a", "result", "due", "Due", "to", "fact", "since", "Since",
-    "even", "though", "despite", "once", "whenever", "thus", "like",
+    "even", "though", "despite", "once", "whenever", "thus", "like", "seeing",
 ]
 
 
@@ -164,12 +174,17 @@ PLANTED = [
     ("When the rain crossed , the farmer watched .", "Whenever the rain crossed , the farmer watched ."),
 ]
 
+# "seeing as" (2.0) fails verification: no verb is left of "because". The
+# "as" it overlaps is verified next and kept.
+BETTER_FAILS = [("The farmer watched because the rain crossed .", "The rain seeing as the farmer watched .")]
+
 _SIDE = st.lists(st.sampled_from(VOCAB), max_size=10).map(" ".join)
 
 
 @given(st.lists(st.tuples(_SIDE, _SIDE), min_size=1, max_size=6), st.booleans())
 @example(PLANTED, False)
 @example(PLANTED * 2, True)
+@example(BETTER_FAILS, True)
 def test_mine_corpus_equals_reference_miner(raw_pairs, synonyms_first):
     # Store order must not decide between equal-scored targets of the two
     # resources: PPDB wins either way.
@@ -204,6 +219,56 @@ def test_planted_corpus_exercises_the_miner():
         (("once",), Sense.SYNCHRONY): (Resource.PPDB, 1, ["p4"]),
         (("whenever",), Sense.SYNCHRONY): (Resource.SYNONYM_LEXICON, 1, ["p6"]),
     }
+
+
+def _verifications(pairs):
+    """Each ``verify_candidate`` call of one ``mine_corpus`` run, in call
+    order, as (pair id, span, outcome)."""
+    calls = []
+    real_verify = mining.verify_candidate
+    owner = {id(side): pair.source_id for pair in pairs for side in (pair.complex, pair.simple)}
+
+    def spy(sentence, span, connective, inventory):
+        ok = real_verify(sentence, span, connective, inventory)
+        calls.append((owner[id(sentence)], span, ok))
+        return ok
+
+    with patch.object(mining, "verify_candidate", spy):
+        mine_corpus(pairs, INVENTORY, STORES)
+    return calls
+
+
+def test_an_overlapped_match_is_never_verified():
+    # In p0's "Due to the fact ...", "due to" (0-2) is kept first; "due to
+    # the fact" (0-4) and "due" (0-1) overlap it and are dropped unverified.
+    calls = _verifications(_pairs(PLANTED))
+    assert [(span, ok) for pair_id, span, ok in calls if pair_id == "p0"] == [(TokenSpan(0, 2), True)]
+    assert len(calls) == 7
+
+
+def test_a_failed_better_match_leaves_the_overlapped_one_free():
+    # The property's BETTER_FAILS example reaches this branch: the better
+    # match fails, so the worse match it overlaps is verified and kept. The
+    # synonym lexicon's "as" overlaps the kept one and is not verified.
+    pairs = _pairs(BETTER_FAILS)
+    assert _verifications(pairs) == [("p0", TokenSpan(2, 4), False), ("p0", TokenSpan(3, 4), True)]
+    _, _, records = _mined(pairs, INVENTORY, STORES)
+    assert records == {(("as",), Sense.CAUSE): (Resource.PPDB, 1, ["p0"])}
+
+
+def test_each_store_expands_each_connective_once_per_call():
+    pairs = _pairs(PLANTED * 3)
+    calls = Counter()
+    real_expand = mining.expand
+
+    def spy(connective, store, inventory):
+        calls[connective.id, store.resource] += 1
+        return real_expand(connective, store, inventory)
+
+    with patch.object(mining, "expand", spy):
+        mine_corpus(pairs, INVENTORY, STORES)
+    mined = {"because", "although", "when"}  # the connectives of PLANTED's one-sided pairs
+    assert calls == {(c, store.resource): 1 for c in mined for store in STORES}
 
 
 _RAW = st.text(alphabet=st.one_of(st.sampled_from("İßﬁ Aa.-'’,"), st.characters()), max_size=40)
@@ -252,12 +317,12 @@ def test_expansion_index_matches_the_nested_loop(raw):
     # The index must give every match that match_phrase gives for each
     # expansion of each store, each as often; their order is not kept.
     sentence = tokenize(raw)
-    expansions = _Expansions(INVENTORY, STORES)
     for connective in INVENTORY:
+        index = _expansion_index(connective, INVENTORY, STORES)
         nested = Counter(
             (para, span)
             for store in STORES
             for para in expand(connective, store, INVENTORY)
             for span in match_phrase(sentence, para.target)
         )
-        assert Counter(expansions.matches(connective, sentence)) == nested
+        assert Counter(_matches(index, sentence)) == nested
