@@ -369,16 +369,18 @@ def _mine(work, items: Iterable, per_task: int, workers: int) -> AltLexInventory
 
 def cmd_mine(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    inventory = load_inventory(config.inventory)
-    stores = _load_stores(config, inventory)
+    # The input is checked before any resource is read: a PPDB can take long.
     if Path(config.input_path).is_dir():
         items = _list_articles(config.input_path)
         per_task = 1  # large articles balance across workers
-        work = partial(_mine_articles, threshold=config.threshold, inventory=inventory, stores=stores)
+        work = partial(_mine_articles, threshold=config.threshold)
     else:
+        os.stat(config.input_path)
         items = read_aligned_rows(config.input_path)
         per_task = _ROWS_PER_TASK
-        work = partial(_mine_rows, inventory=inventory, stores=stores)
+        work = _mine_rows
+    inventory = load_inventory(config.inventory)
+    work = partial(work, inventory=inventory, stores=_load_stores(config, inventory))
 
     inv = _mine(work, items, per_task, config.workers)
 

@@ -123,8 +123,7 @@ def load_inventory(path: str | Path | None = None) -> ConnectiveInventory:
     ``as a result,`` is four tokens; weights per entry must sum to 1.
     """
     name = str(_SHIPPED_INVENTORY if path is None else path)
-    entries: list[ConnectiveEntry] = []
-    seen: set[str] = set()
+    entries: dict[str, ConnectiveEntry] = {}
     for lineno, line in read_lines(name):
         line = line.strip()
         if line.startswith("#"):
@@ -137,16 +136,17 @@ def load_inventory(path: str | Path | None = None) -> ConnectiveInventory:
             raise InputError(f"{name}: line {lineno}: empty connective form")
         parts = (first, second) if second else (first,)
         entry_id = _entry_id(parts)
-        if entry_id in seen:
+        if entry_id in entries:
             raise InputError(f"{name}: line {lineno}: duplicate connective form {entry_id!r}")
-        seen.add(entry_id)
 
-        senses: list[tuple[Sense, float]] = []
-        for item in fields[2].split(","):
+        senses: dict[Sense, float] = {}
+        for item in fields[2].split(","):  # an empty field is one unknown label, ''
             sense_name, _, weight_s = item.partition(":")
             sense = _SENSE_BY_NAME.get(sense_name.strip().lower())
             if sense is None:
                 raise InputError(f"{name}: line {lineno}: unknown sense label {sense_name.strip()!r}")
+            if sense in senses:
+                raise InputError(f"{name}: line {lineno}: duplicate sense {sense.value!r}")
             try:
                 weight = float(weight_s)
             except ValueError:
@@ -155,21 +155,19 @@ def load_inventory(path: str | Path | None = None) -> ConnectiveInventory:
                 raise InputError(f"{name}: line {lineno}: bad weight {weight_s!r}")
             if weight <= 0:
                 raise InputError(f"{name}: line {lineno}: non-positive weight for {sense_name.strip()!r}")
-            senses.append((sense, weight))
-        if not senses:
-            raise InputError(f"{name}: line {lineno}: no senses listed")
-        total = sum(w for _, w in senses)
+            senses[sense] = weight
+        total = sum(senses.values())
         if abs(total - 1.0) > 1e-9:
             raise InputError(f"{name}: line {lineno}: sense weights sum to {total}, expected 1.0")
-        senses.sort(key=lambda sw: (-sw[1], list(Sense).index(sw[0])))
-        entries.append(ConnectiveEntry(id=entry_id, parts=parts, senses=tuple(senses)))
-    return ConnectiveInventory(entries)
+        ranked = sorted(senses.items(), key=lambda sw: (-sw[1], list(Sense).index(sw[0])))
+        entries[entry_id] = ConnectiveEntry(id=entry_id, parts=parts, senses=tuple(ranked))
+    return ConnectiveInventory(list(entries.values()))
 
 
 # Coordinators whose mid-sentence occurrences are overwhelmingly
 # phrase-internal; they only count when a clause boundary precedes them.
 _COMMA_GUARDED = frozenset({"and", "but", "or", "nor", "so", "yet", "for", "then", "plus"})
-_BOUNDARY_TOKENS = frozenset({",", ";", ":", "—", "–", "--"})
+_BOUNDARY_TOKENS = frozenset({",", ";", ":", "—", "–"})
 
 # Auxiliaries plus frequent irregular pasts that the -ed/-s/-ing suffix
 # heuristic cannot catch.
@@ -200,10 +198,8 @@ def _is_verbish(lower: str, position: int) -> bool:
     return False
 
 
-def _has_clause(lowers: tuple[str, ...], start: int, end: int, skip: TokenSpan | None = None) -> bool:
+def _has_clause(lowers: tuple[str, ...], start: int, end: int) -> bool:
     for i in range(start, end):
-        if skip is not None and skip.start <= i < skip.end:
-            continue
         if _is_verbish(lowers[i], i):
             return True
     return False
@@ -229,8 +225,6 @@ def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[
     """
     lowers = sentence.lower_forms
     n = len(lowers)
-    if n == 0:
-        return []
     occupied = [False] * n
     annotations: list[ExplicitAnnotation] = []
     by_first_token = inventory.by_first_token
@@ -239,35 +233,31 @@ def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[
         bucket = by_first_token.get(token)
         if bucket is None:
             continue
-        entry = None
-        span2 = None
-        for cand in bucket:
-            if not _match_at(lowers, cand.parts[0], pos, occupied):
+        for entry in bucket:
+            if not _match_at(lowers, entry.parts[0], pos, occupied):
                 continue
-            if cand.discontinuous:
-                found = None
-                j = pos + len(cand.parts[0])
-                while j + len(cand.parts[1]) <= n:
-                    if _match_at(lowers, cand.parts[1], j, occupied):
-                        found = TokenSpan(j, j + len(cand.parts[1]))
+            span2 = None
+            if entry.discontinuous:
+                second = entry.parts[1]
+                for j in range(pos + len(entry.parts[0]), n - len(second) + 1):
+                    if _match_at(lowers, second, j, occupied):
+                        span2 = TokenSpan(j, j + len(second))
                         break
-                    j += 1
-                if found is None:
-                    continue
-                span2 = found
-            entry = cand
+                else:
+                    continue  # no free second part: try the next, shorter entry
             break
-        if entry is None:
-            continue
+        else:
+            continue  # no entry matches here
 
         span = TokenSpan(pos, pos + len(entry.parts[0]))
-
-        if entry.id in _COMMA_GUARDED and pos > 0:
-            if lowers[pos - 1] not in _BOUNDARY_TOKENS:
-                continue
-        right_ok = _has_clause(lowers, span.end, n, skip=span2)
-        left_ok = pos == 0 or _has_clause(lowers, 0, pos)
-        if not (right_ok and left_ok):
+        if entry.id in _COMMA_GUARDED and pos > 0 and lowers[pos - 1] not in _BOUNDARY_TOKENS:
+            continue
+        # The right side is read around a second part, never inside it.
+        if span2 is None:
+            right_ok = _has_clause(lowers, span.end, n)
+        else:
+            right_ok = _has_clause(lowers, span.end, span2.start) or _has_clause(lowers, span2.end, n)
+        if not (right_ok and (pos == 0 or _has_clause(lowers, 0, pos))):
             continue
 
         annotations.append(
@@ -280,4 +270,3 @@ def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[
                 occupied[i] = True
 
     return annotations
-

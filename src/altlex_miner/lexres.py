@@ -17,16 +17,14 @@ multi-GB PPDB file is never held whole.
 from __future__ import annotations
 
 import enum
-import logging
 import re
+import sys
 from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
 from .discourse import ConnectiveEntry, ConnectiveInventory
 from .text import read_lines
-
-logger = logging.getLogger(__name__)
 
 
 class Resource(enum.Enum):
@@ -94,8 +92,8 @@ def load_ppdb(
     One score rule for every line: the first numeric ``PPDB2.0Score`` item
     in the feature column, else the first number there that begins a value
     or a bare item (digits of a name such as ``PPDB2.0Score`` are no score).
-    Malformed and score-less lines are skipped and counted on the returned
-    store; blank lines are neither. With ``keep``, only lines whose source or
+    Malformed and score-less lines are skipped, each named on stderr, and
+    counted on the returned store; blank lines are neither. With ``keep``, only lines whose source or
     target is in it are stored; every line is still validated and counted.
     """
     store = ParaphraseStore(Resource.PPDB)
@@ -103,18 +101,18 @@ def load_ppdb(
         fields = line.split(_PPDB_SEP)
         if len(fields) < 4:
             store.skipped += 1
-            logger.warning("%s: line %d: skipping line with %d fields", path, lineno, len(fields))
+            print(f"{path}: line {lineno}: skipping line with {len(fields)} fields", file=sys.stderr)
             continue
         source = tuple(fields[1].lower().split())
         target = tuple(fields[2].lower().split())
         if not source or not target or source == target:
             store.skipped += 1
-            logger.warning("%s: line %d: skipping empty or identity paraphrase", path, lineno)
+            print(f"{path}: line {lineno}: skipping empty or identity paraphrase", file=sys.stderr)
             continue
         m = _SCORE_RE.search(fields[3]) or _VALUE_NUMBER_RE.search(" " + fields[3])
         if m is None:
             store.skipped += 1
-            logger.warning("%s: line %d: no score found in feature column", path, lineno)
+            print(f"{path}: line {lineno}: no score found in feature column", file=sys.stderr)
             continue
         if keep is None or source in keep or target in keep:
             score = float(m.group(1))
@@ -135,13 +133,13 @@ def load_synonyms(
         fields = line.split("\t")
         if len(fields) != 2:
             store.skipped += 1
-            logger.warning("%s: line %d: skipping line with %d fields", path, lineno, len(fields))
+            print(f"{path}: line {lineno}: skipping line with {len(fields)} fields", file=sys.stderr)
             continue
         source = tuple(fields[0].lower().split())
         target = tuple(fields[1].lower().split())
         if not source or not target or source == target:
             store.skipped += 1
-            logger.warning("%s: line %d: skipping empty or identity synonym pair", path, lineno)
+            print(f"{path}: line {lineno}: skipping empty or identity synonym pair", file=sys.stderr)
             continue
         if keep is None or source in keep or target in keep:
             store.add(source, target, 1.0)

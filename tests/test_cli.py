@@ -1023,6 +1023,26 @@ def test_mine_missing_resource_is_input_error(tmp_path, example_corpus):
     assert code == 2
 
 
+def test_mine_checks_its_input_before_any_resource(tmp_path, ppdb_file, synonym_file, monkeypatch, capsys):
+    # A mistyped input fails before a resource, possibly a large PPDB, is read.
+    calls = []
+    for name in ("load_inventory", "load_ppdb", "load_synonyms"):
+        load = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, name=name, load=load, **kw: calls.append(name) or load(*a, **kw))
+    monkeypatch.chdir(tmp_path)
+    resources = ["--ppdb", str(ppdb_file), "--synonyms", str(synonym_file)]
+    assert main(["mine", "no-such.tsv", "--inventory", "no-such-inv.tsv", *resources]) == 2
+    missing = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'no-such.tsv'"
+    assert capsys.readouterr().err == f"error: {missing}\n"
+    art = tmp_path / "articles"
+    art.mkdir()
+    for name in ("s.0.txt", "s.00.txt"):
+        (art / name).write_text("A sentence.\n", encoding="utf-8")
+    assert main(["mine", str(art), *resources]) == 2
+    assert capsys.readouterr().err == f"error: {art / 's.0.txt'} and {art / 's.00.txt'}: both are article level 0\n"
+    assert calls == []
+
+
 def test_mine_malformed_corpus_is_input_error(tmp_path, ppdb_file, synonym_file):
     corpus = tmp_path / "bad.tsv"
     corpus.write_text("only one field\n", encoding="utf-8")

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altlex_miner.discourse import (
+    _BOUNDARY_TOKENS,
     _SHIPPED_INVENTORY,
     Sense,
     _is_verbish,
@@ -81,6 +82,15 @@ def test_every_shipped_form_is_its_own_tokenization():
     assert [tokenize(form).lower_forms for form in forms] == [tuple(form.lower().split()) for form in forms]
 
 
+def test_a_sense_named_twice_is_rejected(tmp_path):
+    # Counted once, Cause (0.6) would lose the top sense to Contrast (0.4).
+    path = tmp_path / "inv.tsv"
+    path.write_text("because\t\tContrast:0.4,Cause:0.3,Cause:0.3\n", encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        load_inventory(path)
+    assert str(info.value) == f"{path}: line 1: duplicate sense 'Cause'"
+
+
 def test_unknown_sense_validation(tmp_path):
     path = tmp_path / "inv.tsv"
     path.write_text("but\t\tSarcasm:1.0\n", encoding="utf-8")
@@ -123,6 +133,22 @@ def test_discontinuous_detection(inventory):
     assert ann.connective_id == "either..or"
     assert ann.span.start == 0 and ann.span2 is not None
     assert ann.sense is Sense.ALTERNATIVE
+
+
+def test_a_second_part_is_no_clause(tmp_path):
+    # "is" is a verb, but as the second part of "whether..is" it is no
+    # clause of the connective's right side; "waited" is one.
+    path = tmp_path / "inv.tsv"
+    path.write_text("whether\tis\tAlternative:1.0\n", encoding="utf-8")
+    inv = load_inventory(path)
+    assert detect_explicit(tokenize("We left whether the plan is ready."), inv) == []
+    anns = detect_explicit(tokenize("We left whether the plan is ready and they waited."), inv)
+    assert [(a.connective_id, a.span.start, a.span2.start) for a in anns] == [("whether..is", 2, 5)]
+
+
+def test_every_boundary_token_is_one_token():
+    # A boundary that splits into several tokens never precedes a coordinator.
+    assert [split_tokens(token) for token in sorted(_BOUNDARY_TOKENS)] == [(t,) for t in sorted(_BOUNDARY_TOKENS)]
 
 
 def test_comma_guard_allows_clause_level_coordination(inventory):

@@ -93,7 +93,7 @@ def test_load_synonyms_strips_utf8_bom(tmp_path):
     assert [e.target for e in store.lookup(("because",))] == [("since",)]
 
 
-def test_a_line_of_whitespace_and_bom_is_blank(tmp_path, caplog):
+def test_a_line_of_whitespace_and_bom_is_blank(tmp_path, capsys):
     # U+FEFF is no token, so such a line is blank: neither skipped nor
     # warned about.
     ppdb, synonyms = tmp_path / "ppdb", tmp_path / "syn.tsv"
@@ -101,7 +101,7 @@ def test_a_line_of_whitespace_and_bom_is_blank(tmp_path, caplog):
     synonyms.write_text("because\tsince\n\ufeff\n\ufeff \n", encoding="utf-8")
     stores = [load_ppdb(ppdb), load_synonyms(synonyms)]
     assert [(store.skipped, len(store)) for store in stores] == [(0, 2), (0, 2)]
-    assert caplog.records == []
+    assert capsys.readouterr().err == ""
 
 
 def test_load_synonyms_empty_file(tmp_path):
