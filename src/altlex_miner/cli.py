@@ -5,9 +5,10 @@ largest-remainder percentage rounding so report percentages always sum to
 100.00. ``mine`` builds its report, what ``altlexes.json`` holds, once;
 ``cases.tsv``, ``altlexes.tsv`` and the summary lines are read from it.
 
-``mine`` and ``align`` stream their input. An aligned TSV is read one raw
-text row at a time; an article directory is listed as article ids and
-their file names, and each file is read only when alignment reaches it.
+``mine`` and ``align`` stream their input. An aligned TSV is read in
+blocks of whole lines and yielded one raw text row at a time; an article
+directory is listed as article ids and their file names, and each file is
+read only when alignment reaches it.
 An article's level 0 is read once; each simplified level is then read,
 aligned against level 0 and its pairs consumed before the next level is
 read, and the article is released before the next one's level 0 is read.

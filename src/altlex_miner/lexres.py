@@ -10,8 +10,8 @@ alternative lexicalization.
 Mining only ever looks up a connective's first part, so both loaders take a
 ``keep`` set of phrases and store only the lines whose source or target is
 in it: resident memory then scales with the inventory, not with the file.
-Both stream the file through ``text.read_lines``, one line at a time, so a
-multi-GB PPDB file is never held whole.
+Both stream the file through ``text``, a block of whole lines at a time,
+so a multi-GB PPDB file is never held whole.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ import re
 import sys
 from collections.abc import Collection
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 from .discourse import ConnectiveEntry, ConnectiveInventory
-from .text import read_lines
+from . import text
 
 
 class Resource(enum.Enum):
@@ -79,6 +80,27 @@ _SCORE_RE = re.compile(r"PPDB2\.0Score=(?<=(?<!\S)PPDB2\.0Score=)(" + _FLOAT_RE.
 # Searched in " " + features: a number that begins a feature's value or a
 # bare item, never digits of a feature name such as "PPDB2.0Score".
 _VALUE_NUMBER_RE = re.compile(r"[=\s](" + _FLOAT_RE.pattern + r")(?![^\s=]*=)")
+# A token that lowercasing and ``str.split`` leave as it is: printable ASCII
+# but no uppercase letter, and no "|", so it cannot run into a separator.
+_PLAIN_TOKEN = r"[!-@\[-{}~]+"
+
+
+def _unstorable_lines(keep: Collection[tuple[str, ...]]) -> re.Pattern[str]:
+    """A pattern matching each whole line of a block that ``load_ppdb``
+    would neither store nor skip: an LHS without "|"; a source and a target
+    of single-spaced plain tokens, neither a keep phrase nor the other; a
+    first feature ``NAME=`` whose value ``_VALUE_NUMBER_RE`` reads as a score."""
+    phrase = rf"{_PLAIN_TOKEN}(?: {_PLAIN_TOKEN})*"
+    forms = sorted(" ".join(p) for p in keep if p and all(re.fullmatch(_PLAIN_TOKEN, t) for t in p))
+    # Grouped by first character, so re tries only the phrases whose first
+    # character matches: one flat alternation doubles the pattern's time.
+    groups = ("(?:" + "|".join(map(re.escape, group)) + ")" for _, group in groupby(forms, key=lambda f: f[0]))
+    not_kept = rf"(?!(?:{'|'.join(groups)}) \|\|\| )" if forms else ""
+    return re.compile(
+        rf"^[^|\n]* \|\|\| {not_kept}(?P<source>{phrase}) \|\|\| (?!(?P=source) \|\|\| ){not_kept}{phrase}"
+        r" \|\|\| [!-<>-~]+=-?[0-9][!-<>-~]*(?=\s)[^\n]*",
+        re.MULTILINE,
+    )
 
 
 def load_ppdb(
@@ -96,28 +118,34 @@ def load_ppdb(
     counted on the returned store; blank lines are neither. With ``keep``, only lines whose source or
     target is in it are stored; every line is still validated and counted.
     """
-    store = ParaphraseStore(Resource.PPDB)
-    for lineno, line in read_lines(path):
-        fields = line.split(_PPDB_SEP)
-        if len(fields) < 4:
-            store.skipped += 1
-            print(f"{path}: line {lineno}: skipping line with {len(fields)} fields", file=sys.stderr)
-            continue
-        source = tuple(fields[1].lower().split())
-        target = tuple(fields[2].lower().split())
-        if not source or not target or source == target:
-            store.skipped += 1
-            print(f"{path}: line {lineno}: skipping empty or identity paraphrase", file=sys.stderr)
-            continue
-        m = _SCORE_RE.search(fields[3]) or _VALUE_NUMBER_RE.search(" " + fields[3])
-        if m is None:
-            store.skipped += 1
-            print(f"{path}: line {lineno}: no score found in feature column", file=sys.stderr)
-            continue
-        if keep is None or source in keep or target in keep:
-            score = float(m.group(1))
-            if score >= min_score:
-                store.add(source, target, score)
+    store, unstorable = ParaphraseStore(Resource.PPDB), None
+    for first, block in text.read_blocks(path):
+        # The pattern takes milliseconds to compile: only a file longer than one block repays it.
+        if keep is not None and unstorable is None and len(block) > text._BLOCK_CHARS:
+            unstorable = _unstorable_lines(keep)
+        if unstorable is not None:
+            block = unstorable.sub("", block)
+        for lineno, line in text.block_lines(first, block):
+            fields = line.split(_PPDB_SEP)
+            if len(fields) < 4:
+                store.skipped += 1
+                print(f"{path}: line {lineno}: skipping line with {len(fields)} fields", file=sys.stderr)
+                continue
+            source = tuple(fields[1].lower().split())
+            target = tuple(fields[2].lower().split())
+            if not source or not target or source == target:
+                store.skipped += 1
+                print(f"{path}: line {lineno}: skipping empty or identity paraphrase", file=sys.stderr)
+                continue
+            m = _SCORE_RE.search(fields[3]) or _VALUE_NUMBER_RE.search(" " + fields[3])
+            if m is None:
+                store.skipped += 1
+                print(f"{path}: line {lineno}: no score found in feature column", file=sys.stderr)
+                continue
+            if keep is None or source in keep or target in keep:
+                score = float(m.group(1))
+                if score >= min_score:
+                    store.add(source, target, score)
     return store
 
 
@@ -129,7 +157,7 @@ def load_synonyms(
     ``keep`` filters lines as in ``load_ppdb``.
     """
     store = ParaphraseStore(Resource.SYNONYM_LEXICON)
-    for lineno, line in read_lines(path):
+    for lineno, line in text.read_lines(path):
         fields = line.split("\t")
         if len(fields) != 2:
             store.skipped += 1

@@ -4,9 +4,9 @@ The tokenizer is deliberately rule-based and dependency-free: words (with
 internal hyphens and apostrophes kept intact, so "don't" and
 "African-Americans" stay single tokens) and standalone punctuation marks.
 All matching downstream is case-insensitive, so a Sentence stores each
-token's lowercased form alongside its surface. ``read_lines`` is the one
-reader of every input file: it streams a file's non-blank lines. A bad
-input file raises ``InputError``.
+token's lowercased form alongside its surface. ``read_blocks`` opens every
+input file and streams it in blocks of whole lines; ``read_lines`` yields
+their non-blank lines one at a time. A bad input file raises ``InputError``.
 """
 
 from __future__ import annotations
@@ -67,31 +67,52 @@ class Sentence:
         return len(self.surface_forms)
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Stream the file's non-blank lines as ``(line number, line)``, without
-    their line ends, counting from 1.
+# Characters ``read_blocks`` reads at a time, before it completes the last line.
+_BLOCK_CHARS = 1 << 16
+
+
+def read_blocks(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Stream the file as ``(number of the first line, text)`` blocks of
+    whole lines, each ending in ``\n``, counting lines from 1.
 
     The file is read as UTF-8 text: a leading BOM is dropped, and ``\r\n``
     and ``\r`` end a line as ``\n`` does. No other character ends one, so
-    U+2028, U+0085, ``\f`` and the like stay inside their line. A blank
-    line is one that is empty or holds only whitespace and U+FEFF, which
-    ``tokenize`` reads as no token. An undecodable byte raises
-    InputError naming the file and its line, also for a pipe, once every
-    line before it has been yielded; if the line starts with gzip's magic
-    bytes, the message says the file is compressed.
+    U+2028, U+0085, ``\f`` and the like stay inside their line. An
+    undecodable byte raises InputError naming the file and its line, also
+    for a pipe, once every line before it has been yielded; if the line
+    starts with gzip's magic bytes, the message says the file is compressed.
     """
     # Not "utf-8-sig": its decoder reads a file of only a BOM's first one or
     # two bytes as empty text instead of failing. An undecodable byte
     # decodes to a lone surrogate, which valid UTF-8 never yields.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1:
-                line = line.removeprefix("\ufeff")
-            if line and not line.isspace() and (line.isascii() or not _BLANK_LINE.fullmatch(line)):
-                if not line.isascii() and _UNDECODED_BYTE.search(line):
-                    gzipped = " (gzip-compressed: decompress it first)" if line.startswith(_GZIP_MAGIC) else ""
-                    raise InputError(f"{path}: line {lineno}: invalid UTF-8{gzipped}")
-                yield lineno, line.rstrip("\n")
+        first, block = 1, fh.read(_BLOCK_CHARS).removeprefix("\ufeff")
+        while block := block + fh.readline():
+            block = block if block.endswith("\n") else block + "\n"
+            if not block.isascii() and (bad := _UNDECODED_BYTE.search(block)):
+                start = block.rfind("\n", 0, bad.start()) + 1
+                if start:
+                    yield first, block[:start]
+                first += block.count("\n", 0, start)
+                gzipped = " (gzip-compressed: decompress it first)" if block.startswith(_GZIP_MAGIC, start) else ""
+                raise InputError(f"{path}: line {first}: invalid UTF-8{gzipped}")
+            yield first, block
+            first += block.count("\n")
+            block = fh.read(_BLOCK_CHARS)
+
+
+def block_lines(first: int, block: str) -> Iterator[tuple[int, str]]:
+    """A block's non-blank lines as ``(line number, line)``, without line ends. A
+    blank line is empty or holds only whitespace and U+FEFF: no token to ``tokenize``."""
+    for lineno, line in enumerate(block.split("\n"), start=first):
+        if line and not line.isspace() and (line.isascii() or not _BLANK_LINE.fullmatch(line)):
+            yield lineno, line
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of ``read_blocks(path)``, as ``block_lines`` gives them."""
+    for first, block in read_blocks(path):
+        yield from block_lines(first, block)
 
 
 def split_tokens(raw: str) -> tuple[str, ...]:

@@ -1,9 +1,19 @@
+import codecs
+import io
+import sys
+from contextlib import redirect_stderr
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from altlex_miner import text
+from altlex_miner.discourse import load_inventory
 from altlex_miner.lexres import (
     _FLOAT_RE,
+    _PPDB_SEP,
+    _SCORE_RE,
     _VALUE_NUMBER_RE,
     ParaphraseStore,
     Resource,
@@ -11,6 +21,7 @@ from altlex_miner.lexres import (
     load_ppdb,
     load_synonyms,
 )
+from altlex_miner.text import InputError, read_lines
 
 # The reference score rule, item by item: load_ppdb's one regex search must
 # give every line, stored or not, this score.
@@ -29,6 +40,35 @@ def _feature_score(features: str) -> float | None:
                 return float(value)
     m = _VALUE_NUMBER_RE.search(" " + features)
     return float(m.group(1)) if m else None
+
+
+def _reference_load_ppdb(path, min_score=0.0, keep=None):
+    """The reference loader, one line at a time: every line is split,
+    checked and scored, and stored if ``keep`` lets it. ``load_ppdb``
+    must give the same store, skip count, warnings and errors."""
+    store = ParaphraseStore(Resource.PPDB)
+    for lineno, line in read_lines(path):
+        fields = line.split(_PPDB_SEP)
+        if len(fields) < 4:
+            store.skipped += 1
+            print(f"{path}: line {lineno}: skipping line with {len(fields)} fields", file=sys.stderr)
+            continue
+        source = tuple(fields[1].lower().split())
+        target = tuple(fields[2].lower().split())
+        if not source or not target or source == target:
+            store.skipped += 1
+            print(f"{path}: line {lineno}: skipping empty or identity paraphrase", file=sys.stderr)
+            continue
+        m = _SCORE_RE.search(fields[3]) or _VALUE_NUMBER_RE.search(" " + fields[3])
+        if m is None:
+            store.skipped += 1
+            print(f"{path}: line {lineno}: no score found in feature column", file=sys.stderr)
+            continue
+        if keep is None or source in keep or target in keep:
+            score = float(m.group(1))
+            if score >= min_score:
+                store.add(source, target, score)
+    return store
 
 
 def test_load_ppdb_basic(tmp_path):
@@ -316,3 +356,110 @@ def test_lookup_memo_follows_add_and_returns_fresh_lists():
         (("even", "so"), 3.0),
         (("despite",), 2.0),
     ]
+
+
+# Phrases for the reference comparison: keep phrases of the shipped
+# inventory and plain phrases no connective reaches; odd ones lowercase to
+# a keep phrase (the Kelvin sign lowercases to "k"), grow under lowercasing
+# ("İ"), or are the uppercase, non-ASCII and "|" keep phrases of the last
+# keep set.
+_PLAIN_FORMS = [
+    "though", "because", "in short", "as a result", "in the end", "on the other hand",
+    "rock", "stone", "in spite of", "on the whole", "all in all", "a great deal",
+]
+_ODD_FORMS = ["a|b", "café", "li\u212aewise", "İf", "Because"]
+_THIRTY = " ".join(f"F{i}=0.{i}" for i in range(29))
+# Feature columns whose first item's value begins with a number, one with
+# the score item first and one with it last among 30 items; then columns
+# without such a first item, one of them with no item at all.
+_SCORED_FEATURES = [
+    "PPDB2.0Score=3.5", "PPDB2.0Score=0.5 Abstract=0", "Abstract=0 PPDB2.0Score=2.5", "p(e|f)=0.25 x=1",
+    "A=1\tB=2", "A=1\xa0B", "A=1\x1cB", "A=-2|3 x", f"PPDB2.0Score=1.5 {_THIRTY}", f"{_THIRTY} PPDB2.0Score=1.5",
+]
+_OTHER_FEATURES = ["abc", "x=1=2 y", "=5", "PPDB2.0Score=abc", "-1.5", "x=1.5e", "x=.5 y=2", "", "A=\u0663 B=1"]
+# Changes that lowercasing and str.split undo: other whitespace between
+# tokens, another letter case, whitespace around the phrase.
+_PHRASE_CHANGES = [
+    lambda p: p.replace(" ", "  "), lambda p: p.replace(" ", "  ", 1), lambda p: p.replace(" ", "\t"),
+    lambda p: p.replace(" ", "\xa0"), lambda p: p.replace(" ", "\u3000"), str.upper, str.title, str.capitalize,
+    lambda p: " " + p, lambda p: p + "  ",
+]
+
+
+@st.composite
+def _ppdb_line(draw):
+    """A line of plain phrases, which the pattern blanks unless one is a
+    keep phrase, with up to two changes that may stop it."""
+    fields = ["[X]", *draw(st.lists(st.sampled_from(_PLAIN_FORMS), min_size=2, max_size=2, unique=True))]
+    fields += [draw(st.sampled_from(_SCORED_FEATURES)), "0-0", "Equivalence"]
+    count, separator = draw(st.sampled_from([4, 5, 6])), _PPDB_SEP
+    changes = st.lists(st.sampled_from(["phrase", "identity", "odd", "lhs", "features", "fields", "sep"]), max_size=2)
+    for change in draw(changes):
+        side = draw(st.sampled_from([1, 2]))
+        if change == "phrase":
+            fields[side] = draw(st.sampled_from(_PHRASE_CHANGES))(fields[side])
+        elif change == "identity":  # the source, perhaps in another case or spacing
+            fields[2] = draw(st.sampled_from([lambda p: p, *_PHRASE_CHANGES]))(fields[1])
+        elif change == "odd":
+            fields[side] = draw(st.sampled_from(_ODD_FORMS))
+        elif change == "lhs":
+            fields[0] = draw(st.sampled_from(["", "[A|B]", "[X] y", "[X]\t"]))
+        elif change == "features":
+            fields[3] = draw(st.sampled_from(_OTHER_FEATURES))
+        elif change == "fields":
+            count = draw(st.sampled_from([2, 3]))
+        else:
+            separator = draw(st.sampled_from(["|||", " |||| "]))
+    return separator.join(fields[:count]).encode("utf-8")
+
+
+# Blank and BOM-only lines, undecodable bytes inside a line, and a gzip
+# file's first bytes.
+_ODD_LINES = [
+    b"", b" ", codecs.BOM_UTF8, b" \xef\xbb\xbf\t", b"[X] ||| \xff ||| rock ||| A=1", b"\xe2\x82", b"\x1f\x8b\x08\x00",
+]
+# Files with or without a BOM; each line ends in "\n", "\r\n", "\r" or
+# nothing, which joins it to the next or leaves the file's last line open.
+_LINE_ENDS = st.sampled_from([b"\n", b"\r\n", b"\r", b""])
+_PPDB_FILES = st.tuples(
+    st.sampled_from([b"", codecs.BOM_UTF8]),
+    st.lists(st.tuples(st.one_of(_ppdb_line(), _ppdb_line(), st.sampled_from(_ODD_LINES)), _LINE_ENDS), max_size=10),
+).map(lambda file: file[0] + b"".join(line + end for line, end in file[1]))
+
+# No keep; an empty one; the first parts `mine` keeps; and phrases no line
+# of plain tokens can be.
+_KEEPS = [
+    None,
+    frozenset(),
+    frozenset(e.parts[0] for e in load_inventory()),
+    frozenset({("Because",), ("café",), ("a|b",)}),
+]
+
+
+def _outcome(load, path, min_score, keep):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        try:
+            store = load(path, min_score=min_score, keep=keep)
+        except InputError as exc:
+            return None, None, err.getvalue(), str(exc)
+    return store._by_source, store.skipped, err.getvalue(), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PPDB_FILES, st.sampled_from([0.0, 2.0]))
+@example(b"[X] ||| rock ||| rock ||| A=1\n", 0.0)
+@example(b"[X] ||| rock ||| though ||| A=1\n", 0.0)
+@example(b"[X] ||| Though ||| rock ||| A=1\n", 0.0)
+@example(b"[X] ||| in  short ||| rock ||| A=1\n", 0.0)
+@example(b"\x1f\x8b\x08\x00\n", 0.0)
+def test_load_ppdb_matches_its_per_line_reference(tmp_path_factory, data, min_score):
+    # Whatever its pattern blanks, load_ppdb gives the store, skip count,
+    # warnings and error of the per-line reference, at every block size.
+    path = tmp_path_factory.mktemp("ppdb") / "ppdb"
+    path.write_bytes(data)
+    for keep in _KEEPS:
+        expected = _outcome(_reference_load_ppdb, path, min_score, keep)
+        for chars in (1, 7, text._BLOCK_CHARS):
+            with mock.patch.object(text, "_BLOCK_CHARS", chars):
+                assert _outcome(load_ppdb, path, min_score, keep) == expected

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import importlib
 import inspect
 import re
 import sys
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import altlex_miner
+from altlex_miner import lexres
 from altlex_miner.cli import build_parser
+from altlex_miner.discourse import load_inventory
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -27,18 +30,21 @@ def _imported_top_levels(path):
     return names
 
 
-# Calls that read a file. ``text.read_lines`` is the one reader of input
-# files, and the only function that calls one.
+# Calls that read a file. ``text.read_blocks`` is the one function that
+# opens input files, and the only function that calls one.
 _FILE_READS = {"open", "read_text", "read_bytes"}
-_FILE_READERS = {"text.read_lines"}
+_FILE_READERS = {"text.read_blocks"}
+# The callers of each of the two readers.
 _LINE_READERS = {
-    "corpus.read_aligned_rows",
-    "corpus.read_article",
-    "corpus.load_agreement_tsv",
-    "discourse.load_inventory",
-    "cli.load_config_file",
-    "lexres.load_ppdb",
-    "lexres.load_synonyms",
+    "read_lines": {
+        "corpus.read_aligned_rows",
+        "corpus.read_article",
+        "corpus.load_agreement_tsv",
+        "discourse.load_inventory",
+        "cli.load_config_file",
+        "lexres.load_synonyms",
+    },
+    "read_blocks": {"text.read_lines", "lexres.load_ppdb"},
 }
 
 
@@ -84,15 +90,38 @@ def _reads_a_file(call):
     )
 
 
-def test_every_input_file_is_read_by_read_lines():
-    # One reader means one rule for BOMs, line ends, blank lines and
-    # undecodable bytes; a second open() would be a second rule.
+def test_every_input_file_is_read_by_read_blocks():
+    # One reader means one rule for BOMs, line ends and undecodable bytes;
+    # a second open() would be a second rule.
     calls = {}
     for path in PACKAGE.rglob("*.py"):
         calls.update(_calls_by_function(path))
     assert {owner for owner, found in calls.items() if any(map(_reads_a_file, found))} == _FILE_READERS
-    line_readers = {owner for owner, found in calls.items() if "read_lines" in map(_called_name, found)}
+    line_readers = {
+        reader: {owner for owner, found in calls.items() if reader in map(_called_name, found)}
+        for reader in _LINE_READERS
+    }
     assert line_readers == _LINE_READERS
+
+
+# Regex syntax new in Python 3.11, which 3.10, the least version
+# pyproject.toml allows, rejects with "multiple repeat": possessive
+# quantifiers and atomic groups.
+_NEW_IN_PYTHON_3_11 = re.compile(r"[*+?}]\+|\(\?>")
+
+
+def test_patterns_compile_on_the_least_python():
+    # Tests run on a newer Python, where such a pattern compiles.
+    patterns = [
+        value
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "__main__"
+        for value in vars(importlib.import_module(f"{PACKAGE.name}.{path.stem}")).values()
+        if isinstance(value, re.Pattern)
+    ]
+    assert lexres._SCORE_RE in patterns
+    patterns.append(lexres._unstorable_lines({entry.parts[0] for entry in load_inventory()}))
+    assert [p.pattern for p in patterns if _NEW_IN_PYTHON_3_11.search(p.pattern)] == []
 
 
 def test_every_output_file_is_written_by_replacing():

@@ -2,12 +2,14 @@ import codecs
 import os
 import threading
 from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from altlex_miner.text import InputError, TokenSpan, match_phrase, read_lines, tokenize
+from altlex_miner import text
+from altlex_miner.text import InputError, TokenSpan, match_phrase, read_blocks, read_lines, tokenize
 
 
 def surfaces(sentence):
@@ -139,7 +141,10 @@ def _spec_lines(data):
 # BOMs, every line end, characters that end a line for str.splitlines but
 # not in a file, whitespace, invalid and truncated UTF-8, and lines long
 # enough to cross the 8 KiB chunks text mode decodes in; 8191 bytes put a
-# following "\r\n" across the first chunk boundary.
+# following "\r\n" across the first chunk boundary. Blocks of 1 and 7
+# characters put a block seam inside a "\r\n", a multi-byte character, a
+# BOM and an undecodable sequence.
+_BLOCK_SIZES = (1, 7, text._BLOCK_CHARS)
 _PIECES = [
     b"a", b"b c", b" ", b"\t", b"\n", b"\r", b"\r\n", codecs.BOM_UTF8,
     "\u2028".encode(), "\x85".encode(), b"\f", b"\v", b"\x1c", "\xe9".encode(), "\u20ac".encode(),
@@ -182,22 +187,57 @@ def _pipe_of(data):
 @example(b"\xef\xbb")
 def test_read_lines_matches_its_spec(tmp_path_factory, data):
     # Over a file and over a pipe, whose bytes cannot be read again to find
-    # an undecodable byte's line.
+    # an undecodable byte's line, at every block size.
     root = tmp_path_factory.mktemp("read_lines")
     file = root / "input.txt"
     file.write_bytes(data)
-    for source in (nullcontext(file), _pipe_of(data)):
-        with source as path:
-            expected, bad_line = _spec_lines(data)
-            got = []
-            try:
-                for item in read_lines(path):
-                    got.append(item)
-            except InputError as exc:
-                assert bad_line is not None
-                assert str(exc) == f"{path}: line {bad_line}: invalid UTF-8"
-                # Every line before the bad one has been yielded, as read.
-                assert got == expected
-            else:
-                assert bad_line is None
-                assert got == expected
+    for chars in _BLOCK_SIZES:
+        for source in (nullcontext(file), _pipe_of(data)):
+            with mock.patch.object(text, "_BLOCK_CHARS", chars), source as path:
+                expected, bad_line = _spec_lines(data)
+                got = []
+                try:
+                    for item in read_lines(path):
+                        got.append(item)
+                except InputError as exc:
+                    assert bad_line is not None
+                    assert str(exc) == f"{path}: line {bad_line}: invalid UTF-8"
+                    # Every line before the bad one has been yielded, as read.
+                    assert got == expected
+                else:
+                    assert bad_line is None
+                    assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=24).map(b"".join), st.sampled_from(_BLOCK_SIZES))
+@example(codecs.BOM_UTF8, 1)
+@example(codecs.BOM_UTF8 + b"a", 1)
+@example(b"a\r\nb\xe2\x82\xacc\r", 7)
+@example(b"x" * 8191 + b"\r\n" + b"\xff", 7)
+def test_read_blocks_are_the_translated_text_in_whole_lines(tmp_path_factory, data, chars):
+    # The text as read_blocks must give it, from its contract: without a
+    # leading BOM, every line end a "\n", the last line ended too, and cut
+    # before the line holding the first undecodable byte.
+    _, bad_line = _spec_lines(data)
+    translated = data.decode("utf-8", "surrogateescape").removeprefix("\ufeff")
+    lines = translated.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    expected = "".join(line + "\n" for line in lines[: None if bad_line is None else bad_line - 1])
+    path = tmp_path_factory.mktemp("read_blocks") / "input.txt"
+    path.write_bytes(data)
+    blocks = []
+    with mock.patch.object(text, "_BLOCK_CHARS", chars):
+        try:
+            for block in read_blocks(path):
+                blocks.append(block)
+        except InputError as exc:
+            assert str(exc) == f"{path}: line {bad_line}: invalid UTF-8"
+        else:
+            assert bad_line is None
+    assert "".join(block for _, block in blocks) == expected
+    first = 1
+    for number, block in blocks:
+        assert number == first and block.endswith("\n")
+        first += block.count("\n")
