@@ -442,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--synonyms", default=None, help="word<TAB>synonym lexicon")
     p_mine.add_argument("--inventory", default=None, help="connective inventory TSV (default: shipped)")
     p_mine.add_argument("--threshold", type=float, default=None, help="alignment cutoff for article dirs")
-    p_mine.add_argument("--min-score", type=float, default=None, help="minimum paraphrase score")
-    p_mine.add_argument("--workers", type=int, default=None)
-    p_mine.add_argument("--output-dir", default=None)
+    p_mine.add_argument("--min-score", type=float, default=None, help="minimum PPDB score of a kept line (default 0)")
+    p_mine.add_argument("--workers", type=int, default=None, help="processes to mine in (default 1)")
+    p_mine.add_argument("--output-dir", default=None, help="directory of the three output files (default altlex_out)")
     p_mine.add_argument("--config", default=None, help="key=value config file")
     p_mine.set_defaults(func=cmd_mine)
 

@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 from .corpus import SentencePair
 from .discourse import ConnectiveEntry, ConnectiveInventory, ExplicitAnnotation, Sense, detect_explicit
 from .lexres import ParaphraseEntry, ParaphraseStore, Resource, expand
-from .text import Sentence, TokenSpan, split_tokens
-# Not called here: perfbench's tracer binds these names on this module.
-from .text import match_phrase, tokenize  # noqa: F401
+from .text import Sentence, TokenSpan, tokenize
+# Not called here: perfbench's tracer binds this name on this module.
+from .text import match_phrase  # noqa: F401
 
 # Resource order for deterministic picks: PPDB first.
 _RESOURCE_RANK = {resource: rank for rank, resource in enumerate(Resource)}
@@ -161,7 +161,7 @@ def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...]
 
     The result equals ``tokenize`` of the token surfaces joined with single
     spaces. No token spans a space, so the kept tokens stay as they are and
-    only the replacement is split. If the span started the sentence with a
+    only the replacement is tokenized. If the span started the sentence with a
     capitalized token, the replacement's first token is capitalized too.
     """
     surfaces = sentence.surface_forms
@@ -170,13 +170,13 @@ def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...]
     replacement = list(replacement)
     if replacement and span.start == 0 and surfaces[0][:1].isupper():
         replacement[0] = replacement[0][:1].upper() + replacement[0][1:]
-    inserted = split_tokens(" ".join(replacement))
+    inserted = tokenize(" ".join(replacement))
     before, after = surfaces[: span.start], surfaces[span.end :]
     lowers = sentence.lower_forms
     return Sentence(
         " ".join([*before, *replacement, *after]),
-        before + inserted + after,
-        lowers[: span.start] + tuple(map(str.lower, inserted)) + lowers[span.end :],
+        before + inserted.surface_forms + after,
+        lowers[: span.start] + inserted.lower_forms + lowers[span.end :],
     )
 
 

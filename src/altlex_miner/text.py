@@ -23,8 +23,6 @@ _TOKEN_RE = re.compile(r"\w+(?:[-'’]\w+)*|[^\s\ufeff]")
 _UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
 # The two bytes that begin a gzip file, as "surrogateescape" decodes them.
 _GZIP_MAGIC = "\x1f\udc8b"
-# A blank line that is not ASCII: whitespace and stray BOMs, which are no token.
-_BLANK_LINE = re.compile(r"[\s\ufeff]*")
 
 
 class InputError(Exception):
@@ -105,7 +103,7 @@ def block_lines(first: int, block: str) -> Iterator[tuple[int, str]]:
     """A block's non-blank lines as ``(line number, line)``, without line ends. A
     blank line is empty or holds only whitespace and U+FEFF: no token to ``tokenize``."""
     for lineno, line in enumerate(block.split("\n"), start=first):
-        if line and not line.isspace() and (line.isascii() or not _BLANK_LINE.fullmatch(line)):
+        if line and not line.isspace() and (line.isascii() or _TOKEN_RE.search(line)):
             yield lineno, line
 
 
@@ -115,11 +113,6 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         yield from block_lines(first, block)
 
 
-def split_tokens(raw: str) -> tuple[str, ...]:
-    """The token surfaces of ``raw``, as ``tokenize`` splits them."""
-    return tuple(_TOKEN_RE.findall(raw))
-
-
 def tokenize(raw: str) -> Sentence:
     """Split ``raw`` into word and punctuation tokens.
 
@@ -127,7 +120,7 @@ def tokenize(raw: str) -> Sentence:
     ("don't", "it's") remain single tokens. Empty or whitespace-only input
     yields a sentence with no tokens.
     """
-    surfaces = split_tokens(raw)
+    surfaces = tuple(_TOKEN_RE.findall(raw))
     return Sentence(raw, surfaces, tuple(map(str.lower, surfaces)))
 
 

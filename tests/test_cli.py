@@ -1245,6 +1245,24 @@ def test_non_finite_min_score_is_input_error(
     assert not out.exists()
 
 
+def test_the_default_min_score_drops_a_line_scored_below_zero(tmp_path):
+    # The default cutoff is 0, not "keep all": a negative score needs a
+    # negative --min-score.
+    pairs, ppdb, synonyms = tmp_path / "pairs.tsv", tmp_path / "ppdb.txt", tmp_path / "synonyms.tsv"
+    pairs.write_text(
+        "We stayed home because it rained all day.\tGiven that it rained all day, we stayed home.\n",
+        encoding="utf-8",
+    )
+    ppdb.write_text("[RB] ||| because ||| given that ||| PPDB2.0Score=-0.5\n", encoding="utf-8")
+    synonyms.write_text("", encoding="utf-8")
+    rows = {}
+    for extra in ((), ("--min-score", "-1")):
+        out = tmp_path / "_".join(("out", *extra))
+        assert main(_mine_args(pairs, out, ppdb, synonyms, extra)) == 0
+        rows[extra] = (out / "altlexes.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    assert rows == {(): [], ("--min-score", "-1"): ["given that\tCause\tPPDB\t1\t1\t1"]}
+
+
 @pytest.mark.parametrize(
     "key, value, reason",
     [("threshold", "2", "threshold 2.0 outside [0, 1]"), ("workers", "0", "workers must be >= 1, got 0")],

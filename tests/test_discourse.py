@@ -13,7 +13,7 @@ from altlex_miner.discourse import (
     detect_explicit,
     load_inventory,
 )
-from altlex_miner.text import InputError, read_lines, split_tokens, tokenize
+from altlex_miner.text import InputError, read_lines, tokenize
 
 from conftest import WOODCUTS_COMPLEX, WOODCUTS_SIMPLE, BROADCAST_COMPLEX, LANDMARK_SIMPLE
 
@@ -148,7 +148,7 @@ def test_a_second_part_is_no_clause(tmp_path):
 
 def test_every_boundary_token_is_one_token():
     # A boundary that splits into several tokens never precedes a coordinator.
-    assert [split_tokens(token) for token in sorted(_BOUNDARY_TOKENS)] == [(t,) for t in sorted(_BOUNDARY_TOKENS)]
+    assert [tokenize(token).surface_forms for token in sorted(_BOUNDARY_TOKENS)] == [(t,) for t in sorted(_BOUNDARY_TOKENS)]
 
 
 def test_comma_guard_allows_clause_level_coordination(inventory):
@@ -202,6 +202,6 @@ _SUFFIX_RE = re.compile(r".*(ed|s|ing)$")
 def test_verb_suffix_check_agrees_with_the_regex(stem, ending, position):
     raw = stem + ending
     # isalpha() is tested first, so no newline reaches the regex's "$".
-    for lower in {raw, raw.lower(), *split_tokens(raw), *split_tokens(raw.lower())}:
+    for lower in {raw, raw.lower(), *tokenize(raw).surface_forms, *tokenize(raw.lower()).surface_forms}:
         by_regex = position > 0 and lower.isalpha() and _SUFFIX_RE.fullmatch(lower) is not None
         assert _is_verbish(lower, position) == (_is_verbish(lower, 0) or by_regex)

@@ -14,8 +14,6 @@ from altlex_miner import lexres
 from altlex_miner.cli import build_parser
 from altlex_miner.discourse import load_inventory
 
-tomllib = pytest.importorskip("tomllib")
-
 PACKAGE = Path(altlex_miner.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 
@@ -48,21 +46,21 @@ _LINE_READERS = {
 }
 
 
-def _calls_by_function(path):
-    """{"module.function": [Call nodes]}, by the innermost enclosing def;
-    module-level calls fall under "module.<module>"."""
-    calls: dict[str, list[ast.Call]] = {}
+def _nodes_by_function(path, node_type):
+    """{"module.function": [nodes of ``node_type``]}, by the innermost
+    enclosing def; module-level nodes fall under "module.<module>"."""
+    nodes: dict[str, list[ast.AST]] = {}
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{path.stem}.{node.name}"
-        if isinstance(node, ast.Call):
-            calls.setdefault(owner, []).append(node)
+        if isinstance(node, node_type):
+            nodes.setdefault(owner, []).append(node)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.<module>")
-    return calls
+    return nodes
 
 
 def _called_name(call):
@@ -95,13 +93,28 @@ def test_every_input_file_is_read_by_read_blocks():
     # a second open() would be a second rule.
     calls = {}
     for path in PACKAGE.rglob("*.py"):
-        calls.update(_calls_by_function(path))
+        calls.update(_nodes_by_function(path, ast.Call))
     assert {owner for owner, found in calls.items() if any(map(_reads_a_file, found))} == _FILE_READERS
     line_readers = {
         reader: {owner for owner, found in calls.items() if reader in map(_called_name, found)}
         for reader in _LINE_READERS
     }
     assert line_readers == _LINE_READERS
+
+
+def _reads_token_re(node):
+    name = node.id if isinstance(node, ast.Name) else node.attr
+    return name == "_TOKEN_RE" and isinstance(node.ctx, ast.Load)
+
+
+def test_one_pattern_says_what_a_token_is():
+    # Sentences read from files, substituted sentences and blank lines all
+    # follow ``_TOKEN_RE``; a second reader would be a second token rule.
+    nodes = {}
+    for path in PACKAGE.rglob("*.py"):
+        nodes.update(_nodes_by_function(path, (ast.Name, ast.Attribute)))
+    readers = {owner for owner, found in nodes.items() if any(map(_reads_token_re, found))}
+    assert readers == {"text.tokenize", "text.block_lines"}
 
 
 # Regex syntax new in Python 3.11, which 3.10, the least version
@@ -129,7 +142,7 @@ def test_every_output_file_is_written_by_replacing():
     # bits and FIFOs, and one way a failed run leaves the old outputs.
     calls = {}
     for path in PACKAGE.rglob("*.py"):
-        calls.update(_calls_by_function(path))
+        calls.update(_nodes_by_function(path, ast.Call))
     # The null device, which a closed stdout is pointed at, is no output.
     null_device = lambda call: call.args and ast.unparse(call.args[0]) == "os.devnull"
     writes = lambda call: _called_name(call) in {"write_text", "write_bytes"} or (
@@ -141,6 +154,7 @@ def test_every_output_file_is_written_by_replacing():
 def test_declared_dependencies_are_the_imported_ones():
     # A declared dependency the code never imports still has to be
     # installed; an undeclared one breaks a clean install.
+    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
     declared = {
         re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
@@ -149,6 +163,19 @@ def test_declared_dependencies_are_the_imported_ones():
     imported = set().union(*(_imported_top_levels(p) for p in PACKAGE.rglob("*.py")))
     third_party = imported - set(sys.stdlib_module_names) - {PACKAGE.name}
     assert declared == third_party
+
+
+def test_every_cli_option_has_help():
+    # ``--help`` is where a user looks up an option and its default.
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, _SubParsersAction)]
+    unexplained = [
+        (name, action.option_strings)
+        for name, sub in subcommands.choices.items()
+        for action in sub._actions
+        if action.option_strings and not action.help
+    ]
+    assert unexplained == []
 
 
 def test_readme_lists_exactly_the_cli_options():
