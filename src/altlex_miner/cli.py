@@ -33,9 +33,11 @@ Exit codes: 0 success, 1 usage error, 2 a crashed worker process, an
 unwritable output, no memory left, or an input error: an unreadable file,
 a bad value, or a malformed line, reported as ``PATH: line N: reason``;
 130 a run stopped by Ctrl-C. Outputs are replaced only once all are
-written, so a failed or stopped run leaves each as it was. A stdout closed
-by its reader, as by ``| head``, is no error: the outputs are written
-before the summary is printed.
+written, so a failed or stopped run leaves each as it was, and a failed
+or interrupted ``mine`` stops its worker processes before it exits;
+workers that cannot start give ``error: starting worker processes: ...``.
+A stdout closed by its reader, as by ``| head``, is no error: the outputs
+are written before the summary is printed.
 """
 
 from __future__ import annotations
@@ -304,15 +306,10 @@ def _tasks(items: Iterator, size: int) -> Iterator[list]:
         task = list(islice(items, size))
 
 
-def _mine_rows(rows, inventory, stores):
-    """Tokenize and mine raw TSV rows, one pair at a time."""
-    return mine_corpus(pairs_from_rows(rows), inventory, stores)
-
-
-def _mine_articles(articles, threshold, inventory, stores):
-    """Read, align and mine ``_list_articles`` entries, one article at a
-    time."""
-    return mine_corpus(_align(articles, threshold), inventory, stores)
+def _mine_task(read, items, inventory, stores):
+    """Mine the pairs that ``read`` makes of a task's items one at a time:
+    ``pairs_from_rows`` of raw TSV rows, ``_align`` of article entries."""
+    return mine_corpus(read(items), inventory, stores)
 
 
 def ProcessPoolExecutor(*args, **kwargs):  # noqa: N802 - perfbench and tests rebind this name
@@ -332,8 +329,8 @@ def _mine(work, items: Iterable, per_task: int, workers: int) -> AltLexInventory
     if unknown. One process mines here, reading no item ahead unless a first
     window was read. More are a pool, handed the windows at most two at a
     time: the one being folded and the next, never the task stream, all of
-    which ``Executor.map`` would submit at once. An error reading the next
-    window cancels the tasks not yet started.
+    which ``Executor.map`` would submit at once. Any failure or interrupt
+    stops the workers and cancels the tasks not yet started.
     """
     items = iter(items)
     tasks = _tasks(items, per_task)
@@ -343,28 +340,39 @@ def _mine(work, items: Iterable, per_task: int, workers: int) -> AltLexInventory
     processes = min(processes, len(window))
     if processes <= 1:  # a first window of one task, or none, held the whole input
         return work(chain(*window, items))
+    import multiprocessing
     from concurrent.futures.process import BrokenProcessPool
 
+    def start(call, *args, **kwargs):  # the pool's own OSError names no file, so say what failed
+        try:
+            return call(*args, **kwargs)
+        except OSError as exc:
+            raise OSError(f"starting worker processes: {exc}") from exc
+
     inv = AltLexInventory()
-    try:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = pool.map(work, window)
+    alive = set(multiprocessing.active_children())
+    with start(ProcessPoolExecutor, max_workers=processes) as pool:
+        try:
+            results = start(pool.map, work, window)
             while window:
                 # Hand out the next window before folding this one, so the
                 # workers do not wait for the parent between windows.
-                try:
-                    window = list(islice(tasks, ahead))
-                except BaseException:
-                    # A read error: leaving the block would wait for every
-                    # task handed out, so drop those not yet started.
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    raise
-                following = pool.map(work, window) if window else ()
+                window = list(islice(tasks, ahead))
+                following = start(pool.map, work, window) if window else ()
                 for result in results:
                     inv.update(result)
                 results = following
-    except BrokenProcessPool as exc:
-        raise ChildProcessError("mining worker process exited unexpectedly") from exc
+        except BaseException as exc:
+            # Leaving the block waits for every task handed out, and for
+            # ever on a worker whose pool failed to start the rest. SIGKILL,
+            # which no handler a worker inherits can catch, bounds the join.
+            for child in set(multiprocessing.active_children()) - alive:
+                child.kill()
+                child.join()
+            pool.shutdown(wait=True, cancel_futures=True)
+            if isinstance(exc, BrokenProcessPool):
+                raise ChildProcessError("mining worker process exited unexpectedly") from exc
+            raise
     return inv
 
 
@@ -374,14 +382,14 @@ def cmd_mine(args: argparse.Namespace) -> int:
     if Path(config.input_path).is_dir():
         items = _list_articles(config.input_path)
         per_task = 1  # large articles balance across workers
-        work = partial(_mine_articles, threshold=config.threshold)
+        read = partial(_align, threshold=config.threshold)
     else:
         os.stat(config.input_path)
         items = read_aligned_rows(config.input_path)
         per_task = _ROWS_PER_TASK
-        work = _mine_rows
+        read = pairs_from_rows
     inventory = load_inventory(config.inventory)
-    work = partial(work, inventory=inventory, stores=_load_stores(config, inventory))
+    work = partial(_mine_task, read, inventory=inventory, stores=_load_stores(config, inventory))
 
     inv = _mine(work, items, per_task, config.workers)
 
@@ -430,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_align = sub.add_parser("align", help="align article-level corpora at sentence level")
-    p_align.add_argument("input_path", metavar="ARTICLES_DIR")
+    p_align.add_argument("input_path", metavar="ARTICLES_DIR", help="directory of <articleid>.<level>.txt files")
     p_align.add_argument("--threshold", type=float, default=None, help="similarity cutoff (default 0.5)")
     p_align.add_argument("-o", "--output", default=None, help="output TSV path")
     p_align.add_argument("--config", default=None, help="key=value config file")
@@ -449,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.set_defaults(func=cmd_mine)
 
     p_kappa = sub.add_parser("kappa", help="Cohen's kappa from an agreement TSV")
-    p_kappa.add_argument("input_path", metavar="AGREEMENT_TSV")
+    p_kappa.add_argument("input_path", metavar="AGREEMENT_TSV", help="pair_id<TAB>0|1<TAB>0|1 rows")
     p_kappa.set_defaults(func=cmd_kappa)
     return parser
 

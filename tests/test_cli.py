@@ -8,11 +8,13 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -420,9 +422,10 @@ def test_mine_rows_memory_does_not_grow_with_rows(inventory, ppdb_file, synonym_
     stores = [load_ppdb(ppdb_file), load_synonyms(synonym_file)]
     rows = [(str(i), *EXAMPLE_ROWS[i % len(EXAMPLE_ROWS)]) for i in range(1200)]
     _fill_tuple_free_lists()
-    cli._mine_rows(rows, inventory, stores)
-    small = _traced_peak(cli._mine_rows, rows[:300], inventory, stores)
-    large = _traced_peak(cli._mine_rows, rows, inventory, stores)
+    read = cli.pairs_from_rows
+    cli._mine_task(read, rows, inventory, stores)
+    small = _traced_peak(cli._mine_task, read, rows[:300], inventory, stores)
+    large = _traced_peak(cli._mine_task, read, rows, inventory, stores)
     assert large < 1.5 * small
 
 
@@ -444,10 +447,11 @@ def test_mine_articles_memory_does_not_grow_with_articles(tmp_path, inventory, p
         _write_memory_article(art, art_id, range(3))
     stores = [load_ppdb(ppdb_file), load_synonyms(synonym_file)]
     articles = cli._list_articles(art)
+    read = partial(cli._align, threshold=0.4)
     _fill_tuple_free_lists()
-    cli._mine_articles(articles, 0.4, inventory, stores)
-    small = _traced_peak(cli._mine_articles, articles[:1], 0.4, inventory, stores)
-    large = _traced_peak(cli._mine_articles, articles, 0.4, inventory, stores)
+    cli._mine_task(read, articles, inventory, stores)
+    small = _traced_peak(cli._mine_task, read, articles[:1], inventory, stores)
+    large = _traced_peak(cli._mine_task, read, articles, inventory, stores)
     assert large < 1.5 * small
 
 
@@ -456,6 +460,7 @@ def test_mine_article_memory_does_not_grow_with_levels(tmp_path, inventory, ppdb
     # read, so an article with levels 0-5 needs about the peak of the same
     # article with levels 0-2.
     stores = [load_ppdb(ppdb_file), load_synonyms(synonym_file)]
+    read = partial(cli._align, threshold=0.4)
     peaks = []
     for levels in (range(3), range(6)):
         art = tmp_path / f"levels-{len(levels)}"
@@ -463,8 +468,8 @@ def test_mine_article_memory_does_not_grow_with_levels(tmp_path, inventory, ppdb
         _write_memory_article(art, "a", levels)
         articles = cli._list_articles(art)
         _fill_tuple_free_lists()
-        cli._mine_articles(articles, 0.4, inventory, stores)
-        peaks.append(_traced_peak(cli._mine_articles, articles, 0.4, inventory, stores))
+        cli._mine_task(read, articles, inventory, stores)
+        peaks.append(_traced_peak(cli._mine_task, read, articles, inventory, stores))
     assert peaks[1] < 1.1 * peaks[0]
 
 
@@ -497,7 +502,8 @@ def test_align_reads_each_file_with_no_earlier_level_alive(
     assert alive_at_reads == expected
     alive_at_reads.clear()
     stores = [load_ppdb(ppdb_file), load_synonyms(synonym_file)]
-    assert cli._mine_articles(articles, 0.4, inventory, stores).total_pairs == 2 * 3 * len(EXAMPLE_ROWS)
+    read = partial(cli._align, threshold=0.4)
+    assert cli._mine_task(read, articles, inventory, stores).total_pairs == 2 * 3 * len(EXAMPLE_ROWS)
     assert alive_at_reads == expected
 
 
@@ -822,22 +828,32 @@ def test_mine_pool_parent_memory_does_not_grow_with_rows(
     assert pool_starts == [2] * 4
 
 
-def test_mine_pool_malformed_last_row_is_input_error(tmp_path, ppdb_file, synonym_file, monkeypatch, capsys):
-    # The parent reads the bad row after handing the pool three windows of
-    # one-row tasks; the run still writes nothing. Leaving the pool's block
-    # waits for every task handed out, so the parent first cancels those
-    # not yet started.
+@pytest.fixture
+def shutdowns(monkeypatch):
+    """The ``(wait, cancel_futures)`` of each ``shutdown`` call of the
+    process pools that ``mine`` starts, on a machine taken to have two
+    CPUs."""
     from concurrent.futures import ProcessPoolExecutor
 
-    shutdowns = []
+    calls = []
 
     class ShutdownRecordingPool(ProcessPoolExecutor):
         def shutdown(self, wait=True, *, cancel_futures=False):
-            shutdowns.append((wait, cancel_futures))
+            calls.append((wait, cancel_futures))
             super().shutdown(wait, cancel_futures=cancel_futures)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", ShutdownRecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    return calls
+
+
+def test_mine_pool_malformed_last_row_is_input_error(
+    tmp_path, ppdb_file, synonym_file, monkeypatch, capsys, shutdowns
+):
+    # The parent reads the bad row after handing the pool three windows of
+    # one-row tasks; the run still writes nothing. Leaving the pool's block
+    # waits for every task handed out, so the parent first cancels those
+    # not yet started.
     monkeypatch.setattr(cli, "_ROWS_PER_TASK", 1)
     corpus = _write_rows(tmp_path / "pairs.tsv", 12)
     with corpus.open("a", encoding="utf-8") as fh:
@@ -845,6 +861,29 @@ def test_mine_pool_malformed_last_row_is_input_error(tmp_path, ppdb_file, synony
     out = tmp_path / "out"
     assert main(_mine_args(corpus, out, ppdb_file, synonym_file, ("--workers", "2"))) == 2
     assert f"error: {corpus}: line 13: expected 2 or 3 tab-separated fields, got 1" in capsys.readouterr().err
+    assert shutdowns[0] == (True, True)
+    assert not out.exists()
+
+
+def test_mine_pool_worker_error_cancels_the_tasks_not_yet_started(
+    tmp_path, ppdb_file, synonym_file, capsys, shutdowns
+):
+    # Eight one-article tasks in windows of four: a worker reads the bad
+    # level-1 file in the first window, and its error reaches the parent
+    # once the second window is handed out. The parent stops the workers
+    # and drops that window's tasks not yet started, rather than waiting
+    # for them.
+    art = tmp_path / "articles"
+    art.mkdir()
+    for n in range(8):
+        for level, column in _ARTICLE_LEVELS.items():
+            lines = "".join(f"{row[column]}\n" for row in EXAMPLE_ROWS)
+            (art / f"a{n}.{level}.txt").write_text(lines, encoding="utf-8")
+    bad = art / "a1.1.txt"
+    bad.write_bytes(b"It rained.\nbad \xff byte\n")
+    out = tmp_path / "out"
+    assert main(_mine_args(art, out, ppdb_file, synonym_file, ("--workers", "2"))) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 2: invalid UTF-8\n"
     assert shutdowns[0] == (True, True)
     assert not out.exists()
 
@@ -1468,6 +1507,48 @@ def test_mine_write_error_names_the_file_and_keeps_the_previous_outputs(
     assert run.returncode == 2
     assert run.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{out / 'altlexes.json'}'\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+
+
+_MINE_ON_TWO_CPUS = "import os, sys; os.cpu_count = lambda: 2; from altlex_miner import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def test_mine_pool_out_of_file_descriptors_ends_and_leaves_no_process(tmp_path, ppdb_file, synonym_file):
+    # RLIMIT_NOFILE, set in the child only, makes the pipes and forks of a
+    # two-process pool fail at various points, the first worker started
+    # and the second not among them. Each run must end with a result or
+    # one error line and stop every process it started. A worker left
+    # behind keeps the child's stdout open, so both go to files: a pipe
+    # would block reading it to EOF.
+    resource = pytest.importorskip("resource")
+    corpus = _write_rows(tmp_path / "pairs.tsv", 400)  # two tasks: a pool of two
+    succeeded = start_failed = False
+    for limit in range(8, 21):
+        out, err = tmp_path / f"{limit}.out", tmp_path / f"{limit}.err"
+        argv = _mine_args(corpus, tmp_path / f"outputs-{limit}", ppdb_file, synonym_file, ("--workers", "2"))
+        with out.open("w") as stdout, err.open("w") as stderr:
+            child = subprocess.Popen(
+                [sys.executable, "-c", _MINE_ON_TWO_CPUS, *argv],
+                env=_cli_env(),
+                stdout=stdout,
+                stderr=stderr,
+                start_new_session=True,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_NOFILE, (limit, limit)),
+            )
+        try:
+            code = child.wait(timeout=10)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(child.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            child.wait(timeout=10)
+        errors = err.read_text(encoding="utf-8")
+        assert code in (0, 2), (limit, errors)
+        if code == 2:
+            assert errors.count("\n") == 1 and errors.startswith("error: "), (limit, errors)
+        succeeded |= code == 0
+        start_failed |= errors.startswith("error: starting worker processes: ")
+    assert succeeded and start_failed
 
 
 @pytest.mark.parametrize("stopped_in", ["mine_corpus", "write_altlexes_json"])

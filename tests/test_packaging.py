@@ -166,14 +166,15 @@ def test_declared_dependencies_are_the_imported_ones():
 
 
 def test_every_cli_option_has_help():
-    # ``--help`` is where a user looks up an option and its default.
+    # ``--help`` is where a user looks up an option and its default, or
+    # what a positional argument names.
     parser = build_parser()
     (subcommands,) = [a for a in parser._actions if isinstance(a, _SubParsersAction)]
     unexplained = [
-        (name, action.option_strings)
+        (name, action.option_strings or action.metavar)
         for name, sub in subcommands.choices.items()
         for action in sub._actions
-        if action.option_strings and not action.help
+        if not isinstance(action, (_HelpAction, _SubParsersAction)) and not action.help
     ]
     assert unexplained == []
 
