@@ -32,10 +32,13 @@ inventory, memory does not grow with the corpus.
 Exit codes: 0 success, 1 usage error, 2 a crashed worker process, an
 unwritable output, no memory left, or an input error: an unreadable file,
 a bad value, or a malformed line, reported as ``PATH: line N: reason``;
-130 a run stopped by Ctrl-C. Outputs are replaced only once all are
-written, so a failed or stopped run leaves each as it was, and a failed
-or interrupted ``mine`` stops its worker processes before it exits;
-workers that cannot start give ``error: starting worker processes: ...``.
+130, 143 and 129 a run stopped by Ctrl-C, SIGTERM or SIGHUP (128 + the
+signal's number). Outputs are replaced only once all are written, so a
+failed or stopped run leaves each as it was, and a failed or stopped
+``mine`` stops its worker processes before it exits; workers ignore the
+three signals, which a terminal sends to the whole process group, and
+leave them to the parent. Workers that cannot start give ``error:
+starting worker processes: ...``.
 A stdout closed by its reader, as by ``| head``, is no error: the outputs
 are written before the summary is printed.
 """
@@ -46,6 +49,7 @@ import argparse
 import json
 import math
 import os
+import signal
 import stat
 import sys
 from collections.abc import Callable, Iterable, Iterator
@@ -312,6 +316,17 @@ def _mine_task(read, items, inventory, stores):
     return mine_corpus(read(items), inventory, stores)
 
 
+# The signals that stop a run: Ctrl-C's, and the two that ``entrypoint`` handles.
+_STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+
+
+def _leave_signals_to_parent() -> None:
+    """A pool worker's initializer: the parent, stopped by the signal, kills
+    its workers, and a worker that also stopped would print a traceback."""
+    for signum in _STOP_SIGNALS:
+        signal.signal(signum, signal.SIG_IGN)
+
+
 def ProcessPoolExecutor(*args, **kwargs):  # noqa: N802 - perfbench and tests rebind this name
     """A ``concurrent.futures.ProcessPoolExecutor``, imported only by runs
     that start a pool."""
@@ -343,15 +358,21 @@ def _mine(work, items: Iterable, per_task: int, workers: int) -> AltLexInventory
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool
 
-    def start(call, *args, **kwargs):  # the pool's own OSError names no file, so say what failed
+    def start(call, *args, **kwargs):
+        # The pool's threads, started here, block the stop signals, so that
+        # each reaches this thread, the one that runs Python's handlers: one
+        # taken by a pool thread would wait while this one waits in a read.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
         try:
             return call(*args, **kwargs)
-        except OSError as exc:
+        except OSError as exc:  # the pool's own names no file, so say what failed
             raise OSError(f"starting worker processes: {exc}") from exc
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     inv = AltLexInventory()
     alive = set(multiprocessing.active_children())
-    with start(ProcessPoolExecutor, max_workers=processes) as pool:
+    with start(ProcessPoolExecutor, max_workers=processes, initializer=_leave_signals_to_parent) as pool:
         try:
             results = start(pool.map, work, window)
             while window:
@@ -479,15 +500,25 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:  # whose message is empty
         print("error: out of memory", file=sys.stderr)
         return INPUT_ERROR
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return INTERRUPTED
+    except KeyboardInterrupt as exc:  # Ctrl-C, or a signal that ``_stop`` turns into one
+        message, code = exc.args or ("interrupted", INTERRUPTED)
+        print(f"error: {message}", file=sys.stderr)
+        return code
+
+
+def _stop(signum, frame):
+    """Unwind as Ctrl-C does, so that temporary files and workers go too."""
+    raise KeyboardInterrupt(f"stopped by {signal.Signals(signum).name}", 128 + signum)
 
 
 def entrypoint() -> None:
     """The console script and ``python -m altlex_miner``. Alignment calls
     no BLAS routine, so OpenBLAS gets one thread instead of a pool that
     spins on the other CPUs; set before numpy is imported or a worker
-    starts, so workers inherit it. A value already set wins."""
+    starts, so workers inherit it. A value already set wins. SIGTERM and
+    SIGHUP stop a run as Ctrl-C does; a caller of ``main`` keeps its own
+    handlers."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    for signum in (signal.SIGTERM, signal.SIGHUP):
+        signal.signal(signum, _stop)
     sys.exit(main())

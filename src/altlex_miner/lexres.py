@@ -2,10 +2,10 @@
 
 Both resource kinds load into the same symmetric ParaphraseStore: PPDB flat
 files (``|||``-delimited, one score rule over the feature column) and plain
-``word<TAB>synonym`` lexicons standing in for WordNet. Expanding a
-connective returns its stored paraphrases minus anything that is itself an
-inventory connective, since a connective-for-connective swap is not an
-alternative lexicalization.
+``word<TAB>synonym`` lexicons standing in for WordNet. Each phrase is split
+by ``text.tokenize``, as a sentence is, into lowercased tokens. Expanding a
+connective returns its stored paraphrases minus any inventory connective,
+since a connective-for-connective swap is not an alternative lexicalization.
 
 Mining only ever looks up a connective's first part, so both loaders take a
 ``keep`` set of phrases and store only the lines whose source or target is
@@ -80,9 +80,8 @@ _SCORE_RE = re.compile(r"PPDB2\.0Score=(?<=(?<!\S)PPDB2\.0Score=)(" + _FLOAT_RE.
 # Searched in " " + features: a number that begins a feature's value or a
 # bare item, never digits of a feature name such as "PPDB2.0Score".
 _VALUE_NUMBER_RE = re.compile(r"[=\s](" + _FLOAT_RE.pattern + r")(?![^\s=]*=)")
-# A token that lowercasing and ``str.split`` leave as it is: printable ASCII
-# but no uppercase letter, and no "|", so it cannot run into a separator.
-_PLAIN_TOKEN = r"[!-@\[-{}~]+"
+# A token that ``tokenize`` keeps whole and lowercasing leaves as it is.
+_PLAIN_TOKEN = r"[0-9_a-z]+"
 
 
 def _unstorable_lines(keep: Collection[tuple[str, ...]]) -> re.Pattern[str]:
@@ -131,8 +130,8 @@ def load_ppdb(
                 store.skipped += 1
                 print(f"{path}: line {lineno}: skipping line with {len(fields)} fields", file=sys.stderr)
                 continue
-            source = tuple(fields[1].lower().split())
-            target = tuple(fields[2].lower().split())
+            source = text.tokenize(fields[1]).lower_forms
+            target = text.tokenize(fields[2]).lower_forms
             if not source or not target or source == target:
                 store.skipped += 1
                 print(f"{path}: line {lineno}: skipping empty or identity paraphrase", file=sys.stderr)
@@ -163,8 +162,8 @@ def load_synonyms(
             store.skipped += 1
             print(f"{path}: line {lineno}: skipping line with {len(fields)} fields", file=sys.stderr)
             continue
-        source = tuple(fields[0].lower().split())
-        target = tuple(fields[1].lower().split())
+        source = text.tokenize(fields[0]).lower_forms
+        target = text.tokenize(fields[1]).lower_forms
         if not source or not target or source == target:
             store.skipped += 1
             print(f"{path}: line {lineno}: skipping empty or identity synonym pair", file=sys.stderr)

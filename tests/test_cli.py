@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from altlex_miner import SentencePair, Sentence, cli, load_ppdb, load_synonyms
+from altlex_miner import AltLexInventory, SentencePair, Sentence, cli, load_ppdb, load_synonyms
 from altlex_miner.cli import main, percent_rows
 
 from conftest import (
@@ -38,7 +38,9 @@ from conftest import (
     DRONES_SIMPLE,
     PPDB_FIXTURE_LINES,
     SYNONYM_FIXTURE_LINES,
+    STOP_SIGNALS_MASK,
     UNICODE_LINE_BREAKS,
+    cli_env,
 )
 
 EXAMPLE_ROWS = [
@@ -93,6 +95,21 @@ def test_mine_example_corpus(tmp_path, example_corpus, ppdb_file, synonym_file, 
     assert payload["total_pairs"] == 4
     assert payload["cases"]["NonExp-Exp"] == 2
     assert payload["altlexes"][0]["text"] == "despite"
+
+
+def test_mine_matches_a_lexicon_phrase_with_punctuation(tmp_path, capsys):
+    # The lexicon's "that," is tokenized as the sentence's "that," is.
+    corpus, synonyms = tmp_path / "pairs.tsv", tmp_path / "syn.tsv"
+    corpus.write_text(
+        "We stayed home because it rained hard.\tIt rained hard, in view of that, we stayed home.\n", encoding="utf-8"
+    )
+    synonyms.write_text("because\tin view of that,\n", encoding="utf-8")
+    assert main(["mine", str(corpus), "--synonyms", str(synonyms), "--output-dir", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "altlexes.json").read_text(encoding="utf-8"))
+    assert report["cases"]["Exp-NonExp"] == 1
+    assert [(a["text"], a["sense"], a["resource"]) for a in report["altlexes"]] == [
+        ("in view of that ,", "Cause", "SynonymLexicon")
+    ]
 
 
 def test_mine_empty_corpus(tmp_path, ppdb_file, synonym_file, capsys):
@@ -637,7 +654,7 @@ def test_mine_pool_ships_text_rows(
     class InProcessPool:
         """Runs the shards in this process and keeps what ``map`` receives."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             pass
 
         def __enter__(self):
@@ -676,7 +693,7 @@ def _map_only_pool(log, sent=None):
     task."""
 
     class MapOnlyPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             log.append(("start", max_workers))
 
         def __enter__(self):
@@ -1400,16 +1417,10 @@ def _align_dir(tmp_path):
     return art
 
 
-def _cli_env():
-    """The environment of a child process with this package on its path."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-
-
 def _run_cli(argv, **kwargs):
     """``altlex-miner ARGV`` in a child process, with this package on its path."""
     argv = [sys.executable, "-m", "altlex_miner", *argv]
-    return subprocess.run(argv, env=_cli_env(), capture_output=True, text=True, **kwargs)
+    return subprocess.run(argv, env=cli_env(), capture_output=True, text=True, **kwargs)
 
 
 _ALIGNED = "Rain fell on the town.\tRain fell on the town.\t1.000000\nThe fox ran far.\tThe fox ran far.\t1.000000\n"
@@ -1509,46 +1520,109 @@ def test_mine_write_error_names_the_file_and_keeps_the_previous_outputs(
     assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
 
 
-_MINE_ON_TWO_CPUS = "import os, sys; os.cpu_count = lambda: 2; from altlex_miner import cli; sys.exit(cli.main(sys.argv[1:]))"
-
-
-def test_mine_pool_out_of_file_descriptors_ends_and_leaves_no_process(tmp_path, ppdb_file, synonym_file):
+def test_mine_pool_out_of_file_descriptors_ends_and_leaves_no_process(tmp_path, ppdb_file, synonym_file, cli_child):
     # RLIMIT_NOFILE, set in the child only, makes the pipes and forks of a
     # two-process pool fail at various points, the first worker started
     # and the second not among them. Each run must end with a result or
-    # one error line and stop every process it started. A worker left
-    # behind keeps the child's stdout open, so both go to files: a pipe
-    # would block reading it to EOF.
+    # one error line and stop every process it started.
     resource = pytest.importorskip("resource")
     corpus = _write_rows(tmp_path / "pairs.tsv", 400)  # two tasks: a pool of two
     succeeded = start_failed = False
     for limit in range(8, 21):
-        out, err = tmp_path / f"{limit}.out", tmp_path / f"{limit}.err"
         argv = _mine_args(corpus, tmp_path / f"outputs-{limit}", ppdb_file, synonym_file, ("--workers", "2"))
-        with out.open("w") as stdout, err.open("w") as stderr:
-            child = subprocess.Popen(
-                [sys.executable, "-c", _MINE_ON_TWO_CPUS, *argv],
-                env=_cli_env(),
-                stdout=stdout,
-                stderr=stderr,
-                start_new_session=True,
-                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_NOFILE, (limit, limit)),
-            )
-        try:
-            code = child.wait(timeout=10)
-            with pytest.raises(ProcessLookupError):
-                os.killpg(child.pid, 0)
-        finally:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(child.pid, signal.SIGKILL)
-            child.wait(timeout=10)
-        errors = err.read_text(encoding="utf-8")
+        child = cli_child(argv, name=str(limit), limits=[(resource.RLIMIT_NOFILE, limit)])
+        code = child.wait()
+        assert not child.group_alive()
+        errors = child.stderr.read_text(encoding="utf-8")
         assert code in (0, 2), (limit, errors)
         if code == 2:
             assert errors.count("\n") == 1 and errors.startswith("error: "), (limit, errors)
         succeeded |= code == 0
         start_failed |= errors.startswith("error: starting worker processes: ")
     assert succeeded and start_failed
+
+
+# Rows of four tasks, 200 + 3 x 1,000, and enough more that the parent's
+# blocks reach past them: it hands those tasks to the pool, then waits in
+# its read of the next ones while the workers sit idle.
+_ROWS_BEFORE_THE_WAIT = 3600
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads each worker's /proc/PID/status")
+@pytest.mark.parametrize("to", ["parent", "group"])
+@pytest.mark.parametrize(
+    "signum, message",
+    [(signal.SIGINT, "interrupted"), (signal.SIGTERM, "stopped by SIGTERM"), (signal.SIGHUP, "stopped by SIGHUP")],
+    ids=["SIGINT", "SIGTERM", "SIGHUP"],
+)
+def test_a_signal_stops_a_pooled_run_whole(tmp_path, ppdb_file, synonym_file, cli_child, signum, message, to):
+    # Sent to the parent alone, as by ``kill PID``, or to its group, as a
+    # terminal sends Ctrl-C: the run exits 128 + N with one line and no
+    # worker's traceback, stops its workers, and leaves the outputs as
+    # they were.
+    out = tmp_path / "out"
+    out.mkdir()
+    previous = {name: f"previous {name}\n".encode() for name in _OUTPUT_NAMES}
+    for name, data in previous.items():
+        (out / name).write_bytes(data)
+    rows = _write_rows(tmp_path / "rows.tsv", _ROWS_BEFORE_THE_WAIT).read_bytes()
+    fifo = tmp_path / "pairs.fifo"
+    child = cli_child(_mine_args(fifo, out, ppdb_file, synonym_file, ("--workers", "2")), fifo=(fifo, rows))
+    child.wait_for_workers(2)
+    # The kernel gives a signal to any thread that does not block it, and
+    # only the main thread runs Python's handlers; it waits in its read.
+    blocked = {tid: mask & STOP_SIGNALS_MASK for tid, mask in child.blocked_signals().items()}
+    assert blocked == {tid: 0 if tid == child.process.pid else STOP_SIGNALS_MASK for tid in blocked}
+    (os.killpg if to == "group" else os.kill)(child.process.pid, signum)
+    assert child.wait() == 128 + signum
+    assert not child.group_alive()
+    assert child.stderr.read_text(encoding="utf-8") == f"error: {message}\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+def test_a_signal_during_the_writes_keeps_the_previous_outputs(
+    tmp_path, example_corpus, ppdb_file, synonym_file, monkeypatch, capsys, signum
+):
+    # The console script's handlers unwind as Ctrl-C does, so the
+    # temporary files go and the outputs stay as they were.
+    out = tmp_path / "out"
+    out.mkdir()
+    previous = {name: f"previous {name}\n".encode() for name in _OUTPUT_NAMES}
+    for name, data in previous.items():
+        (out / name).write_bytes(data)
+    monkeypatch.setattr(cli, "write_altlexes_json", lambda *args: signal.raise_signal(signum))
+    monkeypatch.setattr(sys, "argv", ["altlex-miner", *_mine_args(example_corpus, out, ppdb_file, synonym_file)])
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    handlers = {s: signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGHUP)}
+
+    def not_replaced(signum, frame):  # rather than the default action, which would end the test run
+        raise AssertionError(f"entrypoint installed no {signal.Signals(signum).name} handler")
+
+    try:
+        signal.signal(signum, not_replaced)
+        with pytest.raises(SystemExit) as stopped:
+            cli.entrypoint()
+    finally:
+        for s, handler in handlers.items():
+            signal.signal(s, handler)
+    assert stopped.value.code == 128 + signum
+    assert capsys.readouterr().err == f"error: stopped by {signum.name}\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+
+
+def _fails_unless_signals_are_ignored(task):
+    handlers = [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)]
+    if any(handler is not signal.SIG_IGN for handler in handlers):
+        raise AssertionError(f"a worker handles a signal itself: {handlers}")
+    return AltLexInventory()
+
+
+def test_mine_pool_workers_leave_signals_to_the_parent(monkeypatch):
+    # A terminal's Ctrl-C reaches every process of the group; a worker that
+    # handled it would print its own traceback.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._mine(_fails_unless_signals_are_ignored, range(4), 1, 2).total_pairs == 0
 
 
 @pytest.mark.parametrize("stopped_in", ["mine_corpus", "write_altlexes_json"])
@@ -1635,7 +1709,7 @@ def test_mine_reads_what_align_writes(articles, threshold, ppdb_file, synonym_fi
 def _run_with_closed_stdout(argv, cwd, unbuffered):
     """``altlex-miner ARGV`` in a child process whose stdout is a pipe that
     its reader has closed, as ``| head -0`` leaves it: (exit code, stderr)."""
-    env = _cli_env()
+    env = cli_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"

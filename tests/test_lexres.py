@@ -21,7 +21,7 @@ from altlex_miner.lexres import (
     load_ppdb,
     load_synonyms,
 )
-from altlex_miner.text import InputError, read_lines
+from altlex_miner.text import InputError, read_lines, tokenize
 
 # The reference score rule, item by item: load_ppdb's one regex search must
 # give every line, stored or not, this score.
@@ -53,8 +53,8 @@ def _reference_load_ppdb(path, min_score=0.0, keep=None):
             store.skipped += 1
             print(f"{path}: line {lineno}: skipping line with {len(fields)} fields", file=sys.stderr)
             continue
-        source = tuple(fields[1].lower().split())
-        target = tuple(fields[2].lower().split())
+        source = text.tokenize(fields[1]).lower_forms
+        target = text.tokenize(fields[2]).lower_forms
         if not source or not target or source == target:
             store.skipped += 1
             print(f"{path}: line {lineno}: skipping empty or identity paraphrase", file=sys.stderr)
@@ -124,6 +124,42 @@ def test_load_synonyms(tmp_path):
     assert entry.target == ("since",)
     assert entry.score == 1.0
     assert entry.resource is Resource.SYNONYM_LEXICON
+
+
+def test_phrases_are_tokenized_as_sentences_are(tmp_path):
+    # Punctuation is a token of its own, in a phrase as in a sentence.
+    ppdb, synonyms = tmp_path / "ppdb", tmp_path / "syn.tsv"
+    ppdb.write_text("[X] ||| though ||| U.S. ||| PPDB2.0Score=3.5\n", encoding="utf-8")
+    synonyms.write_text("because\tin view of that,\n", encoding="utf-8")
+    assert [e.target for e in load_ppdb(ppdb).lookup(("though",))] == [("u", ".", "s", ".")]
+    assert [e.target for e in load_synonyms(synonyms).lookup(("because",))] == [("in", "view", "of", "that", ",")]
+
+
+# Words, punctuation, clitics and hyphens, U+FEFF, "İ", which grows under
+# lowercasing, and whitespace that is not a space.
+_PHRASE_PIECES = [
+    "because", "In", "view", "of", "that", ",", ".", "u.s.", "don't", "a-", "'s", "İf", "\ufeff",
+    " ", "  ", "\xa0", "\u3000", "\u2028", "\x85", "\x1c",
+]
+_PHRASE = st.lists(st.sampled_from(_PHRASE_PIECES), max_size=5).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_PHRASE, _PHRASE), min_size=1, max_size=6))
+def test_every_stored_phrase_is_its_fields_tokens(tmp_path_factory, pairs):
+    # Of both loaders, with or without keep and with the PPDB pattern run on
+    # every block: each source and target stored is its field's tokens,
+    # lowercased, and a pair of two such phrases, empty or equal, is none.
+    root = tmp_path_factory.mktemp("phrases")
+    ppdb, synonyms = root / "ppdb", root / "syn.tsv"
+    ppdb.write_text("".join(f"[X] ||| {s} ||| {t} ||| PPDB2.0Score=1\n" for s, t in pairs), encoding="utf-8")
+    synonyms.write_text("".join(f"{s}\t{t}\n" for s, t in pairs), encoding="utf-8")
+    tokens = [(tokenize(s).lower_forms, tokenize(t).lower_forms) for s, t in pairs]
+    kept = {pair for s, t in tokens if s and t and s != t for pair in ((s, t), (t, s))}
+    with redirect_stderr(io.StringIO()), mock.patch.object(text, "_BLOCK_CHARS", 1):
+        for keep in (None, frozenset(phrase for pair in tokens for phrase in pair)):
+            for store in (load_ppdb(ppdb, keep=keep), load_synonyms(synonyms, keep=keep)):
+                assert {(s, t) for s, targets in store._by_source.items() for t in targets} == kept
 
 
 def test_load_synonyms_strips_utf8_bom(tmp_path):
@@ -359,13 +395,15 @@ def test_lookup_memo_follows_add_and_returns_fresh_lists():
 
 
 # Phrases for the reference comparison: keep phrases of the shipped
-# inventory and plain phrases no connective reaches; odd ones lowercase to
-# a keep phrase (the Kelvin sign lowercases to "k"), grow under lowercasing
-# ("İ"), or are the uppercase, non-ASCII and "|" keep phrases of the last
-# keep set.
+# inventory, plain phrases no connective reaches, and phrases holding
+# punctuation, an apostrophe or a hyphen, which ``tokenize`` splits or keeps
+# whole; odd ones lowercase to a keep phrase (the Kelvin sign lowercases to
+# "k"), grow under lowercasing ("İ"), or are the uppercase, non-ASCII and
+# "|" keep phrases of the fourth keep set.
 _PLAIN_FORMS = [
     "though", "because", "in short", "as a result", "in the end", "on the other hand",
     "rock", "stone", "in spite of", "on the whole", "all in all", "a great deal",
+    "that,", "as a result ,", "in view of that,", "u.s.", "don't", "a-", "it 's",
 ]
 _ODD_FORMS = ["a|b", "café", "li\u212aewise", "İf", "Because"]
 _THIRTY = " ".join(f"F{i}=0.{i}" for i in range(29))
@@ -377,7 +415,7 @@ _SCORED_FEATURES = [
     "A=1\tB=2", "A=1\xa0B", "A=1\x1cB", "A=-2|3 x", f"PPDB2.0Score=1.5 {_THIRTY}", f"{_THIRTY} PPDB2.0Score=1.5",
 ]
 _OTHER_FEATURES = ["abc", "x=1=2 y", "=5", "PPDB2.0Score=abc", "-1.5", "x=1.5e", "x=.5 y=2", "", "A=\u0663 B=1"]
-# Changes that lowercasing and str.split undo: other whitespace between
+# Changes that ``tokenize`` and lowercasing undo: other whitespace between
 # tokens, another letter case, whitespace around the phrase.
 _PHRASE_CHANGES = [
     lambda p: p.replace(" ", "  "), lambda p: p.replace(" ", "  ", 1), lambda p: p.replace(" ", "\t"),
@@ -426,13 +464,14 @@ _PPDB_FILES = st.tuples(
     st.lists(st.tuples(st.one_of(_ppdb_line(), _ppdb_line(), st.sampled_from(_ODD_LINES)), _LINE_ENDS), max_size=10),
 ).map(lambda file: file[0] + b"".join(line + end for line, end in file[1]))
 
-# No keep; an empty one; the first parts `mine` keeps; and phrases no line
-# of plain tokens can be.
+# No keep; an empty one; the first parts `mine` keeps; phrases no line of
+# plain tokens can be; and the tokens of punctuated phrases above.
 _KEEPS = [
     None,
     frozenset(),
     frozenset(e.parts[0] for e in load_inventory()),
     frozenset({("Because",), ("café",), ("a|b",)}),
+    frozenset({("that", ","), ("u", ".", "s", "."), ("a", "-")}),
 ]
 
 
