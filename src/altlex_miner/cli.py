@@ -37,7 +37,8 @@ signal's number). Outputs are replaced only once all are written, so a
 failed or stopped run leaves each as it was, and a failed or stopped
 ``mine`` stops its worker processes before it exits; workers ignore the
 three signals, which a terminal sends to the whole process group, and
-leave them to the parent. Workers that cannot start give ``error:
+leave them to the parent; a worker exits once its parent has died, also
+of SIGKILL. Workers that cannot start give ``error:
 starting worker processes: ...``.
 A stdout closed by its reader, as by ``| head``, is no error: the outputs
 are written before the summary is printed.
@@ -322,9 +323,25 @@ _STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
 
 def _leave_signals_to_parent() -> None:
     """A pool worker's initializer: the parent, stopped by the signal, kills
-    its workers, and a worker that also stopped would print a traceback."""
+    its workers, and a worker that also stopped would print a traceback.
+
+    A parent killed by a signal no handler sees, such as SIGKILL, stops no
+    worker, so a daemon thread does: it waits until the parent's sentinel
+    pipe closes and exits the worker. Under fork a worker also holds its
+    elder siblings' write ends, so the workers exit youngest first."""
+    import threading
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
+
     for signum in _STOP_SIGNALS:
         signal.signal(signum, signal.SIG_IGN)
+    sentinel = parent_process().sentinel
+
+    def exit_with_parent() -> None:
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, name="exit-with-parent", daemon=True).start()
 
 
 def ProcessPoolExecutor(*args, **kwargs):  # noqa: N802 - perfbench and tests rebind this name

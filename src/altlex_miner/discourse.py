@@ -9,6 +9,12 @@ Coordinators like "and" additionally require a preceding comma-style
 boundary when they appear mid-sentence, which keeps phrase-internal
 coordination ("produced and published") out of the results.
 
+Detection is one scan over a sentence's lowercased tokens,
+``scan_explicit``, a generator: it skips a sentence holding no token that
+starts a connective, visits only the positions of such tokens, and builds
+spans only for accepted occurrences. ``detect_explicit`` lists it; a
+caller after one connective stops drawing at its first annotation.
+
 Sense assignment is the most frequent sense from the per-connective prior
 table shipped with the package; it is data, not code, and can be replaced.
 """
@@ -18,7 +24,9 @@ from __future__ import annotations
 import enum
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 from .text import InputError, Sentence, TokenSpan, read_lines, tokenize
@@ -189,13 +197,9 @@ _CLITIC_RE = re.compile(r"\w+['’](s|re|ve|ll|d|m)$")
 def _is_verbish(lower: str, position: int) -> bool:
     if lower in _VERB_LIST:
         return True
-    if lower.endswith("n't") or lower.endswith("n’t"):
-        return True
-    if _CLITIC_RE.fullmatch(lower):
-        return True
-    if position > 0 and lower.isalpha() and lower.endswith(("ed", "s", "ing")):
-        return True
-    return False
+    if "'" in lower or "’" in lower:  # no alphabetic token, so no suffix rule
+        return lower.endswith(("n't", "n’t")) or _CLITIC_RE.fullmatch(lower) is not None
+    return position > 0 and lower.endswith(("ed", "s", "ing")) and lower.isalpha()
 
 
 def _has_clause(lowers: tuple[str, ...], start: int, end: int) -> bool:
@@ -215,33 +219,32 @@ def _match_at(lowers: tuple[str, ...], part: tuple[str, ...], pos: int, occupied
     return True
 
 
-def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[ExplicitAnnotation]:
-    """Detect discourse-usage connective occurrences, longest match first.
+def scan_explicit(lowers: tuple[str, ...], inventory: ConnectiveInventory) -> Iterator[ExplicitAnnotation]:
+    """Yield the discourse-usage connective occurrences among the lowered
+    tokens, left to right, longest match first.
 
-    Scans left to right; at each free position the longest textually
-    matching entry is the only one considered (shorter entries never fire at
-    the same start). Accepted occurrences claim their token positions, so
-    annotation spans never overlap.
+    Only positions whose token starts some entry are visited; at each free
+    one the longest textually matching entry is the only one considered
+    (shorter entries never fire at the same start). Accepted occurrences
+    claim their token positions, so annotation spans never overlap. The
+    scan stops where its caller stops drawing annotations.
     """
-    lowers = sentence.lower_forms
+    by_first_token = inventory.by_first_token
+    if by_first_token.keys().isdisjoint(lowers):
+        return
     n = len(lowers)
     occupied = [False] * n
-    annotations: list[ExplicitAnnotation] = []
-    by_first_token = inventory.by_first_token
 
-    for pos, token in enumerate(lowers):
-        bucket = by_first_token.get(token)
-        if bucket is None:
-            continue
-        for entry in bucket:
+    for pos in compress(range(n), map(by_first_token.__contains__, lowers)):
+        for entry in by_first_token[lowers[pos]]:
             if not _match_at(lowers, entry.parts[0], pos, occupied):
                 continue
-            span2 = None
+            start2 = end2 = -1
             if entry.discontinuous:
                 second = entry.parts[1]
                 for j in range(pos + len(entry.parts[0]), n - len(second) + 1):
                     if _match_at(lowers, second, j, occupied):
-                        span2 = TokenSpan(j, j + len(second))
+                        start2, end2 = j, j + len(second)
                         break
                 else:
                     continue  # no free second part: try the next, shorter entry
@@ -249,24 +252,28 @@ def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[
         else:
             continue  # no entry matches here
 
-        span = TokenSpan(pos, pos + len(entry.parts[0]))
+        end = pos + len(entry.parts[0])
         if entry.id in _COMMA_GUARDED and pos > 0 and lowers[pos - 1] not in _BOUNDARY_TOKENS:
             continue
         # The right side is read around a second part, never inside it.
-        if span2 is None:
-            right_ok = _has_clause(lowers, span.end, n)
+        if start2 < 0:
+            right_ok = _has_clause(lowers, end, n)
         else:
-            right_ok = _has_clause(lowers, span.end, span2.start) or _has_clause(lowers, span2.end, n)
+            right_ok = _has_clause(lowers, end, start2) or _has_clause(lowers, end2, n)
         if not (right_ok and (pos == 0 or _has_clause(lowers, 0, pos))):
             continue
 
-        annotations.append(
-            ExplicitAnnotation(connective_id=entry.id, span=span, span2=span2, sense=entry.top_sense)
+        occupied[pos:end] = [True] * (end - pos)
+        span2 = None
+        if start2 >= 0:
+            occupied[start2:end2] = [True] * (end2 - start2)
+            span2 = TokenSpan(start2, end2)
+        yield ExplicitAnnotation(
+            connective_id=entry.id, span=TokenSpan(pos, end), span2=span2, sense=entry.top_sense
         )
-        for i in range(span.start, span.end):
-            occupied[i] = True
-        if span2 is not None:
-            for i in range(span2.start, span2.end):
-                occupied[i] = True
 
-    return annotations
+
+def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[ExplicitAnnotation]:
+    """Every discourse-usage connective occurrence in the sentence, as
+    ``scan_explicit`` yields them from its lowercased tokens."""
+    return list(scan_explicit(sentence.lower_forms, inventory))

@@ -14,9 +14,12 @@ iterable, so a corpus streams through mining.
 
 Each ``mine_corpus`` call expands a connective through each paraphrase
 store once, on first use, into one index keyed by the expansions' first
-tokens; a non-explicit side is then scanned once for all of them. A
-substitution splices token tuples, so only the replacement is split into
-tokens, never the whole sentence.
+tokens; a non-explicit side is then scanned once for all of them, at the
+positions of those tokens only. A substitution splices token tuples, so
+only the replacement is split into tokens, never the whole sentence, and
+a bounded cache splits each replacement once per capitalization. Verification
+splices only the lowercased tokens, builds no ``Sentence``, and re-detects
+only as far as the connective's first annotation.
 
 A pair's matches are ranked once, by paraphrase score, span, resource and
 target, and walked best first: a match that overlaps a kept one is dropped
@@ -33,9 +36,12 @@ import enum
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress
 
 from .corpus import SentencePair
-from .discourse import ConnectiveEntry, ConnectiveInventory, ExplicitAnnotation, Sense, detect_explicit
+from .discourse import ConnectiveEntry, ConnectiveInventory, ExplicitAnnotation, Sense
+from .discourse import detect_explicit, scan_explicit
 from .lexres import ParaphraseEntry, ParaphraseStore, Resource, expand
 from .text import Sentence, TokenSpan, tokenize
 # Not called here: perfbench's tracer binds this name on this module.
@@ -156,6 +162,24 @@ def classify_annotations(
     return ChangeCase.DIFF_REL_DIFF_CONN
 
 
+@lru_cache(maxsize=1024)
+def _tokenized(words: tuple[str, ...], capitalized: bool) -> tuple[tuple[str, ...], Sentence]:
+    """``words``, the first capitalized if ``capitalized``, and ``tokenize``
+    of them joined with single spaces. A connective gives at most two keys."""
+    if capitalized and words:
+        words = (words[0][:1].upper() + words[0][1:], *words[1:])
+    return words, tokenize(" ".join(words))
+
+
+def _replacement(sentence: Sentence, span: TokenSpan, words: tuple[str, ...]) -> tuple[tuple[str, ...], Sentence]:
+    """``_tokenized(words, ...)`` for a replacement of the span, capitalized
+    if the span starts the sentence with a capitalized token."""
+    n = len(sentence)
+    if not (0 <= span.start < span.end <= n):
+        raise ValueError(f"span [{span.start}, {span.end}) invalid for {n} tokens")
+    return _tokenized(words, span.start == 0 and sentence.surface_forms[0][:1].isupper())
+
+
 def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...] | list[str]) -> Sentence:
     """Replace the span's tokens with the replacement token sequence.
 
@@ -164,17 +188,12 @@ def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...]
     only the replacement is tokenized. If the span started the sentence with a
     capitalized token, the replacement's first token is capitalized too.
     """
+    words, inserted = _replacement(sentence, span, tuple(replacement))
     surfaces = sentence.surface_forms
-    if not (0 <= span.start < span.end <= len(surfaces)):
-        raise ValueError(f"span [{span.start}, {span.end}) invalid for {len(surfaces)} tokens")
-    replacement = list(replacement)
-    if replacement and span.start == 0 and surfaces[0][:1].isupper():
-        replacement[0] = replacement[0][:1].upper() + replacement[0][1:]
-    inserted = tokenize(" ".join(replacement))
     before, after = surfaces[: span.start], surfaces[span.end :]
     lowers = sentence.lower_forms
     return Sentence(
-        " ".join([*before, *replacement, *after]),
+        " ".join([*before, *words, *after]),
         before + inserted.surface_forms + after,
         lowers[: span.start] + inserted.lower_forms + lowers[span.end :],
     )
@@ -185,12 +204,16 @@ def verify_candidate(
 ) -> bool:
     """Substitute the connective into the match's span and re-detect.
 
-    True iff some resulting annotation carries the connective. The detector
-    gives a connective its prior top sense, so a kept match always comes
-    back with ``connective.top_sense``. Any other outcome discards the match.
+    True iff some resulting annotation carries the connective. Only the
+    lowercased tokens are spliced, as ``substitute`` splices them, and the
+    scan stops at the connective's first annotation. The detector gives a
+    connective its prior top sense, so a kept match always comes back with
+    ``connective.top_sense``. Any other outcome discards the match.
     """
-    substituted = substitute(sentence, span, connective.parts[0])
-    return any(ann.connective_id == connective.id for ann in detect_explicit(substituted, inventory))
+    lowers = sentence.lower_forms
+    inserted = _replacement(sentence, span, connective.parts[0])[1].lower_forms
+    spliced = lowers[: span.start] + inserted + lowers[span.end :]
+    return any(ann.connective_id == connective.id for ann in scan_explicit(spliced, inventory))
 
 
 def _expansion_index(
@@ -210,8 +233,8 @@ def _matches(
     """Every expansion occurrence in the sentence, left to right: the hits,
     each as often, that ``match_phrase`` gives for each entry of the index."""
     lowers = sentence.lower_forms
-    for start, token in enumerate(lowers):
-        for entry in index.get(token, ()):
+    for start in compress(range(len(lowers)), map(index.__contains__, lowers)):
+        for entry in index[lowers[start]]:
             end = start + len(entry.target)
             if lowers[start:end] == entry.target:
                 yield entry, TokenSpan(start, end)

@@ -151,11 +151,12 @@ def cli_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
-# The console script on a machine taken to have two CPUs, so that a run of
-# two tasks or more starts a pool also where the host has one CPU. SIGINT
-# raises KeyboardInterrupt, as under a terminal, even if it was ignored here.
-_ENTRYPOINT_ON_TWO_CPUS = (
-    "import os, signal; os.cpu_count = lambda: 2; signal.signal(signal.SIGINT, signal.default_int_handler); "
+# The console script on a machine taken to have ``cpus`` CPUs, so that a run
+# of that many tasks or more starts a pool of them also where the host has
+# fewer. SIGINT raises KeyboardInterrupt, as under a terminal, even if it
+# was ignored here.
+_ENTRYPOINT_ON_CPUS = (
+    "import os, signal; os.cpu_count = lambda: {cpus}; signal.signal(signal.SIGINT, signal.default_int_handler); "
     "from altlex_miner import cli; cli.entrypoint()"
 )
 # Seconds a child run, or a write to its input, may take.
@@ -219,15 +220,16 @@ class CliChild:
 
 @pytest.fixture
 def cli_child(tmp_path):
-    """``start(argv, name="child", limits=(), fifo=None)``: run ``cli.entrypoint``
-    with ``argv`` in a child process (see ``CliChild``). ``limits`` are
+    """``start(argv, name="child", limits=(), fifo=None, cpus=2)``: run
+    ``cli.entrypoint`` with ``argv`` in a child process (see ``CliChild``)
+    that takes the machine to have ``cpus`` CPUs. ``limits`` are
     ``(resource, value)`` pairs of ``setrlimit`` for the child alone. With
     ``fifo=(path, data)``, ``path`` is made a FIFO, ``data`` is written to it
     and the FIFO is held open, so the child then waits in its read. Teardown
     kills each child's process group."""
     started, fifos = [], []
 
-    def start(argv, name="child", limits=(), fifo=None):
+    def start(argv, name="child", limits=(), fifo=None, cpus=2):
         if fifo is not None:
             os.mkfifo(fifo[0])
             # Read-write, so that opening blocks on no reader, and without
@@ -243,7 +245,7 @@ def cli_child(tmp_path):
 
         with out.open("w") as stdout, err.open("w") as stderr:
             process = subprocess.Popen(
-                [sys.executable, "-c", _ENTRYPOINT_ON_TWO_CPUS, *map(str, argv)],
+                [sys.executable, "-c", _ENTRYPOINT_ON_CPUS.format(cpus=cpus), *map(str, argv)],
                 env=cli_env(),
                 stdout=stdout,
                 stderr=stderr,

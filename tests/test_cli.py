@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -1578,6 +1579,26 @@ def test_a_signal_stops_a_pooled_run_whole(tmp_path, ppdb_file, synonym_file, cl
     assert not child.group_alive()
     assert child.stderr.read_text(encoding="utf-8") == f"error: {message}\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads each worker's /proc/PID/status")
+def test_no_worker_outlives_a_killed_parent(tmp_path, ppdb_file, synonym_file, cli_child):
+    # SIGKILL reaches no handler, so only the workers can notice that their
+    # parent has gone. Three workers, because a forked worker holds its elder
+    # siblings' ends of their parent pipes. The rows fill a first window of
+    # 2 x 3 tasks, 200 + 5 x 1,000 rows, and reach into the next one, so the
+    # parent waits in its read while its workers sit idle.
+    rows = _write_rows(tmp_path / "rows.tsv", _ROWS_BEFORE_THE_WAIT + 2000).read_bytes()
+    fifo = tmp_path / "pairs.fifo"
+    argv = _mine_args(fifo, tmp_path / "out", ppdb_file, synonym_file, ("--workers", "3"))
+    child = cli_child(argv, fifo=(fifo, rows), cpus=3)
+    child.wait_for_workers(3)
+    os.kill(child.process.pid, signal.SIGKILL)
+    assert child.wait() == -signal.SIGKILL
+    deadline = time.monotonic() + 2
+    while child.group_alive():
+        assert time.monotonic() < deadline, "a worker outlived its parent by 2 s"
+        time.sleep(0.01)
 
 
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])

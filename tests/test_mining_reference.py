@@ -6,6 +6,13 @@ substitutes by re-tokenizing the joined text, re-detects and resolves
 overlaps. The miner indexes expansions by first token, scans each side
 once and splices token tuples; on any corpus both must give the same
 inventory, example ids in order included.
+
+Detection itself is checked against ``reference_detect``, a pinned copy of
+the detector that looked up every token and built a span for every
+textual match: the scan that visits only connective positions and stops
+where its caller stops must give the same annotations, and
+``verify_candidate`` the same verdict as re-detecting ``substitute``'s
+tokens with the reference.
 """
 
 from collections import Counter
@@ -16,7 +23,19 @@ from hypothesis import strategies as st
 
 from altlex_miner import mining
 from altlex_miner.corpus import SentencePair
-from altlex_miner.discourse import ConnectiveEntry, ConnectiveInventory, Sense, detect_explicit
+from altlex_miner.discourse import (
+    _BOUNDARY_TOKENS,
+    _CLITIC_RE,
+    _COMMA_GUARDED,
+    _VERB_LIST,
+    ConnectiveEntry,
+    ConnectiveInventory,
+    ExplicitAnnotation,
+    Sense,
+    detect_explicit,
+    load_inventory,
+    scan_explicit,
+)
 from altlex_miner.lexres import ParaphraseStore, Resource, expand
 from altlex_miner.mining import (
     CaseKind,
@@ -25,8 +44,9 @@ from altlex_miner.mining import (
     classify_annotations,
     mine_corpus,
     substitute,
+    verify_candidate,
 )
-from altlex_miner.text import TokenSpan, match_phrase, tokenize
+from altlex_miner.text import Sentence, TokenSpan, match_phrase, tokenize
 
 
 def _entry(form, sense, second=""):
@@ -326,3 +346,226 @@ def test_expansion_index_matches_the_nested_loop(raw):
             for span in match_phrase(sentence, para.target)
         )
         assert Counter(_matches(index, sentence)) == nested
+
+
+# The detector as it was before detection became one scan, pinned: it
+# looks up every token, builds a span for every textual match and scans
+# the whole sentence. Only its signature changed, to take the lowercased
+# tokens, and its helpers' names.
+def _reference_is_verbish(lower: str, position: int) -> bool:
+    if lower in _VERB_LIST:
+        return True
+    if lower.endswith("n't") or lower.endswith("n’t"):
+        return True
+    if _CLITIC_RE.fullmatch(lower):
+        return True
+    if position > 0 and lower.isalpha() and lower.endswith(("ed", "s", "ing")):
+        return True
+    return False
+
+
+def _reference_has_clause(lowers: tuple[str, ...], start: int, end: int) -> bool:
+    for i in range(start, end):
+        if _reference_is_verbish(lowers[i], i):
+            return True
+    return False
+
+
+def _reference_match_at(lowers: tuple[str, ...], part: tuple[str, ...], pos: int, occupied: list[bool]) -> bool:
+    if pos + len(part) > len(lowers):
+        return False
+    for offset, word in enumerate(part):
+        i = pos + offset
+        if occupied[i] or lowers[i] != word:
+            return False
+    return True
+
+
+def reference_detect(lowers: tuple[str, ...], inventory: ConnectiveInventory) -> list[ExplicitAnnotation]:
+    """Detect discourse-usage connective occurrences, longest match first.
+
+    Scans left to right; at each free position the longest textually
+    matching entry is the only one considered (shorter entries never fire at
+    the same start). Accepted occurrences claim their token positions, so
+    annotation spans never overlap.
+    """
+    n = len(lowers)
+    occupied = [False] * n
+    annotations: list[ExplicitAnnotation] = []
+    by_first_token = inventory.by_first_token
+
+    for pos, token in enumerate(lowers):
+        bucket = by_first_token.get(token)
+        if bucket is None:
+            continue
+        for entry in bucket:
+            if not _reference_match_at(lowers, entry.parts[0], pos, occupied):
+                continue
+            span2 = None
+            if entry.discontinuous:
+                second = entry.parts[1]
+                for j in range(pos + len(entry.parts[0]), n - len(second) + 1):
+                    if _reference_match_at(lowers, second, j, occupied):
+                        span2 = TokenSpan(j, j + len(second))
+                        break
+                else:
+                    continue  # no free second part: try the next, shorter entry
+            break
+        else:
+            continue  # no entry matches here
+
+        span = TokenSpan(pos, pos + len(entry.parts[0]))
+        if entry.id in _COMMA_GUARDED and pos > 0 and lowers[pos - 1] not in _BOUNDARY_TOKENS:
+            continue
+        # The right side is read around a second part, never inside it.
+        if span2 is None:
+            right_ok = _reference_has_clause(lowers, span.end, n)
+        else:
+            right_ok = _reference_has_clause(lowers, span.end, span2.start) or _reference_has_clause(lowers, span2.end, n)
+        if not (right_ok and (pos == 0 or _reference_has_clause(lowers, 0, pos))):
+            continue
+
+        annotations.append(
+            ExplicitAnnotation(connective_id=entry.id, span=span, span2=span2, sense=entry.top_sense)
+        )
+        for i in range(span.start, span.end):
+            occupied[i] = True
+        if span2 is not None:
+            for i in range(span2.start, span2.end):
+                occupied[i] = True
+
+    return annotations
+
+
+SHIPPED = load_inventory()
+
+# Multi-token entries sharing first tokens, discontinuous entries whose
+# parts are also entries, comma-guarded coordinators, and "ßo" and "e.g.",
+# whose words ``tokenize`` splits otherwise or changes when capitalized.
+CUSTOM = ConnectiveInventory(
+    [
+        _entry("as", Sense.SYNCHRONY),
+        _entry("as a result", Sense.CAUSE),
+        _entry("as if", Sense.CONCESSION),
+        _entry("if", Sense.CONDITION, "then"),
+        _entry("then", Sense.ASYNCHRONOUS),
+        _entry("not only", Sense.CONJUNCTION, "but also"),
+        _entry("either", Sense.ALTERNATIVE, "or"),
+        _entry("or", Sense.ALTERNATIVE),
+        _entry("and", Sense.CONJUNCTION),
+        _entry("but", Sense.CONTRAST),
+        _entry("because", Sense.CAUSE),
+        _entry("ßo", Sense.CAUSE),
+        _entry("e.g.", Sense.INSTANTIATION),
+    ]
+)
+
+
+def _detection_tokens(inventory):
+    """Every token of an inventory's parts, discontinuous ones included."""
+    return sorted({token for entry in inventory for part in entry.parts for token in part})
+
+
+_SPECIAL_TOKENS = sorted(
+    {*_COMMA_GUARDED, *_BOUNDARY_TOKENS, *_VERB_LIST, "don't", "don’t", "it’s", "it's", "walked", "İs", "i̇s"}
+)
+_PSEUDO_WORD = st.text(alphabet="abdegilnorst'’", min_size=1, max_size=6)
+
+
+def _token_tuples(inventory):
+    pools = [_detection_tokens(inventory), _SPECIAL_TOKENS, _detection_tokens(CUSTOM)]
+    token = st.one_of(*map(st.sampled_from, pools), _PSEUDO_WORD)
+    return st.lists(token, max_size=16).map(tuple)
+
+
+# Found only at the second connective position: the unguarded "and" fails.
+_SECOND_POSITION = ("it", "was", "and", "rain", ",", "but", "it", "was")
+# The clitic with ’ is the only verb on the right of "because".
+_CURLY_CLITIC = ("because", "it’s")
+
+
+@given(_token_tuples(SHIPPED))
+@example(_SECOND_POSITION)
+@example(_CURLY_CLITIC)
+@example(("the", "farmer", "watched", ",", "because", "don’t"))
+def test_scan_equals_the_pinned_detector_on_the_shipped_inventory(lowers):
+    expected = reference_detect(lowers, SHIPPED)
+    assert list(scan_explicit(lowers, SHIPPED)) == expected
+    assert detect_explicit(Sentence(" ".join(lowers), lowers, lowers), SHIPPED) == expected
+
+
+@given(_token_tuples(CUSTOM))
+@example(("if", "it", "rained", "then", "not", "only", "was", "but", "also", "walked"))
+@example(_SECOND_POSITION)
+@example(_CURLY_CLITIC)
+def test_scan_equals_the_pinned_detector_on_a_custom_inventory(lowers):
+    expected = reference_detect(lowers, CUSTOM)
+    assert list(scan_explicit(lowers, CUSTOM)) == expected
+    assert detect_explicit(Sentence(" ".join(lowers), lowers, lowers), CUSTOM) == expected
+
+
+def test_the_pinned_examples_reach_the_rules_they_name():
+    # Each explicit example reaches the rule it pins: the connective that
+    # fires is at the second connective position, and the only clitic is ’s.
+    assert [a.connective_id for a in reference_detect(_SECOND_POSITION, SHIPPED)] == ["but"]
+    assert [a.connective_id for a in reference_detect(_CURLY_CLITIC, SHIPPED)] == ["because"]
+
+
+_VERIFY_VOCAB = [
+    "the", "rain", "was", "walked", "crossed", ",", ".", "it’s", "As", "as", "a", "result", "If", "if",
+    "then", "and", "but", "or", "either", "not", "only", "also", "So", "ßo", "e.g.", "Because", "because",
+    "İs", "Then",
+]
+
+
+@given(
+    st.lists(st.sampled_from(_VERIFY_VOCAB), min_size=1, max_size=12),
+    st.sampled_from(list(CUSTOM) + [e for e in SHIPPED if not e.discontinuous][:20]),
+    st.data(),
+)
+@example(["So", "it", "was", "."], CUSTOM.by_id["ßo"], None)
+@example(["Because", "the", "rain", "was", ",", "it", "walked"], CUSTOM.by_id["e.g."], None)
+@example(["If", "the", "rain", "was", ",", "then", "it", "walked"], CUSTOM.by_id["as a result"], None)
+def test_verify_candidate_equals_redetecting_the_substituted_sentence(words, connective, data):
+    # A ``None`` draw, as in the examples, is the first token's span.
+    sentence = tokenize(" ".join(words))
+    n = len(sentence)
+    if data is None:
+        span = TokenSpan(0, 1)
+    else:
+        start = data.draw(st.integers(0, n - 1))
+        span = TokenSpan(start, data.draw(st.integers(start + 1, n)))
+    inventory = CUSTOM if connective.id in CUSTOM.by_id else SHIPPED
+    substituted = substitute(sentence, span, connective.parts[0])
+    expected = any(a.connective_id == connective.id for a in reference_detect(substituted.lower_forms, inventory))
+    assert verify_candidate(sentence, span, connective, inventory) is expected
+
+
+# 60 one-sided pairs in which "since" verifies "because", half of them at
+# a capitalized sentence start.
+_REPEATED = [
+    ("The farmer watched because the rain crossed .", "The farmer watched since the rain crossed ."),
+    ("Because the rain was , the farmer watched .", "Since the rain was , the farmer watched ."),
+] * 30
+
+
+def test_verification_tokenizes_each_replacement_at_most_twice():
+    # The connective's words are tokenized once per capitalization, not
+    # once per verification: the tokens a verification splices in depend
+    # on nothing else.
+    pairs = _pairs(_REPEATED)
+    verified, tokenized = Counter(), Counter()
+    real_verify, real_tokenize = mining.verify_candidate, mining.tokenize
+
+    def verify_spy(sentence, span, connective, inventory):
+        verified[connective.parts[0]] += 1
+        return real_verify(sentence, span, connective, inventory)
+
+    def tokenize_spy(raw):
+        tokenized[raw] += 1
+        return real_tokenize(raw)
+
+    with patch.object(mining, "verify_candidate", verify_spy), patch.object(mining, "tokenize", tokenize_spy):
+        mine_corpus(pairs, INVENTORY, STORES)
+    assert verified[("because",)] >= 50
+    assert sum(tokenized.values()) <= 2 * len(verified)
