@@ -109,9 +109,11 @@ _CONFIG_TYPES = {
 }
 
 
-def load_config_file(path: str) -> dict:
-    """Flat key=value config; '#' comments; keys match the long flag names."""
+def load_config_file(path: str) -> tuple[dict, dict[str, str]]:
+    """Flat key=value config; '#' comments; keys match the long flag names.
+    Returns the values and, for each, the ``PATH: line N`` that set it."""
     values: dict = {}
+    lines: dict[str, str] = {}
     for lineno, line in read_lines(path):
         line = line.strip()
         if line.startswith("#"):
@@ -127,19 +129,21 @@ def load_config_file(path: str) -> dict:
             RunConfig(**{key: values[key]})  # a range check names this line too
         except ValueError as exc:
             raise InputError(f"{path}: line {lineno}: bad value for {key}: {exc}") from exc
-    return values
+        lines[key] = f"{path}: line {lineno}"
+    return values, lines
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults < config file < explicit flags."""
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(args.config))
+def build_run_config(args: argparse.Namespace) -> tuple[RunConfig, dict[str, str]]:
+    """Defaults < config file < explicit flags. Returns the config and, for
+    each value a config file set and no flag overrode, the ``PATH: line N``
+    that set it."""
+    values, set_at = load_config_file(args.config) if args.config else ({}, {})
     for key in _CONFIG_TYPES:
         flag = getattr(args, key, None)  # align has no resource flags
         if flag is not None:
             values[key] = flag
-    return RunConfig(input_path=args.input_path, **values)
+            set_at.pop(key, None)
+    return RunConfig(input_path=args.input_path, **values), set_at
 
 
 def percent_rows(counts: list[int]) -> list[float]:
@@ -252,15 +256,26 @@ def _replacing(*outputs: str | Path) -> Iterator[list[Callable[[str], object]]]:
             temporary.unlink(missing_ok=True)  # replaced already, or left by a failure
 
 
-def _load_stores(config: RunConfig, inventory: ConnectiveInventory) -> list[ParaphraseStore]:
+def _load(config: RunConfig, set_at: dict[str, str], key: str, load: Callable, **kwargs):
+    """``load`` of the resource path set for ``key``; an OSError for a path
+    from a config file names the file and line that ``set_at`` gives."""
+    try:
+        return load(getattr(config, key), **kwargs)
+    except OSError as exc:
+        if key not in set_at:
+            raise
+        raise InputError(f"{set_at[key]}: {key}: {exc}") from exc
+
+
+def _load_stores(config: RunConfig, set_at: dict[str, str], inventory: ConnectiveInventory) -> list[ParaphraseStore]:
     """The paraphrase stores, holding only the lines that can expand a
     connective: mining looks up nothing but each connective's first part."""
     keep = {entry.parts[0] for entry in inventory}
     stores: list[ParaphraseStore] = []
     if config.ppdb:
-        stores.append(load_ppdb(config.ppdb, min_score=config.min_score, keep=keep))
+        stores.append(_load(config, set_at, "ppdb", load_ppdb, min_score=config.min_score, keep=keep))
     if config.synonyms:
-        stores.append(load_synonyms(config.synonyms, keep=keep))
+        stores.append(_load(config, set_at, "synonyms", load_synonyms, keep=keep))
     return stores
 
 
@@ -415,7 +430,7 @@ def _mine(work, items: Iterable, per_task: int, workers: int) -> AltLexInventory
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    config = build_run_config(args)
+    config, set_at = build_run_config(args)
     # The input is checked before any resource is read: a PPDB can take long.
     if Path(config.input_path).is_dir():
         items = _list_articles(config.input_path)
@@ -426,8 +441,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
         items = read_aligned_rows(config.input_path)
         per_task = _ROWS_PER_TASK
         read = pairs_from_rows
-    inventory = load_inventory(config.inventory)
-    work = partial(_mine_task, read, inventory=inventory, stores=_load_stores(config, inventory))
+    inventory = _load(config, set_at, "inventory", load_inventory)
+    work = partial(_mine_task, read, inventory=inventory, stores=_load_stores(config, set_at, inventory))
 
     inv = _mine(work, items, per_task, config.workers)
 
@@ -446,7 +461,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_align(args: argparse.Namespace) -> int:
-    config = build_run_config(args)
+    config, _ = build_run_config(args)
     articles = _list_articles(config.input_path)
     count = 0
     with _replacing(config.output) as (write,):

@@ -10,10 +10,11 @@ boundary when they appear mid-sentence, which keeps phrase-internal
 coordination ("produced and published") out of the results.
 
 Detection is one scan over a sentence's lowercased tokens,
-``scan_explicit``, a generator: it skips a sentence holding no token that
-starts a connective, visits only the positions of such tokens, and builds
-spans only for accepted occurrences. ``detect_explicit`` lists it; a
-caller after one connective stops drawing at its first annotation.
+``scan_explicit``, a generator: it visits only the positions of tokens that
+start a connective, and builds spans only for accepted occurrences.
+``detect_explicit`` lists it, and returns at once, without starting the
+scan, for a sentence holding no such token, as most sentences do; a caller
+after one connective stops drawing at its first annotation.
 
 Sense assignment is the most frequent sense from the per-connective prior
 table shipped with the package; it is data, not code, and can be replaced.
@@ -230,8 +231,6 @@ def scan_explicit(lowers: tuple[str, ...], inventory: ConnectiveInventory) -> It
     scan stops where its caller stops drawing annotations.
     """
     by_first_token = inventory.by_first_token
-    if by_first_token.keys().isdisjoint(lowers):
-        return
     n = len(lowers)
     occupied = [False] * n
 
@@ -275,5 +274,9 @@ def scan_explicit(lowers: tuple[str, ...], inventory: ConnectiveInventory) -> It
 
 def detect_explicit(sentence: Sentence, inventory: ConnectiveInventory) -> list[ExplicitAnnotation]:
     """Every discourse-usage connective occurrence in the sentence, as
-    ``scan_explicit`` yields them from its lowercased tokens."""
-    return list(scan_explicit(sentence.lower_forms, inventory))
+    ``scan_explicit`` yields them from its lowercased tokens; none, without
+    a scan, if no token starts a connective."""
+    lowers = sentence.lower_forms
+    if inventory.by_first_token.keys().isdisjoint(lowers):
+        return []
+    return list(scan_explicit(lowers, inventory))

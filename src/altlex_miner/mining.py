@@ -177,7 +177,7 @@ def _replacement(sentence: Sentence, span: TokenSpan, words: tuple[str, ...]) ->
     n = len(sentence)
     if not (0 <= span.start < span.end <= n):
         raise ValueError(f"span [{span.start}, {span.end}) invalid for {n} tokens")
-    return _tokenized(words, span.start == 0 and sentence.surface_forms[0][:1].isupper())
+    return _tokenized(words, span.start == 0 and sentence.first_surface[:1].isupper())
 
 
 def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...] | list[str]) -> Sentence:
@@ -190,11 +190,9 @@ def substitute(sentence: Sentence, span: TokenSpan, replacement: tuple[str, ...]
     """
     words, inserted = _replacement(sentence, span, tuple(replacement))
     surfaces = sentence.surface_forms
-    before, after = surfaces[: span.start], surfaces[span.end :]
     lowers = sentence.lower_forms
     return Sentence(
-        " ".join([*before, *words, *after]),
-        before + inserted.surface_forms + after,
+        " ".join([*surfaces[: span.start], *words, *surfaces[span.end :]]),
         lowers[: span.start] + inserted.lower_forms + lowers[span.end :],
     )
 

@@ -3,8 +3,9 @@
 The tokenizer is deliberately rule-based and dependency-free: words (with
 internal hyphens and apostrophes kept intact, so "don't" and
 "African-Americans" stay single tokens) and standalone punctuation marks.
-All matching downstream is case-insensitive, so a Sentence stores each
-token's lowercased form alongside its surface. ``read_blocks`` opens every
+All matching downstream is case-insensitive, so a Sentence stores only its
+raw text and each token's lowercased form; the surface tokens are found
+again in ``raw`` when asked for. ``read_blocks`` opens every
 input file and streams it in blocks of whole lines; ``read_lines`` yields
 their non-blank lines one at a time. A bad input file raises ``InputError``.
 """
@@ -49,20 +50,32 @@ class TokenSpan:
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
-    """Raw text plus its tokens; the unit all detection and mining works on.
+    """Raw text plus its lowercased tokens; the unit all detection and
+    mining works on.
 
-    ``surface_forms`` holds the token strings in order and ``lower_forms``
-    their lowercased forms, one per token (lowercasing a token can change
-    its length, e.g. "İ"). Both come from ``raw``; build a Sentence with
-    ``tokenize``.
+    ``lower_forms`` holds each token of ``raw`` lowercased, in order
+    (lowercasing a token can change its length, e.g. "İ"); build a Sentence
+    with ``tokenize``. ``surface_forms``, the tokens as written, is found
+    again in ``raw`` on each read, and ``first_surface`` finds only the
+    first; substitution reads both, and ``verify_candidate`` reads
+    ``first_surface`` for a span at the sentence's start.
     """
 
     raw: str
-    surface_forms: tuple[str, ...]
     lower_forms: tuple[str, ...]
 
+    @property
+    def surface_forms(self) -> tuple[str, ...]:
+        return tuple(_TOKEN_RE.findall(self.raw))
+
+    @property
+    def first_surface(self) -> str:
+        """The first token as written, or "" for a sentence with none."""
+        match = _TOKEN_RE.search(self.raw)
+        return match[0] if match else ""
+
     def __len__(self) -> int:
-        return len(self.surface_forms)
+        return len(self.lower_forms)
 
 
 # Characters ``read_blocks`` reads at a time, before it completes the last line.
@@ -114,14 +127,16 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 
 def tokenize(raw: str) -> Sentence:
-    """Split ``raw`` into word and punctuation tokens.
+    """Split ``raw`` into word and punctuation tokens, each lowercased.
 
     Punctuation marks become their own tokens; hyphenated words and clitics
     ("don't", "it's") remain single tokens. Empty or whitespace-only input
-    yields a sentence with no tokens.
+    yields a sentence with no tokens. The text is split first and each
+    token lowercased on its own: lowercasing the whole text can give other
+    tokens ("İ" grows to two code points, the second no word character, and
+    a final sigma depends on the characters after it).
     """
-    surfaces = tuple(_TOKEN_RE.findall(raw))
-    return Sentence(raw, surfaces, tuple(map(str.lower, surfaces)))
+    return Sentence(raw, tuple(map(str.lower, _TOKEN_RE.findall(raw))))
 
 
 def match_phrase(sentence: Sentence, phrase: list[str] | tuple[str, ...]) -> list[TokenSpan]:

@@ -1335,6 +1335,28 @@ def test_a_bad_config_value_names_its_line(tmp_path, example_corpus, capsys, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["ppdb", "synonyms", "inventory"])
+def test_an_unopenable_resource_path_names_its_config_line(tmp_path, monkeypatch, example_corpus, capsys, key):
+    # The message names the config line that set the path; a flag's path
+    # keeps the bare message, also when it overrides the config's.
+    monkeypatch.chdir(tmp_path)  # where the relative path 10.5 is missing
+    config = tmp_path / "cfg.txt"
+    config.write_text(f"# resources\n{key}=10.5\n", encoding="utf-8")
+    missing = tmp_path / "10.6"
+    argv = ["mine", str(example_corpus), "--output-dir", str(tmp_path / "out")]
+    assert main([*argv, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: line 2: {key}: [Errno 2] No such file or directory: '10.5'\n"
+    )
+    for extra in ([], ["--config", str(config)]):
+        assert main([*argv, f"--{key}", str(missing), *extra]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    # The input is checked before any resource is opened.
+    assert main(["mine", str(tmp_path / "absent.tsv"), "--config", str(config)]) == 2
+    assert "absent.tsv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # Pieces of every input format, so that random input gets past the first
 # check of each reader: separators, line ends, a BOM, bytes that are not
 # UTF-8, a character whose lowercase is longer, config keys, numbers,

@@ -1,6 +1,8 @@
 import random
 import re
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,12 +20,13 @@ from altlex_miner.corpus import (
     list_article_dir,
     load_article_dir,
     read_aligned_rows,
+    read_article,
     tfidf_cosine,
 )
 from altlex_miner.mining import ChangeCase
 from altlex_miner.text import InputError, tokenize
 
-from conftest import UNICODE_LINE_BREAKS, WOODCUTS_COMPLEX, WOODCUTS_SIMPLE
+from conftest import BROADCAST_COMPLEX, COMICS_COMPLEX, UNICODE_LINE_BREAKS, WOODCUTS_COMPLEX, WOODCUTS_SIMPLE
 from test_mining import _categorize
 
 
@@ -313,6 +316,29 @@ def test_load_article_dir(tmp_path):
     assert set(articles) == {"story"}
     assert set(articles["story"]) == {0, 1}
     assert len(articles["story"][0]) == 2
+
+
+def test_a_read_sentence_holds_only_its_text_and_lowered_tokens(tmp_path):
+    # A Sentence keeps ``raw`` and one tuple of lowercased tokens: the bytes
+    # that reading a level leaves held are those objects' own, and a second
+    # tuple of surface tokens with its strings would nearly double them.
+    rows = (WOODCUTS_COMPLEX, WOODCUTS_SIMPLE, BROADCAST_COMPLEX, COMICS_COMPLEX, "İstanbul's ΟΔΟΣ.Α, it rained.")
+    lines = [f"{row} w{i}" for i in range(40) for row in rows]
+    path = tmp_path / "a.0.txt"
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    read_article(path)  # so that the free lists it draws on are filled
+    tracemalloc.start()
+    try:
+        sentences = read_article(path)
+        held = tracemalloc.get_traced_memory()[0] - sys.getsizeof(sentences)
+    finally:
+        tracemalloc.stop()
+    assert [s.raw for s in sentences] == lines
+    own = sum(
+        sys.getsizeof(s) + sys.getsizeof(s.raw) + sys.getsizeof(s.lower_forms) + sum(map(sys.getsizeof, s.lower_forms))
+        for s in sentences
+    )
+    assert held <= 1.1 * own
 
 
 @pytest.mark.parametrize("sep", UNICODE_LINE_BREAKS, ids=lambda sep: f"U+{ord(sep):04X}")

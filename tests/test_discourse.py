@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from altlex_miner import discourse
 from altlex_miner.discourse import (
     _BOUNDARY_TOKENS,
     _SHIPPED_INVENTORY,
@@ -110,6 +111,21 @@ def test_landmark_simple_since_rejected_by_usage_filter(inventory):
 
 def test_empty_sentence(inventory):
     assert detect_explicit(tokenize(""), inventory) == []
+
+
+def test_no_scan_starts_without_a_connective_token(inventory, monkeypatch):
+    # Most sentences hold no token that starts a connective: detection
+    # answers them without a scan.
+    sentence = tokenize("The red fox ran far, the rain fell all day.")
+    assert inventory.by_first_token.keys().isdisjoint(sentence.lower_forms)
+
+    def failing_scan(*args):
+        raise AssertionError("scan_explicit started")
+
+    monkeypatch.setattr(discourse, "scan_explicit", failing_scan)
+    assert detect_explicit(sentence, inventory) == []
+    with pytest.raises(AssertionError, match="scan_explicit started"):
+        detect_explicit(tokenize(WOODCUTS_SIMPLE), inventory)
 
 
 def test_vp_coordination_not_discourse_usage(inventory):

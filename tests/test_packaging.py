@@ -108,13 +108,14 @@ def _reads_token_re(node):
 
 
 def test_one_pattern_says_what_a_token_is():
-    # Sentences read from files, substituted sentences and blank lines all
-    # follow ``_TOKEN_RE``; a second reader would be a second token rule.
+    # Sentences read from files, substituted sentences, blank lines and the
+    # surface tokens found again in a Sentence's raw text, all or the first,
+    # follow ``_TOKEN_RE``; a second rule would need a reader of its own.
     nodes = {}
     for path in PACKAGE.rglob("*.py"):
         nodes.update(_nodes_by_function(path, (ast.Name, ast.Attribute)))
     readers = {owner for owner, found in nodes.items() if any(map(_reads_token_re, found))}
-    assert readers == {"text.tokenize", "text.block_lines"}
+    assert readers == {"text.tokenize", "text.block_lines", "text.surface_forms", "text.first_surface"}
 
 
 # Regex syntax new in Python 3.11, which 3.10, the least version

@@ -1,5 +1,6 @@
 import codecs
 import os
+import string
 import threading
 from contextlib import contextmanager, nullcontext
 from unittest import mock
@@ -66,6 +67,30 @@ def test_lower_forms_lowercase_each_surface(raw):
     assert len(s.lower_forms) == len(s.surface_forms) == len(s)
     for surface, lower in zip(s.surface_forms, s.lower_forms):
         assert lower == surface.lower()
+
+
+# ASCII text with capitals, the characters a token may hold or end at, and
+# the ASCII controls that ``str.isspace`` takes for whitespace.
+_ASCII_TEXT = st.text(alphabet=string.ascii_letters + string.digits + "_-'. \x0b\x0c\x1c\x1d\x1e\x1f", max_size=80)
+# The same with one piece that is not ASCII. Lowercasing the whole text
+# gets two of them wrong: "İ" lowers to two code points, the second no word
+# character; the sigma of "ΟΔΟΣ.Α" is final in its token but not in the
+# string. KELVIN SIGN lowers to ASCII "k".
+_MOSTLY_ASCII_TEXT = st.tuples(_ASCII_TEXT, st.sampled_from(["İ", "\u212a", "ΟΔΟΣ.Α"]), _ASCII_TEXT).map("".join)
+
+
+@given(st.one_of(_ASCII_TEXT, _MOSTLY_ASCII_TEXT))
+@example("ΟΔΟΣ.Α")
+@example("aİb")
+@example("Why-Not O'Brien.\x1cX")
+def test_tokenize_lowercases_each_token_on_its_own(raw):
+    # Lowercasing the whole text would give ASCII text the same tokens, but
+    # not text holding one of these pieces.
+    tokens = tuple(text._TOKEN_RE.findall(raw))
+    s = tokenize(raw)
+    assert s.lower_forms == tuple(t.lower() for t in tokens)
+    assert s.surface_forms == tokens
+    assert s.first_surface == (tokens[0] if tokens else "")
 
 
 def test_match_phrase_single():
